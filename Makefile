@@ -126,8 +126,8 @@ lint:
 	fi
 
 # fuzz gives each native fuzz target a short smoke budget — enough to shake
-# out regressions in the scheduler and the event wire format without tying
-# up CI. Crashers land in testdata/fuzz/ for triage.
+# out regressions in the scheduler, the event wire format and the fixed-point
+# fast path without tying up CI. Crashers land in testdata/fuzz/ for triage.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzScheduleLoop -fuzztime=$(FUZZTIME) ./internal/hls/
@@ -135,6 +135,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeJSON -fuzztime=$(FUZZTIME) ./internal/eventlog/
 	$(GO) test -run=^$$ -fuzz=FuzzQualityLabel -fuzztime=$(FUZZTIME) ./internal/quality/
 	$(GO) test -run=^$$ -fuzz=FuzzIntervalSoundness -fuzztime=$(FUZZTIME) ./internal/absint/
+	$(GO) test -run=^$$ -fuzz=FuzzFixedFastMatchesShadow -fuzztime=$(FUZZTIME) ./internal/kernels/
 
 # verify is the pre-merge gate: static checks (vet + both lint fronts), a
 # full build, and the whole test suite under the race detector (the serving

@@ -105,12 +105,32 @@ func SoftsignF(x float64) float64 {
 // Fixed evaluates activations in fixed-point arithmetic. It is the form the
 // FPGA kernels execute. Fixed is immutable and safe for concurrent use.
 type Fixed struct {
-	a fixed.Arith
+	a    fixed.Arith
+	plan *planConsts
+}
+
+// planConsts holds the PLAN sigmoid's breakpoints and segment coefficients
+// quantized once at the evaluator's scale, so Sigmoid itself does no float
+// conversion.
+type planConsts struct {
+	five, b2375        fixed.Value // segment breakpoints (|x| >= 1 is One)
+	slope3, intercept3 fixed.Value // 2.375 <= |x| < 5
+	slope2, intercept2 fixed.Value // 1 <= |x| < 2.375
+	slope1, intercept1 fixed.Value // 0 <= |x| < 1
 }
 
 // NewFixed returns a fixed-point activation evaluator over arith a.
 func NewFixed(a fixed.Arith) Fixed {
-	return Fixed{a: a}
+	return Fixed{a: a, plan: &planConsts{
+		five:       a.FromInt(5),
+		b2375:      a.FromFloat(2.375),
+		slope3:     a.FromFloat(0.03125),
+		intercept3: a.FromFloat(0.84375),
+		slope2:     a.FromFloat(0.125),
+		intercept2: a.FromFloat(0.625),
+		slope1:     a.FromFloat(0.25),
+		intercept1: a.FromFloat(0.5),
+	}}
 }
 
 // Softsign computes x/(|x|+1) exactly in fixed point:
@@ -143,16 +163,17 @@ func (f Fixed) Sigmoid(x fixed.Value) fixed.Value {
 	neg := x < 0
 	ax := f.a.Abs(x)
 	one := f.a.One()
+	c := f.plan
 	var y fixed.Value
 	switch {
-	case ax >= f.a.FromInt(5):
+	case ax >= c.five:
 		y = one
-	case ax >= f.a.FromFloat(2.375):
-		y = f.a.Add(f.a.Mul(f.a.FromFloat(0.03125), ax), f.a.FromFloat(0.84375))
+	case ax >= c.b2375:
+		y = f.a.Add(f.a.Mul(c.slope3, ax), c.intercept3)
 	case ax >= one:
-		y = f.a.Add(f.a.Mul(f.a.FromFloat(0.125), ax), f.a.FromFloat(0.625))
+		y = f.a.Add(f.a.Mul(c.slope2, ax), c.intercept2)
 	default:
-		y = f.a.Add(f.a.Mul(f.a.FromFloat(0.25), ax), f.a.FromFloat(0.5))
+		y = f.a.Add(f.a.Mul(c.slope1, ax), c.intercept1)
 	}
 	if neg {
 		return f.a.Sub(one, y)

@@ -63,18 +63,18 @@ func (a Arith) MulRaw(x, y Value) (Value, error) {
 func (a Arith) MulChecked(x, y Value) (Value, error) {
 	p, err := a.MulRaw(x, y)
 	if err != nil {
-		return roundedDiv(p, a.scale), err
+		return a.rescale(p), err
 	}
 	if rErr := a.rescaleRoundCheck(p); rErr != nil {
-		return roundedDiv(p, a.scale), rErr
+		return a.rescale(p), rErr
 	}
-	return roundedDiv(p, a.scale), nil
+	return a.rescale(p), nil
 }
 
 // FromRaw rescales a raw scale-S^2 accumulator (as produced by MulRaw or
 // DotRaw) back to the working scale with rounding — the correction Mul and Dot
 // apply internally.
-func (a Arith) FromRaw(raw Value) Value { return roundedDiv(raw, a.scale) }
+func (a Arith) FromRaw(raw Value) Value { return a.rescale(raw) }
 
 // DotRaw returns the raw scale-S^2 accumulator of the dot product — the value
 // Dot holds immediately before its final rescale — detecting overflow of every
@@ -112,12 +112,12 @@ func (a Arith) DotRaw(x, y []Value) (Value, error) {
 func (a Arith) DotChecked(x, y []Value) (Value, error) {
 	raw, err := a.DotRaw(x, y)
 	if err != nil {
-		return roundedDiv(raw, a.scale), err
+		return a.rescale(raw), err
 	}
 	if rErr := a.rescaleRoundCheck(raw); rErr != nil {
-		return roundedDiv(raw, a.scale), rErr
+		return a.rescale(raw), rErr
 	}
-	return roundedDiv(raw, a.scale), nil
+	return a.rescale(raw), nil
 }
 
 // Rescale converts v from the scale of `from` to the scale of a. When the

@@ -9,7 +9,8 @@
 // small for subsequent operations.
 //
 // The package is deliberately tiny and allocation-free: every kernel operation
-// in internal/kernels runs on these primitives.
+// in internal/kernels runs on these primitives, and the gate matrix-vector
+// products run through MatVec, which writes into a caller-owned destination.
 package fixed
 
 import (
@@ -101,7 +102,7 @@ func (a Arith) Sub(x, y Value) Value { return x - y }
 // default scale); Mul performs the paper's correction by dividing the product
 // by S, rounding half away from zero.
 func (a Arith) Mul(x, y Value) Value {
-	return roundedDiv(x*y, a.scale)
+	return a.rescale(x * y)
 }
 
 // MulWide is Mul using 128-bit intermediate math, immune to overflow of the
@@ -142,11 +143,37 @@ func (a Arith) Dot(x, y []Value) Value {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("fixed: dot length mismatch %d != %d", len(x), len(y)))
 	}
+	y = y[:len(x)]
 	var acc int64
 	for i := range x {
 		acc += x[i] * y[i]
 	}
-	return roundedDiv(acc, a.scale)
+	return a.rescale(acc)
+}
+
+// MatVec sets dst[j] = Dot(w[j*n:(j+1)*n], x) for every row j, where w is a
+// row-major len(dst)×n matrix and n = len(x). It computes four rows per pass
+// over x, so each x[i] is loaded once for four multiplies. Every row keeps its
+// own accumulator and its own final rescale, so dst[j] is bit-identical to
+// the per-row Dot: int64 addition is associative modulo 2^64, so even a
+// wrapped accumulator ends on the same value.
+//
+// MatVec panics on a shape mismatch, like Dot.
+func (a Arith) MatVec(dst, w, x []Value) {
+	n := len(x)
+	if len(w) != len(dst)*n {
+		panic(fmt.Sprintf("fixed: matvec shape mismatch: %d weights for %d rows of %d", len(w), len(dst), n))
+	}
+	j := 0
+	for ; j+4 <= len(dst); j += 4 {
+		blk := w[j*n : (j+4)*n]
+		s0, s1, s2, s3 := dot4(blk[:n], blk[n:2*n], blk[2*n:3*n], blk[3*n:], x)
+		d := dst[j : j+4 : j+4]
+		d[0], d[1], d[2], d[3] = a.rescale(s0), a.rescale(s1), a.rescale(s2), a.rescale(s3)
+	}
+	for ; j < len(dst); j++ {
+		dst[j] = a.Dot(w[j*n:(j+1)*n], x)
+	}
 }
 
 // QuantizeSlice converts a float64 slice to fixed point in one pass.
@@ -171,6 +198,36 @@ func (a Arith) DequantizeSlice(vs []Value) []float64 {
 // quantization at this scale: half a unit in the last place.
 func (a Arith) MaxAbsError() float64 {
 	return 0.5 / float64(a.scale)
+}
+
+// dot4 returns the raw accumulators of four rows against x. It is kept out
+// of line on purpose: inlined into MatVec, the register allocator spills the
+// four sums to the stack on every iteration, which costs more than the call.
+//
+//go:noinline
+func dot4(r0, r1, r2, r3, x []Value) (s0, s1, s2, s3 int64) {
+	r0, r1, r2, r3 = r0[:len(x)], r1[:len(x)], r2[:len(x)], r3[:len(x)]
+	for i, v := range x {
+		s0 += r0[i] * v
+		s1 += r1[i] * v
+		s2 += r2[i] * v
+		s3 += r3[i] * v
+	}
+	return s0, s1, s2, s3
+}
+
+// rescale divides a raw scale-S^2 value by S, rounding half away from zero:
+// the correction Mul, Dot and FromRaw share. It returns exactly
+// roundedDiv(raw, a.scale), wrapped bias included. At DefaultScale the
+// divisor is a compile-time constant, so the division compiles to a multiply
+// and shifts, and the ±S/2 bias is selected from the sign bit without a
+// branch: s is 0 or -1, and (S/2 ^ s) - s is S/2 or -S/2.
+func (a Arith) rescale(raw int64) int64 {
+	if a.scale == DefaultScale {
+		s := raw >> 63
+		return (raw + (DefaultScale/2 ^ s) - s) / DefaultScale
+	}
+	return roundedDiv(raw, a.scale)
 }
 
 // roundedDiv divides num by den (den > 0) rounding half away from zero.

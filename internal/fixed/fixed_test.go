@@ -2,6 +2,7 @@ package fixed
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -307,5 +308,117 @@ func BenchmarkDot40(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = a.Dot(xs, ys)
+	}
+}
+
+// TestRescaleMatchesRoundedDiv pins the constant-divisor rescale to the
+// generic roundedDiv it replaces at DefaultScale: every raw value within two
+// units of a rounding boundary (±S/2) or of a multiple of S, across positive
+// and negative quotients, and every raw value within 2·S of the int64 limits,
+// where the rounding bias wraps.
+func TestRescaleMatchesRoundedDiv(t *testing.T) {
+	const s = DefaultScale
+	a := Default
+	check := func(raw int64) {
+		t.Helper()
+		if got, want := a.rescale(raw), roundedDiv(raw, s); got != want {
+			t.Fatalf("rescale(%d) = %d, roundedDiv = %d", raw, got, want)
+		}
+	}
+	var ds []int64
+	for d := int64(-2); d <= 2; d++ {
+		ds = append(ds, -s/2+d, s/2+d)
+	}
+	ds = append(ds, 0, 1, -1)
+	var ks []int64
+	for k := int64(-1000); k <= 1000; k++ {
+		ks = append(ks, k)
+	}
+	for k := int64(1); k < math.MaxInt64/s; k *= 3 {
+		ks = append(ks, k, -k)
+	}
+	ks = append(ks, math.MaxInt64/s-1, math.MinInt64/s+1)
+	for _, k := range ks {
+		for _, d := range ds {
+			check(k*s + d)
+		}
+	}
+	for i := int64(0); i <= 2*s; i++ {
+		check(math.MinInt64 + i)
+		check(math.MaxInt64 - i)
+	}
+}
+
+// TestMatVecMatchesDot checks MatVec against one Dot per row on random
+// shapes (including rows and widths that are not multiples of four), at the
+// default scale and at scales that take the generic rescale, with operands
+// small enough to stay exact and large enough to wrap the accumulator.
+func TestMatVecMatchesDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, scale := range []int64{DefaultScale, 1 << 12, 10_000} {
+		a := MustNew(scale)
+		for trial := 0; trial < 300; trial++ {
+			rows, n := rng.Intn(14), rng.Intn(12)
+			wrap := trial%5 == 0
+			val := func() Value {
+				if wrap {
+					return Value(rng.Uint64())
+				}
+				return Value(rng.Int63n(4*scale) - 2*scale)
+			}
+			w := make([]Value, rows*n)
+			for i := range w {
+				w[i] = val()
+			}
+			x := make([]Value, n)
+			for i := range x {
+				x[i] = val()
+			}
+			dst := make([]Value, rows)
+			a.MatVec(dst, w, x)
+			for j := range dst {
+				if want := a.Dot(w[j*n:(j+1)*n], x); dst[j] != want {
+					t.Fatalf("scale %d, %dx%d row %d: MatVec %d, Dot %d", scale, rows, n, j, dst[j], want)
+				}
+			}
+		}
+	}
+}
+
+func TestMatVecShapeMismatchPanics(t *testing.T) {
+	for _, tc := range []struct{ rows, w, n int }{
+		{rows: 2, w: 5, n: 3},
+		{rows: 4, w: 16, n: 3},
+		{rows: 0, w: 1, n: 0},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MatVec(%d rows, %d weights, %d wide) did not panic", tc.rows, tc.w, tc.n)
+				}
+			}()
+			Default.MatVec(make([]Value, tc.rows), make([]Value, tc.w), make([]Value, tc.n))
+		}()
+	}
+}
+
+// BenchmarkMatVec128x32 is one recurrent gate product of the paper model:
+// four gates × H=32 rows over the 32-wide hidden state.
+func BenchmarkMatVec128x32(b *testing.B) {
+	a := Default
+	rng := rand.New(rand.NewSource(1))
+	w := make([]Value, 128*32)
+	for i := range w {
+		w[i] = a.FromFloat(rng.Float64() - 0.5)
+	}
+	x := make([]Value, 32)
+	for i := range x {
+		x[i] = a.FromFloat(rng.Float64() - 0.5)
+	}
+	dst := make([]Value, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.MatVec(dst, w, x)
 	}
 }

@@ -101,24 +101,36 @@ type Pipeline struct {
 	gateCUs int
 	probe   NumericProbe
 
-	// Quantized parameters (LevelFixedPoint only).
-	qEmbed [][]fixed.Value    // M rows of O values
-	qWx    [4][][]fixed.Value // per gate: H rows of O values
-	qWh    [4][][]fixed.Value // per gate: H rows of H values
-	qB     [4][]fixed.Value
+	// Quantized parameters (LevelFixedPoint only), row-major and
+	// gate-major: row g·H+r of qWx and qWh is row r of gate g, so one
+	// MatVec computes all four gate CUs' products.
+	qEmbed []fixed.Value // M rows of O values
+	qWx    []fixed.Value // 4H rows of O values
+	qWh    []fixed.Value // 4H rows of H values
+	qB     []fixed.Value // 4H biases, also used by LevelMixed
 	qFCW   []fixed.Value
 	qFCB   fixed.Value
 
-	// Narrow-scale parameters (LevelMixed only; see mixed.go).
-	nEmbed [][]fixed.Value
-	nWx    [4][][]fixed.Value
-	nWh    [4][][]fixed.Value
+	// Narrow-scale parameters (LevelMixed only; see mixed.go), laid out
+	// like their wide counterparts.
+	nEmbed []fixed.Value
+	nWx    []fixed.Value
+	nWh    []fixed.Value
+
+	// Per-item scratch, allocated once in New so a step allocates nothing.
+	gx, gh  []fixed.Value    // 4H input and recurrent gate products
+	gate    []fixed.Value    // 4H pre-activations, activated in place
+	hNarrow []fixed.Value    // H: h(t-1) requantized for LevelMixed
+	xF      tensor.Vector    // O: float embedding (Vanilla / II)
+	gateF   [4]tensor.Vector // H per gate: pre-activation, activated in place
+	tmpF    tensor.Vector    // H: Wh·h(t-1) for the gate being computed
+	cellAct func(float64) float64
 
 	// Recurrent state.
 	seqLen  int
 	counter int
 	hF, cF  tensor.Vector // float state (Vanilla / II)
-	hQ, cQ  []fixed.Value // fixed state (FixedPoint)
+	hQ, cQ  []fixed.Value // fixed state (FixedPoint / Mixed)
 }
 
 // Config describes pipeline deployment.
@@ -223,11 +235,29 @@ func New(m *lstm.Model, cfg Config) (*Pipeline, error) {
 		p.placed[spec.Name] = pk
 	}
 
+	h := p.cfg.HiddenSize
 	switch cfg.Level {
 	case LevelFixedPoint:
 		p.quantize()
 	case LevelMixed:
 		p.quantizeNarrow()
+		p.hNarrow = make([]fixed.Value, h)
+	default:
+		if p.cellAct, err = p.cfg.CellActivation.Func(); err != nil {
+			return nil, fmt.Errorf("kernels: %w", err)
+		}
+		p.xF = tensor.NewVector(p.cfg.EmbedDim)
+		p.tmpF = tensor.NewVector(h)
+		for g := range p.gateF {
+			p.gateF[g] = tensor.NewVector(h)
+		}
+		p.hF, p.cF = tensor.NewVector(h), tensor.NewVector(h)
+	}
+	if cfg.Level >= LevelFixedPoint {
+		p.gx = make([]fixed.Value, 4*h)
+		p.gh = make([]fixed.Value, 4*h)
+		p.gate = make([]fixed.Value, 4*h)
+		p.hQ, p.cQ = make([]fixed.Value, h), make([]fixed.Value, h)
 	}
 	p.Reset()
 	return p, nil
@@ -238,34 +268,39 @@ func New(m *lstm.Model, cfg Config) (*Pipeline, error) {
 // biases, and embeddings by this factor before the host initialization").
 func (p *Pipeline) quantize() {
 	m := p.model
-	cfg := p.cfg
-	p.qEmbed = make([][]fixed.Value, cfg.VocabSize)
-	for i := range p.qEmbed {
-		p.qEmbed[i] = p.arith.QuantizeSlice(m.Embedding.Row(i))
-	}
-	for g := range m.Gates {
-		p.qWx[g] = make([][]fixed.Value, cfg.HiddenSize)
-		p.qWh[g] = make([][]fixed.Value, cfg.HiddenSize)
-		for r := 0; r < cfg.HiddenSize; r++ {
-			p.qWx[g][r] = p.arith.QuantizeSlice(m.Gates[g].Wx.Row(r))
-			p.qWh[g][r] = p.arith.QuantizeSlice(m.Gates[g].Wh.Row(r))
-		}
-		p.qB[g] = p.arith.QuantizeSlice(m.Gates[g].B)
-	}
+	p.qEmbed = p.arith.QuantizeSlice(m.Embedding.Data)
+	p.qWx = gateMajor(p.arith, m, func(g lstm.Gate) []float64 { return g.Wx.Data })
+	p.qWh = gateMajor(p.arith, m, func(g lstm.Gate) []float64 { return g.Wh.Data })
+	p.qB = gateMajor(p.arith, m, func(g lstm.Gate) []float64 { return g.B })
 	p.qFCW = p.arith.QuantizeSlice(m.FCW)
 	p.qFCB = p.arith.FromFloat(m.FCB)
 }
 
-// Reset clears the recurrent state and item counter for a new sequence.
+// gateMajor quantizes one parameter of the four gates at arith a and stacks
+// them in canonical gate order. Each gate's parameter is already row-major,
+// so the result is the gate-major 4H-row matrix (or 4H-vector) MatVec reads.
+func gateMajor(a fixed.Arith, m *lstm.Model, param func(lstm.Gate) []float64) []fixed.Value {
+	n := len(param(m.Gates[0]))
+	out := make([]fixed.Value, len(m.Gates)*n)
+	for g, gate := range m.Gates {
+		for i, f := range param(gate)[:n] {
+			out[g*n+i] = a.FromFloat(f)
+		}
+	}
+	return out
+}
+
+// row returns row r of the row-major matrix m whose rows are n wide.
+func row(m []fixed.Value, r, n int) []fixed.Value { return m[r*n : (r+1)*n] }
+
+// Reset clears the recurrent state and item counter for a new sequence, in
+// place.
 func (p *Pipeline) Reset() {
 	p.counter = 0
-	if p.level >= LevelFixedPoint {
-		p.hQ = make([]fixed.Value, p.cfg.HiddenSize)
-		p.cQ = make([]fixed.Value, p.cfg.HiddenSize)
-	} else {
-		p.hF = tensor.NewVector(p.cfg.HiddenSize)
-		p.cF = tensor.NewVector(p.cfg.HiddenSize)
-	}
+	clear(p.hQ)
+	clear(p.cQ)
+	clear(p.hF)
+	clear(p.cF)
 }
 
 // Level returns the pipeline's optimization level.
@@ -352,48 +387,39 @@ func (p *Pipeline) Classify(seq []int) (Result, int64, error) {
 // The arithmetic is identical to the offline model's forward pass; only the
 // schedule differs between the two levels.
 func (p *Pipeline) stepFloat(item int) (Result, bool, error) {
-	cfg := p.cfg
 	m := p.model
 
 	// kernel_preprocess: embedding via one-hot dot product, copied 4×.
-	x := tensor.NewVector(cfg.EmbedDim)
+	x := p.xF
 	if err := m.Embed(item, x); err != nil {
-		return Result{}, false, err
-	}
-
-	cellAct, err := cfg.CellActivation.Func()
-	if err != nil {
 		return Result{}, false, err
 	}
 
 	// Four kernel_gates CUs in parallel, each with its own copies of x and
 	// h(t-1).
-	var gates [4]tensor.Vector
-	for g := 0; g < 4; g++ {
-		out := tensor.NewVector(cfg.HiddenSize)
-		pre := tensor.NewVector(cfg.HiddenSize)
-		tmp := tensor.NewVector(cfg.HiddenSize)
+	gates := &p.gateF
+	for g := range gates {
+		pre := gates[g]
 		m.Gates[g].Wx.MulVec(pre, x)
-		m.Gates[g].Wh.MulVec(tmp, p.hF)
-		pre.Add(tmp)
+		m.Gates[g].Wh.MulVec(p.tmpF, p.hF)
+		pre.Add(p.tmpF)
 		pre.Add(m.Gates[g].B)
 		if lstm.GateName(g+1) == lstm.GateCandidate {
 			for i, v := range pre {
-				out[i] = cellAct(v)
+				pre[i] = p.cellAct(v)
 			}
 		} else {
 			for i, v := range pre {
-				out[i] = activation.SigmoidF(v)
+				pre[i] = activation.SigmoidF(v)
 			}
 		}
-		gates[g] = out
 	}
 
 	// kernel_hidden_state: cell update, activation, output gate, counter.
 	i, f, o, cand := gates[0], gates[1], gates[2], gates[3]
-	for k := 0; k < cfg.HiddenSize; k++ {
+	for k := range p.cF {
 		p.cF[k] = f[k]*p.cF[k] + i[k]*cand[k]
-		p.hF[k] = o[k] * cellAct(p.cF[k])
+		p.hF[k] = o[k] * p.cellAct(p.cF[k])
 	}
 	p.counter++
 	if p.counter < p.seqLen {
@@ -404,33 +430,41 @@ func (p *Pipeline) stepFloat(item int) (Result, bool, error) {
 }
 
 // stepFixed executes one item entirely in scale-10⁶ fixed point — the
-// arithmetic the FPGA DSP slices perform at LevelFixedPoint.
+// arithmetic the FPGA DSP slices perform at LevelFixedPoint. Each gate
+// pre-activation is Dot(Wx row, x) + Dot(Wh row, h) + b, computed for all
+// four gates by two gate-major MatVecs into preallocated scratch.
 func (p *Pipeline) stepFixed(item int) (Result, bool) {
 	if p.probe != nil {
 		return p.stepFixedProbed(item)
 	}
-	cfg := p.cfg
-	x := p.qEmbed[item]
+	x := row(p.qEmbed, item, p.cfg.EmbedDim)
+	p.arith.MatVec(p.gx, p.qWx, x)
+	p.arith.MatVec(p.gh, p.qWh, p.hQ)
+	for j, wx := range p.gx {
+		p.gate[j] = p.arith.Add(p.arith.Add(wx, p.gh[j]), p.qB[j])
+	}
+	return p.hiddenStateFixed()
+}
 
-	var gates [4][]fixed.Value
-	for g := 0; g < 4; g++ {
-		out := make([]fixed.Value, cfg.HiddenSize)
-		for r := 0; r < cfg.HiddenSize; r++ {
-			pre := p.arith.Dot(p.qWx[g][r], x)
-			pre = p.arith.Add(pre, p.arith.Dot(p.qWh[g][r], p.hQ))
-			pre = p.arith.Add(pre, p.qB[g][r])
-			if lstm.GateName(g+1) == lstm.GateCandidate {
-				out[r] = p.fact.Softsign(pre)
-			} else {
-				out[r] = p.fact.Sigmoid(pre)
-			}
-		}
-		gates[g] = out
+// hiddenStateFixed activates the 4H gate pre-activations in p.gate in place
+// (PLAN sigmoid for i, f, o; softsign for C'), then runs kernel_hidden_state
+// at the wide scale: Ct = f⊙C(t-1) + i⊙C', h = o⊙softsign(Ct), the item
+// counter, and the FC head when the counter fires. LevelFixedPoint and
+// LevelMixed share it: they differ only in how the pre-activations are
+// computed.
+func (p *Pipeline) hiddenStateFixed() (Result, bool) {
+	h := p.cfg.HiddenSize
+	sig, cand := p.gate[:3*h], p.gate[3*h:] // i, f, o | C' (canonical order)
+	for j, v := range sig {
+		sig[j] = p.fact.Sigmoid(v)
+	}
+	for j, v := range cand {
+		cand[j] = p.fact.Softsign(v)
 	}
 
-	i, f, o, cand := gates[0], gates[1], gates[2], gates[3]
-	for k := 0; k < cfg.HiddenSize; k++ {
-		p.cQ[k] = p.arith.Add(p.arith.Mul(f[k], p.cQ[k]), p.arith.Mul(i[k], cand[k]))
+	i, f, o, c := row(p.gate, 0, h), row(p.gate, 1, h), row(p.gate, 2, h), row(p.gate, 3, h)
+	for k := range p.cQ {
+		p.cQ[k] = p.arith.Add(p.arith.Mul(f[k], p.cQ[k]), p.arith.Mul(i[k], c[k]))
 		p.hQ[k] = p.arith.Mul(o[k], p.fact.Softsign(p.cQ[k]))
 	}
 	p.counter++

@@ -362,6 +362,7 @@ func BenchmarkClassifyFixedPoint(b *testing.B) {
 	for i := range seq {
 		seq[i] = i % 278
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := p.Classify(seq); err != nil {

@@ -19,8 +19,6 @@ package kernels
 // cost against the DSP savings.
 
 import (
-	"github.com/kfrida1/csdinf/internal/activation"
-	"github.com/kfrida1/csdinf/internal/fixed"
 	"github.com/kfrida1/csdinf/internal/fpga"
 	"github.com/kfrida1/csdinf/internal/hls"
 	"github.com/kfrida1/csdinf/internal/lstm"
@@ -36,73 +34,36 @@ const DSPPackFactor = 4
 // quantizeNarrow fills the pipeline's narrow-scale parameter copies.
 func (p *Pipeline) quantizeNarrow() {
 	m := p.model
-	cfg := p.cfg
-	p.nEmbed = make([][]fixed.Value, cfg.VocabSize)
-	for i := range p.nEmbed {
-		p.nEmbed[i] = p.narrow.QuantizeSlice(m.Embedding.Row(i))
-	}
-	for g := range m.Gates {
-		p.nWx[g] = make([][]fixed.Value, cfg.HiddenSize)
-		p.nWh[g] = make([][]fixed.Value, cfg.HiddenSize)
-		for r := 0; r < cfg.HiddenSize; r++ {
-			p.nWx[g][r] = p.narrow.QuantizeSlice(m.Gates[g].Wx.Row(r))
-			p.nWh[g][r] = p.narrow.QuantizeSlice(m.Gates[g].Wh.Row(r))
-		}
-		// Biases join after the MAC array; keep them wide.
-		p.qB[g] = p.arith.QuantizeSlice(m.Gates[g].B)
-	}
+	p.nEmbed = p.narrow.QuantizeSlice(m.Embedding.Data)
+	p.nWx = gateMajor(p.narrow, m, func(g lstm.Gate) []float64 { return g.Wx.Data })
+	p.nWh = gateMajor(p.narrow, m, func(g lstm.Gate) []float64 { return g.Wh.Data })
+	// Biases join after the MAC array; keep them wide.
+	p.qB = gateMajor(p.arith, m, func(g lstm.Gate) []float64 { return g.B })
 	p.qFCW = p.arith.QuantizeSlice(m.FCW)
 	p.qFCB = p.arith.FromFloat(m.FCB)
 }
 
 // stepMixed executes one item with narrow gate MACs and a wide cell path.
 func (p *Pipeline) stepMixed(item int) (Result, bool) {
-	cfg := p.cfg
-	x := p.nEmbed[item]
+	x := row(p.nEmbed, item, p.cfg.EmbedDim)
 
 	// h(t-1) is stored wide; requantize the copy handed to the gate CUs,
 	// as the hardware's width converter does on the h_copy path.
-	hNarrow := make([]fixed.Value, cfg.HiddenSize)
 	for k, v := range p.hQ {
-		hNarrow[k] = p.narrow.FromFloat(p.arith.ToFloat(v))
+		p.hNarrow[k] = p.narrow.FromFloat(p.arith.ToFloat(v))
 	}
 
-	// Widen narrow-scale pre-activations to the wide scale. The wide scale
-	// is an exact multiple of NarrowScale, so Rescale is the exact widening
-	// multiply — but routed through the sanctioned conversion rather than a
-	// raw scale-ratio product.
-	widen := func(v fixed.Value) fixed.Value {
-		return p.arith.Rescale(v, p.narrow)
+	p.narrow.MatVec(p.gx, p.nWx, x)
+	p.narrow.MatVec(p.gh, p.nWh, p.hNarrow)
+	for j := range p.gate {
+		pre := p.narrow.Add(p.gx[j], p.gh[j])
+		// Widen the narrow-scale pre-activation to the wide scale. The wide
+		// scale is an exact multiple of NarrowScale, so Rescale is the exact
+		// widening multiply — but routed through the sanctioned conversion
+		// rather than a raw scale-ratio product.
+		p.gate[j] = p.arith.Add(p.arith.Rescale(pre, p.narrow), p.qB[j])
 	}
-
-	var gates [4][]fixed.Value
-	for g := 0; g < 4; g++ {
-		out := make([]fixed.Value, cfg.HiddenSize)
-		for r := 0; r < cfg.HiddenSize; r++ {
-			pre := p.narrow.Dot(p.nWx[g][r], x)
-			pre = p.narrow.Add(pre, p.narrow.Dot(p.nWh[g][r], hNarrow))
-			wide := p.arith.Add(widen(pre), p.qB[g][r])
-			if lstm.GateName(g+1) == lstm.GateCandidate {
-				out[r] = p.fact.Softsign(wide)
-			} else {
-				out[r] = p.fact.Sigmoid(wide)
-			}
-		}
-		gates[g] = out
-	}
-
-	i, f, o, cand := gates[0], gates[1], gates[2], gates[3]
-	for k := 0; k < cfg.HiddenSize; k++ {
-		p.cQ[k] = p.arith.Add(p.arith.Mul(f[k], p.cQ[k]), p.arith.Mul(i[k], cand[k]))
-		p.hQ[k] = p.arith.Mul(o[k], p.fact.Softsign(p.cQ[k]))
-	}
-	p.counter++
-	if p.counter < p.seqLen {
-		return Result{}, false
-	}
-	logit := p.arith.Add(p.arith.Dot(p.qFCW, p.hQ), p.qFCB)
-	fl := p.arith.ToFloat(logit)
-	return Result{Ransomware: logit >= 0, Probability: activation.SigmoidF(fl), Logit: fl}, true
+	return p.hiddenStateFixed()
 }
 
 // mixedGatesSpec is gatesSpec at the mixed level: the MAC loop fully

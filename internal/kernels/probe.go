@@ -38,10 +38,14 @@ func (p *Pipeline) SetNumericProbe(probe NumericProbe) { p.probe = probe }
 // arithmetic is intentionally identical — Dot is DotRaw + FromRaw, Mul is
 // MulRaw + FromRaw, Add is AddChecked's wrapped sum — so the Result returned
 // here always equals the fast path's (TestProbedPathMatchesFast pins this).
+// It is also written independently of the fast path: one row at a time, with
+// no MatVec, no shared scratch and no shared cell loop, which is what lets
+// FuzzFixedFastMatchesShadow use it as the fast path's oracle.
 func (p *Pipeline) stepFixedProbed(item int) (Result, bool) {
 	cfg := p.cfg
 	probe := p.probe
-	x := p.qEmbed[item]
+	nx, nh := cfg.EmbedDim, cfg.HiddenSize
+	x := row(p.qEmbed, item, nx)
 	for _, v := range x {
 		probe(absint.StageEmbed, v, nil)
 	}
@@ -51,12 +55,13 @@ func (p *Pipeline) stepFixedProbed(item int) (Result, bool) {
 		name := lstm.GateName(g + 1)
 		out := make([]fixed.Value, cfg.HiddenSize)
 		for r := 0; r < cfg.HiddenSize; r++ {
-			wxRaw, wxErr := p.arith.DotRaw(p.qWx[g][r], x)
+			gr := g*nh + r // gate-major row
+			wxRaw, wxErr := p.arith.DotRaw(row(p.qWx, gr, nx), x)
 			probe(absint.GateStage(name, absint.StageWxAcc), wxRaw, wxErr)
-			whRaw, whErr := p.arith.DotRaw(p.qWh[g][r], p.hQ)
+			whRaw, whErr := p.arith.DotRaw(row(p.qWh, gr, nh), p.hQ)
 			probe(absint.GateStage(name, absint.StageWhAcc), whRaw, whErr)
 			pre, preErr := p.arith.AddChecked(p.arith.FromRaw(wxRaw), p.arith.FromRaw(whRaw))
-			pre, bErr := p.arith.AddChecked(pre, p.qB[g][r])
+			pre, bErr := p.arith.AddChecked(pre, p.qB[gr])
 			if preErr == nil {
 				preErr = bErr
 			}
