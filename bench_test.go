@@ -408,32 +408,6 @@ func BenchmarkAblation_Streaming(b *testing.B) {
 	}
 }
 
-// Scalability (§II): multi-CSD node throughput on a 64-sequence batch.
-func BenchmarkNode_Throughput(b *testing.B) {
-	m := paperModel(b)
-	batch := make([][]int, 64)
-	for i := range batch {
-		batch[i] = paperSeq()
-	}
-	for _, devices := range []int{1, 2, 4} {
-		b.Run(map[int]string{1: "dev1", 2: "dev2", 4: "dev4"}[devices], func(b *testing.B) {
-			n, err := NewNode(m, NodeConfig{Devices: devices})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var res *NodeBatchResult
-			for i := 0; i < b.N; i++ {
-				res, err = n.PredictBatch(context.Background(), batch)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Makespan.Microseconds()), "sim_makespan_µs")
-			b.ReportMetric(n.ThroughputPerSecond(), "sim_seq/s")
-		})
-	}
-}
-
 // Concurrent serving (§II scalability): 64 goroutines push live windows
 // through the request scheduler over 1/2/4 devices — bounded queues,
 // least-busy placement. Reports simulated device time per request.

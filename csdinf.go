@@ -62,7 +62,6 @@ import (
 	"github.com/kfrida1/csdinf/internal/load"
 	"github.com/kfrida1/csdinf/internal/lstm"
 	"github.com/kfrida1/csdinf/internal/metrics"
-	"github.com/kfrida1/csdinf/internal/node"
 	"github.com/kfrida1/csdinf/internal/prof"
 	"github.com/kfrida1/csdinf/internal/quality"
 	"github.com/kfrida1/csdinf/internal/report"
@@ -260,14 +259,18 @@ func DesktopTrace(length int, seed int64) ([]int, error) {
 	return sandbox.ManualInteractionProfile().Generate(length, seed)
 }
 
-// Fleet and maintenance types (multi-device nodes, CTI-driven updates).
+// NodeConfig describes the CSDs NewServer deploys.
+type NodeConfig struct {
+	// Devices is the number of CSDs installed; 0 defaults to 1.
+	Devices int
+	// CSD configures each drive (zero value = SmartSSD defaults).
+	CSD CSDConfig
+	// Deploy configures each engine (zero value = paper defaults).
+	Deploy DeployConfig
+}
+
+// Maintenance types (CTI-driven updates).
 type (
-	// Node is a host with several CSD inference engines.
-	Node = node.Node
-	// NodeConfig describes a multi-CSD node.
-	NodeConfig = node.Config
-	// NodeBatchResult is the outcome of a fan-out classification.
-	NodeBatchResult = node.BatchResult
 	// Updater maintains the corpus and hot-swaps retrained models.
 	Updater = cti.Updater
 	// UpdaterConfig controls the updater.
@@ -285,10 +288,6 @@ type (
 // DSP-packed narrow gate MACs with a full-precision cell path, sized to fit
 // the SmartSSD's own KU15P.
 const LevelMixed = kernels.LevelMixed
-
-// NewNode deploys the model to several fresh CSDs and returns the
-// node-level scheduler.
-func NewNode(m *Model, cfg NodeConfig) (*Node, error) { return node.New(m, cfg) }
 
 // Serving types (the concurrent request-scheduling layer).
 type (
@@ -747,11 +746,8 @@ type (
 	// ProfSample is one runtime sample: goroutines, heap, GC pauses, and
 	// top contended sites.
 	ProfSample = prof.Sample
-	// Breakdown is one request's per-stage wall-clock (and optional
-	// allocation) attribution; it rides the context like a Span.
-	Breakdown = prof.Breakdown
-	// ProfStage names one pipeline stage of a Breakdown.
-	ProfStage = prof.Stage
+	// ProfStage names one host pipeline stage of a request's Span.
+	ProfStage = telemetry.Stage
 	// FlightDump is the flight recorder's exported state: recent runtime
 	// samples and request breakdowns around an incident.
 	FlightDump = prof.FlightDump
@@ -760,14 +756,14 @@ type (
 	ProfSnapshot = prof.Snapshot
 )
 
-// Pipeline stages of a request Breakdown.
+// Host pipeline stages of a request's Span.
 const (
-	StageQueue    = prof.StageQueue
-	StageEncode   = prof.StageEncode
-	StageTransfer = prof.StageTransfer
-	StageCompute  = prof.StageCompute
-	StageVerdict  = prof.StageVerdict
-	StageObserve  = prof.StageObserve
+	StageQueue    = telemetry.StageQueue
+	StageEncode   = telemetry.StageEncode
+	StageTransfer = telemetry.StageTransfer
+	StageCompute  = telemetry.StageCompute
+	StageVerdict  = telemetry.StageVerdict
+	StageObserve  = telemetry.StageObserve
 )
 
 // NewProfiler starts a continuous profiler. Thread it through

@@ -9,8 +9,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
+	"sync"
+	"time"
 
 	"github.com/kfrida1/csdinf"
 )
@@ -79,9 +82,10 @@ func main() {
 	fmt.Printf("post-swap detection: blocked=%v after %d windows\n",
 		det.Blocked(), det.Stats().WindowsEvaluated)
 
-	// Scale-out: the same model across a 4-CSD node.
+	// Scale-out: the same model served across a 4-CSD node. Each window is
+	// placed on the device with the least simulated outstanding work.
 	fmt.Println("\nscaling out to a 4-CSD node...")
-	fleet, err := csdinf.NewNode(updater.Model(), csdinf.NodeConfig{Devices: 4})
+	srv, err := csdinf.NewServer(updater.Model(), csdinf.NodeConfig{Devices: 4}, csdinf.ServeConfig{Block: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,11 +97,26 @@ func main() {
 		}
 		batch[i] = w
 	}
-	res, err := fleet.PredictBatch(context.Background(), batch)
-	if err != nil {
+	errs := make([]error, len(batch))
+	var wg sync.WaitGroup
+	for i, w := range batch {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, errs[i] = srv.Predict(context.Background(), w)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		log.Fatal(err)
 	}
+	var makespan, total time.Duration
+	for _, st := range srv.Stats() {
+		total += st.BusyTime
+		makespan = max(makespan, st.BusyTime)
+	}
 	fmt.Printf("64-sequence batch across %d devices: makespan %v (total device time %v)\n",
-		fleet.Devices(), res.Makespan, res.DeviceTime)
-	fmt.Printf("node throughput: %.0f sequences/second\n", fleet.ThroughputPerSecond())
+		srv.Devices(), makespan, total)
+	fmt.Printf("node throughput: %.0f sequences/second\n", float64(len(batch))/makespan.Seconds())
+	srv.Close()
 }

@@ -25,7 +25,6 @@ import (
 	"github.com/kfrida1/csdinf/internal/infer"
 	"github.com/kfrida1/csdinf/internal/kernels"
 	"github.com/kfrida1/csdinf/internal/lstm"
-	"github.com/kfrida1/csdinf/internal/prof"
 	"github.com/kfrida1/csdinf/internal/telemetry"
 	"github.com/kfrida1/csdinf/internal/trace"
 )
@@ -83,8 +82,8 @@ type DeployConfig struct {
 
 // Engine is a deployed CSD inference engine. It is not safe for concurrent
 // use (it owns recurrent kernel state), matching the single-stream dataflow
-// of the hardware pipeline; serialize access externally (internal/node,
-// internal/serve) to share one engine between goroutines.
+// of the hardware pipeline; serialize access externally (internal/serve)
+// to share one engine between goroutines.
 //
 // Engine implements infer.Inferencer.
 type Engine struct {
@@ -294,14 +293,15 @@ func (e *Engine) PredictStored(ctx context.Context, ssdOff int64) (kernels.Resul
 	if err := ctx.Err(); err != nil {
 		return kernels.Result{}, Timing{}, err
 	}
-	e.stampJob(ctx)
-	st := prof.BreakdownFrom(ctx).Begin(prof.StageTransfer)
+	rec := telemetry.SpanFrom(ctx)
+	e.stampJob(rec)
+	st := rec.Begin(telemetry.StageTransfer)
 	xfer, err := e.dev.TransferP2P(ssdOff, e.seqBuf)
 	st.End()
 	if err != nil {
 		return kernels.Result{}, Timing{}, fmt.Errorf("core: fetch sequence: %w", err)
 	}
-	return e.classifyBuffer(ctx, Timing{Transfer: xfer})
+	return e.classifyBuffer(rec, Timing{Transfer: xfer})
 }
 
 // PredictStoredViaHost classifies the stored sequence but stages it through
@@ -310,14 +310,15 @@ func (e *Engine) PredictStoredViaHost(ctx context.Context, ssdOff int64) (kernel
 	if err := ctx.Err(); err != nil {
 		return kernels.Result{}, Timing{}, err
 	}
-	e.stampJob(ctx)
-	st := prof.BreakdownFrom(ctx).Begin(prof.StageTransfer)
+	rec := telemetry.SpanFrom(ctx)
+	e.stampJob(rec)
+	st := rec.Begin(telemetry.StageTransfer)
 	xfer, err := e.dev.TransferViaHost(ssdOff, e.seqBuf)
 	st.End()
 	if err != nil {
 		return kernels.Result{}, Timing{}, fmt.Errorf("core: fetch sequence via host: %w", err)
 	}
-	return e.classifyBuffer(ctx, Timing{Transfer: xfer})
+	return e.classifyBuffer(rec, Timing{Transfer: xfer})
 }
 
 // Predict classifies a host-provided sequence (e.g. a live window from the
@@ -332,26 +333,27 @@ func (e *Engine) Predict(ctx context.Context, seq []int) (kernels.Result, Timing
 		return kernels.Result{}, Timing{}, fmt.Errorf("core: sequence length %d, engine expects %d",
 			len(seq), e.pipe.SeqLen())
 	}
-	bd := prof.BreakdownFrom(ctx)
-	st := bd.Begin(prof.StageEncode)
+	rec := telemetry.SpanFrom(ctx)
+	st := rec.Begin(telemetry.StageEncode)
 	data, err := csd.EncodeItems(seq)
 	st.End()
 	if err != nil {
 		return kernels.Result{}, Timing{}, fmt.Errorf("core: encode sequence: %w", err)
 	}
-	e.stampJob(ctx)
-	st = bd.Begin(prof.StageTransfer)
+	e.stampJob(rec)
+	st = rec.Begin(telemetry.StageTransfer)
 	xfer, err := e.dev.WriteBuffer(e.seqBuf, data)
 	st.End()
 	if err != nil {
 		return kernels.Result{}, Timing{}, fmt.Errorf("core: stage sequence: %w", err)
 	}
-	return e.classifyBuffer(ctx, Timing{Transfer: xfer})
+	return e.classifyBuffer(rec, Timing{Transfer: xfer})
 }
 
-func (e *Engine) classifyBuffer(ctx context.Context, t Timing) (kernels.Result, Timing, error) {
-	bd := prof.BreakdownFrom(ctx)
-	st := bd.Begin(prof.StageCompute)
+// classifyBuffer runs the kernels over the staged sequence and fills in the
+// request record (nil when the request carries none).
+func (e *Engine) classifyBuffer(rec *telemetry.Span, t Timing) (kernels.Result, Timing, error) {
+	st := rec.Begin(telemetry.StageCompute)
 	seq, err := csd.DecodeItems(e.seqBuf.Bytes())
 	if err != nil {
 		return kernels.Result{}, Timing{}, fmt.Errorf("core: decode sequence: %w", err)
@@ -362,26 +364,24 @@ func (e *Engine) classifyBuffer(ctx context.Context, t Timing) (kernels.Result, 
 	}
 	t.Compute = e.pipe.Device().Duration(cycles)
 	st.End()
-	obs := bd.Begin(prof.StageObserve)
-	e.emitCompute(ctx, t)
+	obs := rec.Begin(telemetry.StageObserve)
+	e.emitCompute(rec.Job(), t)
 	e.xferHist.ObserveDuration(t.Transfer)
 	e.computeHist.ObserveDuration(t.Compute)
 	e.predictions.Inc()
-	if sp := telemetry.SpanFrom(ctx); sp != nil {
-		sp.Record(telemetry.PhaseTransfer, t.Transfer)
-		sp.Record(telemetry.PhaseCompute, t.Compute)
-	}
+	rec.Record(telemetry.PhaseTransfer, t.Transfer)
+	rec.Record(telemetry.PhaseCompute, t.Compute)
 	obs.End()
 	return res, t, nil
 }
 
-// stampJob forwards the context's trace correlation ID to the device, so
+// stampJob forwards the request's trace correlation ID to the device, so
 // the transfer events the CSD emits carry the same job as the scheduler's
 // queue event and the engine's kernel events (the raw transfer APIs model
 // DMA and take no context of their own).
-func (e *Engine) stampJob(ctx context.Context) {
+func (e *Engine) stampJob(rec *telemetry.Span) {
 	if e.tracer.Enabled() {
-		e.dev.TraceJob(trace.JobFrom(ctx))
+		e.dev.TraceJob(rec.Job())
 	}
 }
 
@@ -392,11 +392,10 @@ func (e *Engine) stampJob(ctx context.Context) {
 // transfer overlaps kernel execution on the trace exactly as the dataflow
 // hardware behaves. The engine's reported Timing stays the conservative
 // serial transfer+compute sum.
-func (e *Engine) emitCompute(ctx context.Context, t Timing) {
+func (e *Engine) emitCompute(job int64, t Timing) {
 	if e.tracer == nil || len(e.stages) == 0 {
 		return
 	}
-	job := trace.JobFrom(ctx)
 	end := e.tracer.Cursor(e.traceGroup)
 	at := end - t.Transfer + t.Transfer/time.Duration(e.pipe.SeqLen())
 	if at < 0 {

@@ -33,6 +33,7 @@ import (
 	"github.com/kfrida1/csdinf/internal/eventlog"
 	"github.com/kfrida1/csdinf/internal/pcie"
 	"github.com/kfrida1/csdinf/internal/ssd"
+	"github.com/kfrida1/csdinf/internal/telemetry"
 	"github.com/kfrida1/csdinf/internal/trace"
 )
 
@@ -147,7 +148,7 @@ func (s *SmartSSD) emitTransfer(event string, bytes int64, d time.Duration) {
 	if !l.Enabled(eventlog.LevelDebug) {
 		return
 	}
-	ctx := trace.WithJob(context.Background(), s.traceJob.Load())
+	ctx := telemetry.WithSpan(context.Background(), &telemetry.Span{ID: s.traceJob.Load()})
 	l.Debug(ctx, "csd", event,
 		eventlog.F("device", name),
 		eventlog.F("bytes", bytes),

@@ -16,12 +16,11 @@ import (
 	"github.com/kfrida1/csdinf/internal/prof"
 	"github.com/kfrida1/csdinf/internal/quality"
 	"github.com/kfrida1/csdinf/internal/telemetry"
-	"github.com/kfrida1/csdinf/internal/trace"
 )
 
 // Predictor classifies a fully-formed window. It is the stack-wide
 // inference contract: a single CSD engine (core.Engine), a multi-device
-// node (node.Node), the concurrent serving layer (serve.Server), and the
+// fleet (fleet.Fleet), the concurrent serving layer (serve.Server), and the
 // hot-swappable maintenance engine (cti.HotSwapEngine) all satisfy it;
 // tests may substitute fakes.
 type Predictor = infer.Inferencer
@@ -134,10 +133,10 @@ type Config struct {
 	// process attribution.
 	Events *eventlog.Logger
 	// Prof, when non-nil, attributes each classified window's host
-	// wall-clock to pipeline stages: the detector opens a prof.Breakdown
-	// per classification (unless the caller already carries one), the
-	// layers below stamp their stages, and the detector adds its verdict
-	// and observation costs before recording the breakdown.
+	// wall-clock to pipeline stages: the detector opens the record it
+	// creates per classification for profiling, the layers below stamp
+	// their stages, and the detector adds its verdict and observation costs
+	// before recording it.
 	Prof *prof.Profiler
 	// Quality, when non-nil, receives every classified window's verdict
 	// together with the ground-truth label riding the request context (if
@@ -252,28 +251,18 @@ func (d *Detector) Observe(ctx context.Context, apiCallID int) (*Event, error) {
 
 func (d *Detector) classify(ctx context.Context) (*Event, error) {
 	d.sinceEval = 0
-	// Open a pipeline span unless the caller already carries one; the
-	// layers below (scheduler queue wait, engine transfer/compute) record
-	// their phases into whichever span rides the context. A window
-	// observer (or event log) also wants the span's attribution, so one is
-	// created for it even when no span ring is configured.
-	sp := telemetry.SpanFrom(ctx)
-	ownSpan := false
-	if sp == nil && (d.cfg.Spans != nil || d.cfg.OnWindow != nil || d.cfg.Events != nil || d.cfg.Quality != nil) {
-		sp = &telemetry.Span{Name: "window"}
-		ctx = telemetry.WithSpan(ctx, sp)
-		ownSpan = true
-	}
-	// Same ownership rule for the stage-cost breakdown: open one unless the
-	// caller supplied it, so detector-driven requests carry verdict and
-	// observation costs alongside the queue/transfer/compute stages the
-	// layers below stamp.
-	bd := prof.BreakdownFrom(ctx)
-	ownBD := false
-	if bd == nil && d.cfg.Prof != nil {
-		bd = d.cfg.Prof.NewBreakdown(0)
-		ctx = prof.WithBreakdown(ctx, bd)
-		ownBD = true
+	// Open a request record unless the caller already carries one; the
+	// layers below (scheduler queue wait, engine transfer/compute) fill in
+	// whichever record rides the context. A window observer (or event log)
+	// also wants the record's attribution, so one is created for it even
+	// when no span ring or profiler is configured.
+	rec := telemetry.SpanFrom(ctx)
+	own := false
+	if rec == nil && (d.cfg.Spans != nil || d.cfg.Prof != nil || d.cfg.OnWindow != nil || d.cfg.Events != nil || d.cfg.Quality != nil) {
+		rec = &telemetry.Span{Name: "window"}
+		d.cfg.Prof.Open(rec)
+		ctx = telemetry.WithSpan(ctx, rec)
+		own = true
 	}
 	res, _, err := d.pred.Predict(ctx, d.window)
 	if err != nil {
@@ -304,29 +293,25 @@ func (d *Detector) classify(ctx context.Context) (*Event, error) {
 	} else {
 		d.consecutive = 0
 	}
-	bd.Add(prof.StageVerdict, time.Since(verdictStart))
-	obs := bd.Begin(prof.StageObserve)
-	if sp != nil {
-		sp.Record(telemetry.PhaseVerdict, time.Since(verdictStart))
-		if ownSpan {
-			d.cfg.Spans.Add(*sp)
-		}
+	verdict := time.Since(verdictStart)
+	rec.Add(telemetry.StageVerdict, verdict)
+	obs := rec.Begin(telemetry.StageObserve)
+	rec.Record(telemetry.PhaseVerdict, verdict)
+	if own {
+		d.cfg.Spans.Add(*rec)
 	}
-	d.observeWindow(ctx, ev, sp)
+	d.observeWindow(ctx, ev, rec)
 	obs.End()
-	if ownBD {
-		if sp != nil && bd.Job == 0 {
-			bd.Job = sp.ID
-		}
-		d.cfg.Prof.Record(bd)
+	if own {
+		d.cfg.Prof.Record(rec)
 	}
 	return ev, nil
 }
 
 // observeWindow feeds the classified window — with the pipeline
-// attribution its span accumulated on the way down the stack — to the
+// attribution its record accumulated on the way down the stack — to the
 // OnWindow observer and the event log.
-func (d *Detector) observeWindow(ctx context.Context, ev *Event, sp *telemetry.Span) {
+func (d *Detector) observeWindow(ctx context.Context, ev *Event, rec *telemetry.Span) {
 	if d.cfg.OnWindow == nil && d.cfg.Events == nil && d.cfg.Quality == nil {
 		return
 	}
@@ -349,10 +334,10 @@ func (d *Detector) observeWindow(ctx context.Context, ev *Event, sp *telemetry.S
 		Flagged:     ev.Action >= ActionAlert,
 		Blocked:     ev.Action == ActionBlock,
 	})
-	if sp != nil {
-		s.Job = sp.ID
-		s.Device = sp.Device
-		for _, p := range sp.Phases {
+	if rec != nil {
+		s.Job = rec.ID
+		s.Device = rec.Device
+		for _, p := range rec.Phases {
 			switch p.Name {
 			case telemetry.PhaseQueue:
 				s.QueueWait += p.Duration
@@ -376,9 +361,8 @@ func (d *Detector) observeWindow(ctx context.Context, ev *Event, sp *telemetry.S
 	if !d.cfg.Events.Enabled(lvl) {
 		return
 	}
-	// Ride the job ID on the context so the event correlates with the
-	// request's span and timeline events.
-	d.cfg.Events.LogPID(trace.WithJob(ctx, s.Job), lvl, "detect", name, s.PID,
+	// The record riding ctx stamps the event with the request's job ID.
+	d.cfg.Events.LogPID(ctx, lvl, "detect", name, s.PID,
 		eventlog.F("call_index", s.CallIndex),
 		eventlog.F("probability", s.Probability),
 		eventlog.F("device", s.Device),

@@ -4,12 +4,12 @@ import (
 	"testing"
 
 	"github.com/kfrida1/csdinf/internal/eventlog"
-	"github.com/kfrida1/csdinf/internal/trace"
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 // TestEvictionEventKeepsCallerJob pins the ctx threading through
 // evictIdlest: the process.evict event must carry the trace job ID of the
-// API call that forced the eviction, not an unattributed background
+// record riding the API call that forced the eviction, not an unattributed background
 // context.
 func TestEvictionEventKeepsCallerJob(t *testing.T) {
 	p := &fakePredictor{window: 4, marker: 7}
@@ -22,7 +22,7 @@ func TestEvictionEventKeepsCallerJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx := trace.WithJob(t.Context(), 4242)
+	ctx := telemetry.WithSpan(t.Context(), &telemetry.Span{ID: 4242})
 	for pid := 1; pid <= 3; pid++ {
 		if _, err := m.Observe(ctx, pid, 1); err != nil {
 			t.Fatal(err)

@@ -136,6 +136,13 @@ type Registry struct {
 	seq      int64
 	watchers map[int]func(Change)
 	nextW    int
+
+	// Watcher delivery takes turns in Seq order: a committed transition
+	// waits on turn (without holding mu) until every lower Seq has been
+	// delivered, so concurrent transitions reach watchers in order.
+	turnMu    sync.Mutex
+	turn      *sync.Cond
+	delivered int64
 }
 
 // NewRegistry builds an empty registry.
@@ -146,11 +153,13 @@ func NewRegistry(cfg Config) *Registry {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	return &Registry{
+	r := &Registry{
 		cfg:      cfg,
 		devices:  make(map[ID]*Device),
 		watchers: make(map[int]func(Change)),
 	}
+	r.turn = sync.NewCond(&r.turnMu)
+	return r
 }
 
 // Device is one registered drive: identity, lifecycle, and capacity
@@ -253,7 +262,8 @@ func (r *Registry) Health() (status string, ready bool) {
 // Watch registers a lifecycle callback and returns its cancel function.
 // Callbacks run synchronously on the transitioning goroutine, in Seq
 // order, after the transition has committed; keep them fast and do not
-// call back into the same device's transition methods from inside one.
+// call back into any transition method from inside one (the nested
+// transition would wait for the turn its caller holds).
 func (r *Registry) Watch(fn func(Change)) (cancel func()) {
 	r.mu.Lock()
 	id := r.nextW
@@ -316,9 +326,18 @@ func (d *Device) transition(to State, reason string) error {
 	}
 	r.mu.Unlock()
 
+	r.turnMu.Lock()
+	for r.delivered != ch.Seq-1 {
+		r.turn.Wait()
+	}
+	r.turnMu.Unlock()
 	for _, fn := range watchers {
 		fn(ch)
 	}
+	r.turnMu.Lock()
+	r.delivered = ch.Seq
+	r.turn.Broadcast()
+	r.turnMu.Unlock()
 	event := edge.event
 	// A Ready entered from Draining or Failed is a rejoin, not first light.
 	if to == Ready && from != Provisioning {

@@ -15,11 +15,10 @@
 // The most recent events are additionally retained in a fixed in-memory
 // ring served at /events.json (see HTTPHandler).
 //
-// Correlation: an event emitted with a context that carries a trace job ID
-// (internal/trace.WithJob — the ID the scheduler allocates per request and
-// mirrors onto telemetry.Span.ID) is stamped with that ID, so one `jq`
-// pass joins the event stream against /spans.json and the Chrome trace
-// export. Events may also carry a process attribution (PID) for the
+// Correlation: an event emitted with a context that carries a request
+// record (telemetry.WithSpan) is stamped with the record's trace job ID
+// (Span.ID, which the scheduler allocates per request), so one `jq` pass
+// joins the event stream against /spans.json and the Chrome trace export. Events may also carry a process attribution (PID) for the
 // per-process detection mux.
 //
 // A nil *Logger is valid everywhere and records nothing, matching the
@@ -33,7 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/kfrida1/csdinf/internal/trace"
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 // Level is an event severity.
@@ -109,9 +108,9 @@ type Event struct {
 	// Name is the dot-scoped event name within the component, e.g.
 	// "window.classified" or "queue.full".
 	Name string
-	// Job is the trace correlation ID carried by the emitting context
-	// (trace.JobFrom); 0 means unattributed. The same ID appears on the
-	// request's telemetry.Span and its timeline events.
+	// Job is the trace correlation ID of the request record carried by the
+	// emitting context (telemetry.Span.ID); 0 means unattributed. The same
+	// ID appears on the request's timeline events.
 	Job int64
 	// PID attributes the event to a monitored process; 0 means none.
 	PID int
@@ -253,7 +252,7 @@ func (l *Logger) emit(ctx context.Context, lvl Level, component, name string, pi
 		Fields:    fields,
 	}
 	if ctx != nil {
-		ev.Job = trace.JobFrom(ctx)
+		ev.Job = telemetry.SpanFrom(ctx).Job()
 	}
 	l.total.Add(1)
 

@@ -14,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/kfrida1/csdinf/internal/trace"
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 // fixedClock returns a deterministic, strictly increasing clock.
@@ -113,7 +113,7 @@ func TestRingEviction(t *testing.T) {
 
 func TestJobCorrelationFromContext(t *testing.T) {
 	l := New(Config{Clock: fixedClock()})
-	ctx := trace.WithJob(context.Background(), 99)
+	ctx := telemetry.WithSpan(context.Background(), &telemetry.Span{ID: 99})
 	l.Info(ctx, "engine", "classified")
 	l.LogPID(ctx, LevelWarn, "detect", "window.alert", 4242, F("p", 0.97))
 	rec := l.Recent()
@@ -346,7 +346,7 @@ func TestConcurrentEmission(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ctx := trace.WithJob(context.Background(), int64(w+1))
+			ctx := telemetry.WithSpan(context.Background(), &telemetry.Span{ID: int64(w + 1)})
 			for i := 0; i < perWriter; i++ {
 				l.Info(ctx, "stress", "tick", F("writer", w), F("i", i))
 			}

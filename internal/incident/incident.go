@@ -34,7 +34,7 @@ import (
 
 	"github.com/kfrida1/csdinf/internal/detect"
 	"github.com/kfrida1/csdinf/internal/eventlog"
-	"github.com/kfrida1/csdinf/internal/trace"
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 // Window is one classified window in an incident's trajectory.
@@ -541,7 +541,7 @@ func jobCtx(job int64) context.Context {
 	if job == 0 {
 		return context.Background()
 	}
-	return trace.WithJob(context.Background(), job)
+	return telemetry.WithSpan(context.Background(), &telemetry.Span{ID: job})
 }
 
 // ErrNoIncidents is returned by WriteReports when there is nothing to write.

@@ -132,11 +132,12 @@ func TestContentionStress(t *testing.T) {
 
 	// Stage-timer overhead budget: Begin/End is two clock reads; amortized it
 	// must stay well under a microsecond-scale bound per pair.
-	b := p.NewBreakdown(0)
+	b := &telemetry.Span{}
+	p.Open(b)
 	const pairs = 10_000
 	t0 := time.Now()
 	for i := 0; i < pairs; i++ {
-		b.Begin(StageObserve).End()
+		b.Begin(telemetry.StageObserve).End()
 	}
 	perPair := time.Since(t0) / pairs
 	if perPair > 20*time.Microsecond {

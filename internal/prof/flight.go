@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/kfrida1/csdinf/internal/eventlog"
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 // BreakdownRecord is the flight recorder's JSON-friendly form of one
@@ -38,19 +39,19 @@ type BreakdownRecord struct {
 }
 
 // set stores one stage's measurements in the matching fixed fields.
-func (r *BreakdownRecord) set(s Stage, wallNS, allocs int64) {
+func (r *BreakdownRecord) set(s telemetry.Stage, wallNS, allocs int64) {
 	switch s {
-	case StageQueue:
+	case telemetry.StageQueue:
 		r.QueueNS, r.QueueAllocs = wallNS, allocs
-	case StageEncode:
+	case telemetry.StageEncode:
 		r.EncodeNS, r.EncodeAllocs = wallNS, allocs
-	case StageTransfer:
+	case telemetry.StageTransfer:
 		r.TransferNS, r.TransferAllocs = wallNS, allocs
-	case StageCompute:
+	case telemetry.StageCompute:
 		r.ComputeNS, r.ComputeAllocs = wallNS, allocs
-	case StageVerdict:
+	case telemetry.StageVerdict:
 		r.VerdictNS, r.VerdictAllocs = wallNS, allocs
-	case StageObserve:
+	case telemetry.StageObserve:
 		r.ObserveNS, r.ObserveAllocs = wallNS, allocs
 	}
 }

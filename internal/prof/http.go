@@ -3,6 +3,8 @@ package prof
 import (
 	"encoding/json"
 	"net/http"
+
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 // StageSummary aggregates one stage across every recorded breakdown.
@@ -50,7 +52,7 @@ func (p *Profiler) Snapshot() Snapshot {
 		Samples:            samples,
 		Requests:           breakdowns,
 	}
-	for s := Stage(0); s < numStages; s++ {
+	for s := telemetry.Stage(0); s < telemetry.NumStages; s++ {
 		if p.stageCount[s] == 0 {
 			continue
 		}

@@ -12,11 +12,12 @@
 //     profiles (runtime.SetMutexProfileFraction / SetBlockProfileRate) with
 //     top-N contended-site extraction — exported as prof_* telemetry series
 //     and a /prof.json endpoint.
-//   - Hot-path cost attribution: a per-request Breakdown of wall-clock time
-//     (and, in serialized audit runs, allocations) across the pipeline
-//     stages — queue, encode, transfer, compute, verdict, observe — carried
-//     on the request context exactly like telemetry.Span, stamped by
-//     serve/core/detect, and aggregated into prof_stage_seconds histograms.
+//   - Hot-path cost attribution: each request's record (telemetry.Span)
+//     carries its wall-clock time (and, in serialized audit runs,
+//     allocations) per pipeline stage — queue, encode, transfer, compute,
+//     verdict, observe. The layer that creates a record opens it (Open),
+//     serve/core/detect stamp their stages, and Record aggregates it into
+//     prof_stage_seconds histograms.
 //     The "observe" stage prices the telemetry/trace/eventlog record calls
 //     themselves, so the overhead of observability is itself observable.
 //   - A flight recorder: a bounded in-memory ring of recent runtime samples
@@ -24,8 +25,8 @@
 //     prof.flight.dump event) when an SLO page fires or an incident opens,
 //     so every burn-rate page ships with the runtime state that preceded it.
 //
-// Like the rest of the stack, a nil *Profiler (and a nil *Breakdown) is
-// valid everywhere and records nothing, so instrumented code needs no
+// Like the rest of the stack, a nil *Profiler (and a nil record) is valid
+// everywhere and records nothing, so instrumented code needs no
 // "is profiling enabled" branches.
 package prof
 
@@ -63,7 +64,7 @@ type Config struct {
 	// event is sampled per this many nanoseconds blocked. 0 defaults to
 	// 100µs; negative leaves the runtime setting untouched.
 	BlockRateNS int
-	// CountAllocs adds per-stage allocation counts to request breakdowns.
+	// CountAllocs adds per-stage allocation counts to request records.
 	// The counter is process-global, so the numbers are only meaningful
 	// when requests run serialized — the observability self-audit does;
 	// a loaded fleet does not. Off by default.
@@ -158,8 +159,8 @@ type Profiler struct {
 
 	// Per-stage aggregation for Snapshot (telemetry histograms hold the
 	// full distributions; these scalars feed /prof.json without a registry).
-	stageCount [numStages]int64
-	stageWall  [numStages]int64
+	stageCount [telemetry.NumStages]int64
+	stageWall  [telemetry.NumStages]int64
 	requests   int64
 	samples    int64
 	dumps      int64
@@ -172,7 +173,7 @@ type Profiler struct {
 	gcC         *telemetry.Counter
 	pauseH      *telemetry.Histogram
 	costH       *telemetry.Histogram
-	stageH      [numStages]*telemetry.Histogram
+	stageH      [telemetry.NumStages]*telemetry.Histogram
 	requestH    *telemetry.Histogram
 	requestsC   *telemetry.Counter
 	dumpsC      *telemetry.Counter
@@ -203,7 +204,7 @@ func New(cfg Config) (*Profiler, error) {
 		"Individual GC stop-the-world pauses observed by the runtime sampler.", telemetry.Buckets{})
 	p.costH = reg.Histogram("prof_sample_cost_seconds",
 		"Host cost of taking one runtime sample — the profiler auditing itself.", telemetry.Buckets{})
-	for s := Stage(0); s < numStages; s++ {
+	for s := telemetry.Stage(0); s < telemetry.NumStages; s++ {
 		p.stageH[s] = reg.Histogram("prof_stage_seconds",
 			"Host wall-clock cost per request, attributed to pipeline stages.",
 			telemetry.Buckets{}, telemetry.L("stage", s.String()))
@@ -310,38 +311,49 @@ func (p *Profiler) Sample() Sample {
 	return s
 }
 
-// Record aggregates a completed request breakdown into the per-stage
-// histograms and the flight recorder. The serving layer calls it once per
-// request it created the breakdown for; callers that attached their own
-// breakdown to the context record it themselves.
-func (p *Profiler) Record(b *Breakdown) {
-	if p == nil || b == nil {
+// Open marks a freshly created request record as profiled: it stamps the
+// admission time and starts the record's stage timers (counting
+// allocations when Config.CountAllocs is set). The layer that creates a
+// record opens it; a nil profiler leaves the timers off.
+func (p *Profiler) Open(rec *telemetry.Span) {
+	if p == nil {
+		return
+	}
+	rec.Profile(p.cfg.Clock(), p.cfg.CountAllocs)
+}
+
+// Record aggregates a completed request record's stage costs into the
+// per-stage histograms and the flight recorder. The layer that created the
+// record calls it once; layers handed a caller's record leave it to the
+// caller.
+func (p *Profiler) Record(rec *telemetry.Span) {
+	if p == nil || rec == nil {
 		return
 	}
 	var total int64
-	rec := BreakdownRecord{Time: b.Start, Job: b.Job}
-	for s := Stage(0); s < numStages; s++ {
-		w := b.wall[s]
-		if w == 0 && b.allocs[s] == 0 {
+	r := BreakdownRecord{Time: rec.Admitted(), Job: rec.ID}
+	for s := telemetry.Stage(0); s < telemetry.NumStages; s++ {
+		w, a := int64(rec.Wall(s)), rec.Allocs(s)
+		if w == 0 && a == 0 {
 			continue
 		}
 		total += w
 		p.stageH[s].Observe(w)
-		rec.set(s, w, b.allocs[s])
+		r.set(s, w, a)
 	}
-	rec.TotalNS = total
+	r.TotalNS = total
 	p.requestH.Observe(total)
 	p.requestsC.Inc()
 	p.mu.Lock()
-	for s := Stage(0); s < numStages; s++ {
-		if b.wall[s] != 0 {
+	for s := telemetry.Stage(0); s < telemetry.NumStages; s++ {
+		if w := rec.Wall(s); w != 0 {
 			p.stageCount[s]++
-			p.stageWall[s] += b.wall[s]
+			p.stageWall[s] += int64(w)
 		}
 	}
 	p.requests++
 	p.mu.Unlock()
-	p.flight.addBreakdown(rec)
+	p.flight.addBreakdown(r)
 }
 
 // Close stops the background sampler and restores the mutex-profile

@@ -41,18 +41,21 @@ func TestNilProfilerIsInert(t *testing.T) {
 	if s := p.Sample(); s.Goroutines != 0 {
 		t.Fatalf("nil Sample = %+v", s)
 	}
-	if b := p.NewBreakdown(7); b != nil {
-		t.Fatalf("nil NewBreakdown = %v", b)
-	}
+	rec := &telemetry.Span{ID: 7}
+	p.Open(rec)
+	p.Record(rec)
 	p.Record(nil)
 	if path, err := p.WriteFlight(t.TempDir(), "test", 0); err != nil || path != "" {
 		t.Fatalf("nil WriteFlight = %q, %v", path, err)
 	}
-	var b *Breakdown
-	b.Add(StageQueue, time.Second)
-	b.Begin(StageCompute).End()
-	if b.Total() != 0 || b.Wall(StageQueue) != 0 {
-		t.Fatal("nil breakdown recorded something")
+	// A record no profiler opened ignores stage costs, as does a nil one.
+	var nilRec *telemetry.Span
+	for _, b := range []*telemetry.Span{rec, nilRec} {
+		b.Add(telemetry.StageQueue, time.Second)
+		b.Begin(telemetry.StageCompute).End()
+		if b.Wall(telemetry.StageQueue) != 0 || b.Wall(telemetry.StageCompute) != 0 {
+			t.Fatal("unprofiled record recorded stage costs")
+		}
 	}
 	// Nil handler still serves a well-formed disabled document.
 	rr := httptest.NewRecorder()
@@ -115,31 +118,23 @@ func TestSampleDeltasAndGauges(t *testing.T) {
 
 func TestBreakdownStagesAndContext(t *testing.T) {
 	p := newManual(t, Config{})
-	b := p.NewBreakdown(42)
-	if b == nil || b.Job != 42 {
-		t.Fatalf("breakdown = %+v", b)
-	}
-	ctx := WithBreakdown(context.Background(), b)
-	if BreakdownFrom(ctx) != b {
-		t.Fatal("context round-trip lost the breakdown")
-	}
-	if BreakdownFrom(context.Background()) != nil {
-		t.Fatal("empty context yielded a breakdown")
+	b := &telemetry.Span{ID: 42}
+	p.Open(b)
+	ctx := telemetry.WithSpan(context.Background(), b)
+	if telemetry.SpanFrom(ctx) != b {
+		t.Fatal("context round-trip lost the record")
 	}
 
-	b.Add(StageQueue, 5*time.Microsecond)
-	b.Add(StageQueue, 5*time.Microsecond) // accumulates
-	st := b.Begin(StageCompute)
+	b.Add(telemetry.StageQueue, 5*time.Microsecond)
+	b.Add(telemetry.StageQueue, 5*time.Microsecond) // accumulates
+	st := b.Begin(telemetry.StageCompute)
 	time.Sleep(time.Millisecond)
 	st.End()
-	if got := b.Wall(StageQueue); got != 10*time.Microsecond {
+	if got := b.Wall(telemetry.StageQueue); got != 10*time.Microsecond {
 		t.Fatalf("queue wall = %v", got)
 	}
-	if b.Wall(StageCompute) < time.Millisecond {
-		t.Fatalf("compute wall = %v", b.Wall(StageCompute))
-	}
-	if b.Total() != b.Wall(StageQueue)+b.Wall(StageCompute) {
-		t.Fatalf("total %v != sum", b.Total())
+	if b.Wall(telemetry.StageCompute) < time.Millisecond {
+		t.Fatalf("compute wall = %v", b.Wall(telemetry.StageCompute))
 	}
 
 	p.Record(b)
@@ -160,16 +155,20 @@ func TestBreakdownStagesAndContext(t *testing.T) {
 	if len(snap.Requests) != 1 || snap.Requests[0].Job != 42 {
 		t.Fatalf("flight requests = %+v", snap.Requests)
 	}
+	if got, want := snap.Requests[0].TotalNS, int64(b.Wall(telemetry.StageQueue)+b.Wall(telemetry.StageCompute)); got != want {
+		t.Fatalf("flight total %d != stage sum %d", got, want)
+	}
 }
 
 func TestCountAllocsAttributesStageAllocations(t *testing.T) {
 	p := newManual(t, Config{CountAllocs: true})
-	b := p.NewBreakdown(0)
-	st := b.Begin(StageEncode)
+	b := &telemetry.Span{}
+	p.Open(b)
+	st := b.Begin(telemetry.StageEncode)
 	sink := make([]byte, 1<<20)
 	st.End()
 	_ = sink
-	if b.Allocs(StageEncode) == 0 {
+	if b.Allocs(telemetry.StageEncode) == 0 {
 		t.Fatal("alloc counting recorded nothing for a 1MiB allocation")
 	}
 }
@@ -182,8 +181,9 @@ func TestFlightRingBoundedAndOrdered(t *testing.T) {
 		p.Sample()
 	}
 	for i := 0; i < 5; i++ {
-		b := p.NewBreakdown(int64(100 + i))
-		b.Add(StageQueue, time.Microsecond)
+		b := &telemetry.Span{ID: int64(100 + i)}
+		p.Open(b)
+		b.Add(telemetry.StageQueue, time.Microsecond)
 		p.Record(b)
 	}
 	samples, breakdowns := p.flight.snapshot()
@@ -207,8 +207,9 @@ func TestWriteFlightDumpArtifactAndEvent(t *testing.T) {
 	events := eventlog.New(eventlog.Config{})
 	defer events.Close()
 	p := newManual(t, Config{Events: events})
-	b := p.NewBreakdown(9)
-	b.Add(StageCompute, time.Millisecond)
+	b := &telemetry.Span{ID: 9}
+	p.Open(b)
+	b.Add(telemetry.StageCompute, time.Millisecond)
 	p.Record(b)
 
 	dir := t.TempDir()
@@ -263,8 +264,9 @@ func TestWriteFlightDumpArtifactAndEvent(t *testing.T) {
 
 func TestHandlerServesSnapshot(t *testing.T) {
 	p := newManual(t, Config{})
-	b := p.NewBreakdown(0)
-	b.Add(StageObserve, time.Microsecond)
+	b := &telemetry.Span{}
+	p.Open(b)
+	b.Add(telemetry.StageObserve, time.Microsecond)
 	p.Record(b)
 	rr := httptest.NewRecorder()
 	p.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/prof.json", nil))
@@ -324,14 +326,14 @@ func TestBackgroundSamplerTicks(t *testing.T) {
 
 func TestStageStringCoversAllStages(t *testing.T) {
 	seen := map[string]bool{}
-	for s := Stage(0); s < numStages; s++ {
+	for s := telemetry.Stage(0); s < telemetry.NumStages; s++ {
 		name := s.String()
 		if name == "unknown" || seen[name] {
 			t.Fatalf("stage %d name %q invalid or duplicate", s, name)
 		}
 		seen[name] = true
 	}
-	if Stage(200).String() != "unknown" {
+	if telemetry.Stage(200).String() != "unknown" {
 		t.Fatal("out-of-range stage should be unknown")
 	}
 }

@@ -87,16 +87,16 @@ type Config struct {
 	// (device_busy_nanoseconds_total, device_pending_requests). With a nil
 	// registry the same instruments still back Stats(), just unexported.
 	Telemetry *telemetry.Registry
-	// Spans, when non-nil, retains a completed telemetry.Span per request
-	// for requests that did not already carry one in their context (e.g.
-	// direct Predict calls outside a detector).
+	// Spans, when non-nil, retains the completed record (telemetry.Span)
+	// of every request the server created one for: requests that did not
+	// already carry a record in their context (e.g. direct Predict calls
+	// outside a detector).
 	Spans *telemetry.SpanLog
 	// Trace, when non-nil, records each request's queue residency on the
 	// scheduler's per-device tracks (named by registry ID) and assigns the
-	// request a trace job ID that rides its context — the correlation key
-	// tying the queue event to the transfer and kernel events the device
-	// emits for the same request (and mirrored onto the request's
-	// telemetry.Span as Span.ID).
+	// request a trace job ID, stored on its record as Span.ID — the
+	// correlation key tying the queue event to the transfer and kernel
+	// events the device emits and the events logged for the same request.
 	Trace *trace.Tracer
 	// Events, when non-nil, receives the scheduler's structured events:
 	// per-request completions (debug: request.done, with device and
@@ -106,11 +106,10 @@ type Config struct {
 	// the registry ID.
 	Events *eventlog.Logger
 	// Prof, when non-nil, attributes each request's host wall-clock to
-	// pipeline stages (queue, encode, transfer, compute, observe, ...): the
-	// server creates a prof.Breakdown per request that does not already
-	// carry one in its context, threads it down to the engine, and records
-	// it on completion. Requests that arrive with a caller-owned breakdown
-	// (e.g. from a detector) are stamped but recorded by their creator.
+	// pipeline stages (queue, encode, transfer, compute, observe, ...) on
+	// the records the server creates, and records them on completion.
+	// Requests that arrive with a caller's record (e.g. from a detector)
+	// are filled in but recorded by their creator.
 	Prof *prof.Profiler
 }
 
@@ -165,22 +164,13 @@ type request struct {
 	// request executes would abandon work the worker still completes —
 	// and a fleet-level retry would then duplicate the window.
 	claim atomic.Int32
-	// span, when non-nil, accumulates the request's pipeline phases. It is
-	// the context span when the caller supplied one, else a server-created
-	// span destined for Config.Spans.
-	span *telemetry.Span
-	// ownSpan marks a server-created span that should be logged on
-	// completion (caller-owned spans are the caller's to log).
-	ownSpan bool
-	// bd, when non-nil, accumulates the request's per-stage host costs —
-	// the context breakdown when the caller supplied one, else a
-	// server-created breakdown destined for Config.Prof.
-	bd *prof.Breakdown
-	// ownBD marks a server-created breakdown that should be recorded on
-	// completion (caller-owned breakdowns are the caller's to record).
-	ownBD bool
-	// job is the trace correlation ID (0 when tracing is off).
-	job int64
+	// rec is the request's record: the caller's when the context carries
+	// one, else one the server created for its own sinks (own). Nil when
+	// neither observes the request.
+	rec *telemetry.Span
+	// own marks a server-created record, flushed to Config.Spans and
+	// Config.Prof on completion.
+	own bool
 }
 
 // slot is one engine plus its serving state. Identity, lifecycle, and
@@ -358,30 +348,19 @@ func (s *Server) submit(ctx context.Context, req *request) (kernels.Result, infe
 	if s.closed.Load() {
 		return kernels.Result{}, infer.Timing{}, ErrClosed
 	}
-	if req.span = telemetry.SpanFrom(ctx); req.span == nil && s.cfg.Spans != nil {
+	req.rec = telemetry.SpanFrom(ctx)
+	if req.rec == nil && (s.cfg.Spans != nil || s.cfg.Prof != nil || s.cfg.Trace.Enabled()) {
 		name := "predict"
 		if req.stored {
 			name = "predict-stored"
 		}
-		req.span = &telemetry.Span{Name: name}
-		req.ownSpan = true
+		req.rec = &telemetry.Span{Name: name}
+		req.own = true
+		s.cfg.Prof.Open(req.rec)
+		req.ctx = telemetry.WithSpan(ctx, req.rec)
 	}
 	if s.cfg.Trace.Enabled() {
-		req.job = s.cfg.Trace.NewJob()
-		req.ctx = trace.WithJob(req.ctx, req.job)
-		if req.span != nil {
-			req.span.ID = req.job
-		}
-	}
-	if req.bd = prof.BreakdownFrom(req.ctx); req.bd != nil {
-		// Caller-owned breakdown: stamp the trace job the scheduler just
-		// allocated so the flight recorder can correlate it.
-		if req.bd.Job == 0 {
-			req.bd.Job = req.job
-		}
-	} else if s.cfg.Prof != nil {
-		req.bd = s.cfg.Prof.NewBreakdown(req.job)
-		req.ownBD = true
+		req.rec.ID = s.cfg.Trace.NewJob()
 	}
 	d := s.pick()
 	if d == nil {
@@ -512,12 +491,13 @@ func (s *Server) execute(d *slot, req *request) {
 	// Queue wait ends here, whether the request proceeds or was abandoned:
 	// the scheduling delay was paid either way.
 	wait := time.Since(req.enqueuedAt)
-	req.bd.Add(prof.StageQueue, wait)
-	obs := req.bd.Begin(prof.StageObserve)
+	rec := req.rec
+	rec.Add(telemetry.StageQueue, wait)
+	obs := rec.Begin(telemetry.StageObserve)
 	d.queueWait.ObserveDuration(wait)
-	if req.span != nil {
-		req.span.Record(telemetry.PhaseQueue, wait)
-		req.span.Device = string(d.h.ID())
+	if rec != nil {
+		rec.Record(telemetry.PhaseQueue, wait)
+		rec.Device = string(d.h.ID())
 	}
 	if tr := s.cfg.Trace; tr.Enabled() {
 		// Pure wall-clock domain: the wait really elapsed on the host.
@@ -532,7 +512,7 @@ func (s *Server) execute(d *slot, req *request) {
 		tr.Emit(trace.Event{
 			Track: trace.Track{Group: "serve", Name: string(d.h.ID())},
 			Name:  name, Cat: trace.CatQueue,
-			Start: start, Dur: wait, Job: req.job,
+			Start: start, Dur: wait, Job: rec.Job(),
 		})
 	}
 	obs.End()
@@ -542,23 +522,15 @@ func (s *Server) execute(d *slot, req *request) {
 		req.done <- response{err: err}
 		return
 	}
-	// The engine records transfer/compute phases into the span (and stage
-	// costs into the breakdown) it finds in the context; thread the
-	// request's down even when the server created them.
-	ctx := req.ctx
-	if req.ownSpan {
-		ctx = telemetry.WithSpan(ctx, req.span)
-	}
-	if req.ownBD {
-		ctx = prof.WithBreakdown(ctx, req.bd)
-	}
+	// The engine fills in the record riding req.ctx: transfer and compute
+	// phases, stage costs and the job its device events carry.
 	var resp response
 	if req.stored {
-		resp.res, resp.timing, resp.err = d.inf.PredictStored(ctx, req.off)
+		resp.res, resp.timing, resp.err = d.inf.PredictStored(req.ctx, req.off)
 	} else {
-		resp.res, resp.timing, resp.err = d.inf.Predict(ctx, req.seq)
+		resp.res, resp.timing, resp.err = d.inf.Predict(req.ctx, req.seq)
 	}
-	obs = req.bd.Begin(prof.StageObserve)
+	obs = rec.Begin(telemetry.StageObserve)
 	d.h.AddBusy(int64(resp.timing.Total()))
 	if resp.err == nil {
 		d.jobs.Inc()
@@ -576,12 +548,12 @@ func (s *Server) execute(d *slot, req *request) {
 			eventlog.F("stored", req.stored),
 			eventlog.F("error", resp.err))
 	}
-	if req.ownSpan {
-		s.cfg.Spans.Add(*req.span)
+	if req.own {
+		s.cfg.Spans.Add(*rec)
 	}
 	obs.End()
-	if req.ownBD {
-		s.cfg.Prof.Record(req.bd)
+	if req.own {
+		s.cfg.Prof.Record(rec)
 	}
 	// Drop the backlog count before releasing the caller, so a caller
 	// submitting its next request sees this device's true score.

@@ -62,3 +62,31 @@ func TestSpanLogNilSafe(t *testing.T) {
 		t.Fatal("nil span log not inert")
 	}
 }
+
+// TestSpanPhasesInlineAndLogCopiesOwnThem: the usual four phases need no
+// allocation, and a logged copy keeps its phases when the original record
+// is written again.
+func TestSpanPhasesInlineAndLogCopiesOwnThem(t *testing.T) {
+	s := &Span{Name: "window"}
+	if n := testing.AllocsPerRun(100, func() {
+		s.Phases = nil
+		for _, p := range []string{PhaseQueue, PhaseTransfer, PhaseCompute, PhaseVerdict} {
+			s.Record(p, time.Microsecond)
+		}
+	}); n != 0 {
+		t.Fatalf("recording four phases allocated %v times", n)
+	}
+	l := NewSpanLog(2)
+	l.Add(*s)
+	s.Phases = s.Phases[:0]
+	s.Record(PhaseQueue, time.Hour)
+	got := l.Snapshot()
+	if len(got) != 1 || len(got[0].Phases) != 4 || got[0].Phases[0].Duration != time.Microsecond {
+		t.Fatalf("logged span changed with the original: %+v", got)
+	}
+	// A span without phases still renders "phases": null in /spans.json.
+	l.Add(Span{Name: "none"})
+	if got := l.Snapshot(); got[1].Phases != nil {
+		t.Fatal("a span without phases gained an empty phase list")
+	}
+}

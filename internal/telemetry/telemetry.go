@@ -12,12 +12,15 @@
 //     paper's Table I reporting convention.
 //   - Registry: a labeled metric namespace with Prometheus-text and JSON
 //     exposition plus a human-readable summary table.
-//   - Span and SpanLog: a lightweight per-request trace of the pipeline
-//     phases (queue wait → SSD transfer → FPGA compute → verdict).
+//   - Span and SpanLog: the one per-request record riding the context —
+//     trace job ID, device, the pipeline phases (queue wait → SSD transfer
+//     → FPGA compute → verdict) and, when a profiler opened it, per-Stage
+//     host wall time — and a ring of recent completed records.
 //
-// Everything is safe for concurrent use and built only on the standard
-// library; the rest of the stack (internal/serve, internal/core,
-// internal/node, internal/detect, internal/cti) instruments against it.
+// Everything except a Span in flight is safe for concurrent use, and
+// everything is built only on the standard library; the rest of the stack
+// (internal/serve, internal/core, internal/fleet, internal/detect,
+// internal/cti) instruments against it.
 // Construction helpers are nil-receiver safe: calling Counter/Gauge/
 // Histogram on a nil *Registry returns a live but unregistered metric, so
 // instrumented code needs no "is telemetry enabled" branches.

@@ -36,7 +36,6 @@
 package trace
 
 import (
-	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -164,7 +163,8 @@ func (t *Tracer) Elapsed() time.Duration {
 }
 
 // NewJob allocates the next correlation ID (1, 2, 3, ...). The scheduler
-// calls it once per request and threads the ID down via WithJob.
+// calls it once per request and stores it on the request's record
+// (telemetry.Span.ID), where every lower layer reads it.
 func (t *Tracer) NewJob() int64 {
 	if t == nil {
 		return 0
@@ -271,24 +271,4 @@ func (t *Tracer) Dropped() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
-}
-
-type jobCtxKey struct{}
-
-// WithJob returns a context carrying the trace correlation ID, so lower
-// layers (engine, device, runtime) stamp their events with the same job as
-// the scheduler's queue event. The same ID is mirrored onto the request's
-// telemetry.Span (Span.ID), tying the metrics pipeline and the trace
-// timeline together.
-func WithJob(ctx context.Context, id int64) context.Context {
-	if id == 0 {
-		return ctx
-	}
-	return context.WithValue(ctx, jobCtxKey{}, id)
-}
-
-// JobFrom returns the correlation ID carried by ctx, or 0.
-func JobFrom(ctx context.Context) int64 {
-	id, _ := ctx.Value(jobCtxKey{}).(int64)
-	return id
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"io"
@@ -95,16 +94,11 @@ func TestEventsSorted(t *testing.T) {
 	}
 }
 
+// TestJobContext: job IDs are dense from 1, and a nil tracer hands out 0
+// (the ID of an unattributed request).
 func TestJobContext(t *testing.T) {
-	ctx := context.Background()
-	if JobFrom(ctx) != 0 {
-		t.Fatal("empty context carries a job")
-	}
-	if WithJob(ctx, 0) != ctx {
-		t.Fatal("job 0 should not wrap the context")
-	}
-	if got := JobFrom(WithJob(ctx, 42)); got != 42 {
-		t.Fatalf("JobFrom = %d, want 42", got)
+	if (*Tracer)(nil).NewJob() != 0 {
+		t.Fatal("nil tracer allocated a job")
 	}
 	tr := New()
 	if a, b := tr.NewJob(), tr.NewJob(); a != 1 || b != 2 {

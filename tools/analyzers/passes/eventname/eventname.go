@@ -88,7 +88,7 @@ func run(pass *analysis.Pass) {
 
 // looksLikeContext reports whether expr is plausibly a context argument: the
 // conventional ctx identifier, a field selection ending in ctx/Context, or
-// any call (context.Background(), trace.WithJob(...), jobCtx(...)).
+// any call (context.Background(), telemetry.WithSpan(...), jobCtx(...)).
 func looksLikeContext(expr ast.Expr) bool {
 	switch e := expr.(type) {
 	case *ast.Ident:

@@ -27,7 +27,7 @@ const telemetryPath = "/internal/telemetry"
 var boundedKeys = map[string]bool{
 	"device": true, "verdict": true, "level": true, "platform": true,
 	"kernel": true, "experiment": true, "outcome": true,
-	// "stage" values come from the prof.Stage enum (queue, encode,
+	// "stage" values come from the telemetry.Stage enum (queue, encode,
 	// transfer, compute, verdict, observe).
 	"stage": true,
 	// "family" values pass through quality.SanitizeFamily, which bounds
