@@ -66,7 +66,9 @@ load-smoke:
 # injected: the full-rack blackout deliberately pages the availability
 # objective, so the run proves the page → incident → flight-dump chain and
 # uploads the dumps (runtime samples + per-request stage breakdowns, job-ID
-# correlated with the incident) and the final prof.json snapshot.
+# correlated with the incident) and the final prof.json snapshot. Every
+# failure the blackout causes must be classified: a "reason": "other" entry
+# in the report fails the run.
 prof-smoke:
 	mkdir -p $(BENCH_JSON_DIR)/prof
 	$(GO) run ./cmd/csdload -devices 4 -arrivals poisson -rate 500 \
@@ -75,6 +77,8 @@ prof-smoke:
 		-json $(BENCH_JSON_DIR)/prof/slo-report.json
 	@ls $(BENCH_JSON_DIR)/prof/flight-*.json >/dev/null 2>&1 || \
 		{ echo "prof-smoke: no flight dump produced" >&2; exit 1; }
+	@! grep -q '"reason": "other"' $(BENCH_JSON_DIR)/prof/slo-report.json || \
+		{ echo "prof-smoke: unclassified failures (reason \"other\") in slo-report.json" >&2; exit 1; }
 
 # quality-smoke proves the detection-quality loop on a seeded run: the
 # labeled PID population must produce true positives (the min-TP gate fails

@@ -409,14 +409,14 @@ func BenchmarkAblation_Streaming(b *testing.B) {
 }
 
 // Concurrent serving (§II scalability): 64 goroutines push live windows
-// through the request scheduler over 1/2/4 devices — bounded queues,
-// least-busy placement. Reports simulated device time per request.
+// through a fleet of 1/2/4 devices — bounded queues, least-busy placement.
+// Reports simulated device time per request.
 func BenchmarkServe_Throughput(b *testing.B) {
 	m := paperModel(b)
 	seq := paperSeq()
 	for _, devices := range []int{1, 2, 4} {
 		b.Run(map[int]string{1: "dev1", 2: "dev2", 4: "dev4"}[devices], func(b *testing.B) {
-			s, err := NewServer(m, NodeConfig{Devices: devices}, ServeConfig{Block: true})
+			s, err := NewFleet(m, FleetConfig{Nodes: devices, Block: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -432,8 +432,8 @@ func BenchmarkServe_Throughput(b *testing.B) {
 			var busy time.Duration
 			var jobs int64
 			for _, st := range s.Stats() {
-				busy += st.BusyTime
-				jobs += st.Jobs
+				busy += st.Serve.BusyTime
+				jobs += st.Serve.Jobs
 			}
 			if jobs > 0 {
 				b.ReportMetric(float64(busy.Microseconds())/float64(jobs), "sim_µs/req")
@@ -474,12 +474,13 @@ func BenchmarkBackgroundScan(b *testing.B) {
 }
 
 // BenchmarkServe_WallClock is the observability-overhead gate's benchmark
-// twin: one fully-instrumented serve request per iteration, serialized, with
-// allocation reporting. ns/op and allocs/op here correspond to the
-// "instrumented" leg of `csdbench -experiment wallclock`, which cmd/benchdiff
-// diffs against bench-results/baseline-wallclock.json in CI. The allocs/op
-// figure is the interesting one: the observability path's allocation profile
-// is deterministic, so growth means new per-request allocations crept into
+// twin: one fully-instrumented request per iteration through a one-device
+// fleet, serialized, with allocation reporting. ns/op and allocs/op here
+// are the "instrumented" leg of `csdbench -experiment wallclock` (which
+// cmd/benchdiff diffs against bench-results/baseline-wallclock.json in CI)
+// plus the fleet's placement and admission. The allocs/op figure is the
+// interesting one: the observability path's allocation profile is
+// deterministic, so growth means new per-request allocations crept into
 // the hot path.
 func BenchmarkServe_WallClock(b *testing.B) {
 	m := paperModel(b)
@@ -495,7 +496,8 @@ func BenchmarkServe_WallClock(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer profiler.Close()
-	s, err := NewServer(m, NodeConfig{Devices: 1}, ServeConfig{
+	s, err := NewFleet(m, FleetConfig{
+		Nodes:     1,
 		Telemetry: reg, Spans: spans, Trace: NewTracer(), Events: events, Prof: profiler,
 	})
 	if err != nil {

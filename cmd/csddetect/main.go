@@ -32,21 +32,16 @@ import (
 	"os"
 	"time"
 
-	"github.com/kfrida1/csdinf/internal/core"
-	"github.com/kfrida1/csdinf/internal/csd"
 	"github.com/kfrida1/csdinf/internal/cti"
 	"github.com/kfrida1/csdinf/internal/dataset"
 	"github.com/kfrida1/csdinf/internal/detect"
-	"github.com/kfrida1/csdinf/internal/device"
 	"github.com/kfrida1/csdinf/internal/eventlog"
 	"github.com/kfrida1/csdinf/internal/fleet"
 	"github.com/kfrida1/csdinf/internal/incident"
-	"github.com/kfrida1/csdinf/internal/infer"
 	"github.com/kfrida1/csdinf/internal/lstm"
 	"github.com/kfrida1/csdinf/internal/prof"
 	"github.com/kfrida1/csdinf/internal/quality"
 	"github.com/kfrida1/csdinf/internal/sandbox"
-	"github.com/kfrida1/csdinf/internal/serve"
 	"github.com/kfrida1/csdinf/internal/telemetry"
 	"github.com/kfrida1/csdinf/internal/trace"
 	"github.com/kfrida1/csdinf/internal/train"
@@ -68,16 +63,12 @@ func main() {
 	}
 }
 
-// pipeline is the full detection stack csddetect drives: CSD device(s) →
-// in-storage engine(s) → scheduler (or fleet placement, with -devices > 1)
-// → hot-swap wrapper → per-process detector mux, with the incident
-// recorder and structured event log fed at every layer. Tests build it
-// directly to drive synthetic streams.
+// pipeline is the full detection stack csddetect drives: CSD devices →
+// in-storage engines → fleet placement → hot-swap wrapper → per-process
+// detector mux, with the incident recorder and structured event log fed
+// at every layer. Tests build it directly to drive synthetic streams.
 type pipeline struct {
-	dev     *csd.SmartSSD // first (or only) drive; quarantine anchor
-	eng     *core.Engine  // nil in fleet mode
-	srv     *serve.Server // nil in fleet mode
-	fl      *fleet.Fleet  // nil in single-device mode
+	fl      *fleet.Fleet
 	hot     *cti.HotSwapEngine
 	mux     *detect.Mux
 	rec     *incident.Recorder
@@ -88,9 +79,8 @@ type pipeline struct {
 type pipelineConfig struct {
 	model     *lstm.Model
 	threshold float64
-	// devices is the CSD count; 0 or 1 serves one drive through the
-	// single-node scheduler, >1 provisions a fleet with per-process
-	// (tenant) placement.
+	// devices is the CSD count of the fleet (0 means 1); processes are
+	// placed per tenant.
 	devices int
 	reg     *telemetry.Registry
 	spans   *telemetry.SpanLog
@@ -108,57 +98,26 @@ type pipelineConfig struct {
 }
 
 func buildPipeline(cfg pipelineConfig) (*pipeline, error) {
-	p := &pipeline{events: cfg.events}
-	var pred infer.Inferencer
-	var quarantine func()
-	if cfg.devices > 1 {
-		fl, err := fleet.New(cfg.model, fleet.Config{
-			Nodes:     cfg.devices,
-			Telemetry: cfg.reg, Spans: cfg.spans, Trace: cfg.tracer, Events: cfg.events,
-			Prof: cfg.profiler,
-		})
-		if err != nil {
-			return nil, err
+	fl, err := fleet.New(cfg.model, fleet.Config{
+		Nodes:     max(cfg.devices, 1),
+		Telemetry: cfg.reg, Spans: cfg.spans, Trace: cfg.tracer, Events: cfg.events,
+		Prof: cfg.profiler,
+	})
+	if err != nil {
+		return nil, err
+	}
+	p := &pipeline{fl: fl, events: cfg.events}
+	quarantine := func() {
+		// The write quarantine is rack-wide: every drive the process
+		// could have placed onto rejects writes.
+		for i := 0; i < fl.Nodes(); i++ {
+			fl.Device(i).SSD().Quarantine(true)
 		}
-		p.fl = fl
-		p.dev = fl.Device(0)
-		pred = fl
-		quarantine = func() {
-			// The write quarantine is rack-wide: every drive the process
-			// could have placed onto rejects writes.
-			for i := 0; i < fl.Nodes(); i++ {
-				fl.Device(i).SSD().Quarantine(true)
-			}
-		}
-	} else {
-		dev, err := csd.New(csd.Config{})
-		if err != nil {
-			return nil, err
-		}
-		eng, err := core.Deploy(dev, cfg.model, core.DeployConfig{
-			Telemetry: cfg.reg, Trace: cfg.tracer, Events: cfg.events,
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Serve the single engine through the scheduler so queue-wait
-		// metrics and device attribution cover the request path even in
-		// this one-device demo.
-		srv, err := serve.New([]infer.Inferencer{eng}, serve.Config{
-			Telemetry: cfg.reg, Spans: cfg.spans, Trace: cfg.tracer, Events: cfg.events,
-			Prof: cfg.profiler,
-		})
-		if err != nil {
-			return nil, err
-		}
-		p.dev, p.eng, p.srv = dev, eng, srv
-		pred = srv
-		quarantine = func() { dev.SSD().Quarantine(true) }
 	}
 	// The hot-swap wrapper is the CTI maintenance seam; its generation
 	// stamps incident reports with the model version that produced the
 	// verdicts.
-	hot, err := cti.NewHotSwapEngine(pred)
+	hot, err := cti.NewHotSwapEngine(fl)
 	if err != nil {
 		p.Close()
 		return nil, err
@@ -209,28 +168,7 @@ func buildPipeline(cfg pipelineConfig) (*pipeline, error) {
 	return p, nil
 }
 
-// registry returns the device registry of whichever serving layer is live,
-// for the /healthz readiness judgment (nil in single-node mode without a
-// configured registry — then /healthz stays unconditionally ok).
-func (p *pipeline) registry() *device.Registry {
-	if p.fl != nil {
-		return p.fl.Registry()
-	}
-	if p.srv != nil {
-		return p.srv.Registry()
-	}
-	return nil
-}
-
-func (p *pipeline) Close() error {
-	if p.fl != nil {
-		return p.fl.Close()
-	}
-	if p.srv != nil {
-		return p.srv.Close()
-	}
-	return nil
-}
+func (p *pipeline) Close() error { return p.fl.Close() }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("csddetect", flag.ContinueOnError)
@@ -249,7 +187,7 @@ func run(args []string) error {
 	tracePath := fs.String("trace", "", "write a Chrome trace (Perfetto-loadable) of the device timeline to this file")
 	eventsPath := fs.String("events", "", "write the structured event log as JSON lines to this file (enables debug-level events)")
 	incidentDir := fs.String("incident-dir", "", "write one JSON forensic report per incident into this directory")
-	devices := fs.Int("devices", 1, "CSD count; >1 provisions a fleet with per-process placement")
+	devices := fs.Int("devices", 1, "CSD count of the serving fleet (per-process placement)")
 	profOn := fs.Bool("prof", false, "run the continuous profiler: runtime sampling, per-stage cost attribution, incident flight dumps")
 	profDir := fs.String("prof-dir", "prof-out", "with -prof: directory for flight dumps and the final prof.json snapshot")
 	if err := fs.Parse(args); err != nil {
@@ -324,13 +262,7 @@ func run(args []string) error {
 		return err
 	}
 	defer p.Close()
-	if p.eng != nil {
-		fmt.Printf("deployed classifier to CSD (host init %v); per-item FPGA time: ", p.eng.InitTime())
-		_, _, _, tot := p.eng.PerItemMicros()
-		fmt.Printf("%.3f µs\n", tot)
-	} else {
-		fmt.Printf("deployed classifier to a %d-device fleet (per-process placement)\n", p.fl.Nodes())
-	}
+	fmt.Printf("deployed classifier to a %d-device fleet (per-process placement)\n", p.fl.Nodes())
 
 	if *metricsAddr != "" {
 		ln, err := net.Listen("tcp", *metricsAddr)
@@ -343,7 +275,7 @@ func run(args []string) error {
 		mux.Handle("/", telemetry.NewHTTPHandlerOpts(reg, telemetry.HTTPOptions{
 			Spans:  spans,
 			Extra:  extraHandlers(events, p.rec, profiler, p.quality),
-			Health: p.registry().Health,
+			Health: p.fl.Registry().Health,
 		}))
 		if *pprofOn {
 			// Mount explicitly rather than blank-importing, so the Go
@@ -447,7 +379,7 @@ func run(args []string) error {
 	ransomStats := p.mux.ProcessStats()[blockedPID]
 	fmt.Printf("ransomware (pid %d) stopped after %d of its API calls (%.1f%% of the trace executed)\n",
 		blockedPID, ransomStats.CallsObserved, 100*float64(ransomStats.CallsObserved)/float64(len(infected)))
-	if _, err := p.dev.SSD().Write(0, []byte("ciphertext")); err != nil {
+	if _, err := p.fl.Device(0).SSD().Write(0, []byte("ciphertext")); err != nil {
 		fmt.Printf("subsequent encryption write rejected by the drive: %v\n", err)
 	}
 	if *metricsAddr != "" && *hold > 0 {

@@ -326,7 +326,9 @@ func TestForensicsEndToEnd(t *testing.T) {
 		t.Fatalf("windows-to-flag latency untracked: %+v", qDoc.WindowsToFlag)
 	}
 
-	// The JSON-lines event stream records the story with the same job ID.
+	// The JSON-lines event stream records the story with the same job ID,
+	// and names the one drive by its registry ID on every layer (engine
+	// deploy, CSD transfers, scheduler, registry).
 	if err := events.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -336,11 +338,18 @@ func TestForensicsEndToEnd(t *testing.T) {
 	}
 	defer f.Close()
 	var sawBlock, sawOpen, sawJob bool
+	var deviceEvents int
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		var m map[string]any
 		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
 			t.Fatalf("event line invalid JSON: %v", err)
+		}
+		if dev, ok := m["device"]; ok {
+			deviceEvents++
+			if dev != "csd-000" {
+				t.Errorf("event %v names device %q, want csd-000", m["event"], dev)
+			}
 		}
 		switch m["event"] {
 		case "mitigation.block":
@@ -355,8 +364,9 @@ func TestForensicsEndToEnd(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if !sawBlock || !sawOpen || !sawJob {
-		t.Fatalf("event stream incomplete: block=%v open=%v job=%v", sawBlock, sawOpen, sawJob)
+	if !sawBlock || !sawOpen || !sawJob || deviceEvents == 0 {
+		t.Fatalf("event stream incomplete: block=%v open=%v job=%v device events=%d",
+			sawBlock, sawOpen, sawJob, deviceEvents)
 	}
 }
 

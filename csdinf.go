@@ -26,12 +26,12 @@
 //	    _ = ev
 //	}
 //
-// Every inference entry point — a single engine, a multi-device node, the
-// concurrent serving layer, the hot-swap wrapper — implements the Inferencer
-// interface and takes a context.Context, so cancellation and deadlines
-// propagate from the caller down to the device queue. For sustained
-// concurrent load, NewServer schedules requests over several devices with
-// bounded queues and least-busy placement.
+// Every inference entry point — a single engine, the fleet serving layer,
+// the hot-swap wrapper — implements the Inferencer interface and takes a
+// context.Context, so cancellation and deadlines propagate from the caller
+// down to the device queue. For sustained concurrent load, NewFleet serves
+// requests over one or more devices with bounded queues, tenant-aware
+// placement, and least-busy placement for untenanted work.
 //
 // All hardware (FPGA fabric and clock, SmartSSD, PCIe switch, A100/Xeon
 // baselines) is simulated with calibrated timing models — see DESIGN.md for
@@ -41,7 +41,6 @@ package csdinf
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -127,8 +126,8 @@ type (
 	// Part is an FPGA device model.
 	Part = fpga.Part
 	// Inferencer is the stack-wide inference contract: context-aware
-	// classification of live and SSD-resident sequences. Engine, Node,
-	// Server, and HotSwapEngine all implement it.
+	// classification of live and SSD-resident sequences. Engine, Fleet,
+	// and HotSwapEngine all implement it.
 	Inferencer = infer.Inferencer
 )
 
@@ -259,16 +258,6 @@ func DesktopTrace(length int, seed int64) ([]int, error) {
 	return sandbox.ManualInteractionProfile().Generate(length, seed)
 }
 
-// NodeConfig describes the CSDs NewServer deploys.
-type NodeConfig struct {
-	// Devices is the number of CSDs installed; 0 defaults to 1.
-	Devices int
-	// CSD configures each drive (zero value = SmartSSD defaults).
-	CSD CSDConfig
-	// Deploy configures each engine (zero value = paper defaults).
-	Deploy DeployConfig
-}
-
 // Maintenance types (CTI-driven updates).
 type (
 	// Updater maintains the corpus and hot-swaps retrained models.
@@ -288,18 +277,6 @@ type (
 // DSP-packed narrow gate MACs with a full-precision cell path, sized to fit
 // the SmartSSD's own KU15P.
 const LevelMixed = kernels.LevelMixed
-
-// Serving types (the concurrent request-scheduling layer).
-type (
-	// Server schedules inference requests over several single-stream CSD
-	// engines: bounded per-device queues, least-busy placement, stored-scan
-	// batching, and context cancellation end-to-end.
-	Server = serve.Server
-	// ServeConfig controls the request scheduler.
-	ServeConfig = serve.Config
-	// ServerDeviceStats describes one device's serving activity.
-	ServerDeviceStats = serve.DeviceStats
-)
 
 // Device registry types (shared device identity and lifecycle).
 type (
@@ -345,7 +322,9 @@ var (
 	// in-flight cap.
 	ErrFleetAdmission = fleet.ErrAdmission
 	// ErrNoReadyDevice is returned when every device is out of rotation.
-	ErrNoReadyDevice = serve.ErrNoReadyDevice
+	ErrNoReadyDevice = fleet.ErrNoReadyDevice
+	// ErrFleetClosed is returned for requests submitted to a closed fleet.
+	ErrFleetClosed = fleet.ErrClosed
 )
 
 // WithTenant stamps a tenant identity on a context; the fleet places all
@@ -354,79 +333,17 @@ func WithTenant(ctx context.Context, tenant string) context.Context {
 	return infer.WithTenant(ctx, tenant)
 }
 
-// Serving errors.
-var (
-	// ErrQueueFull is the scheduler's backpressure signal when a device
-	// queue has no room (and ServeConfig.Block is false).
-	ErrQueueFull = serve.ErrQueueFull
-	// ErrServerClosed is returned for requests submitted to, or still
-	// queued in, a closed server.
-	ErrServerClosed = serve.ErrClosed
-)
-
-// NewServer deploys the model to nodeCfg.Devices fresh CSDs and starts the
-// concurrent request scheduler over them. Close the server to stop its
-// device workers. Each CSD is registered in the device registry
-// (serveCfg.Devices, or a private one) and keeps its registry ID
-// ("csd-000", "csd-001", ...) across every layer: telemetry labels, trace
-// track groups, incident attribution, and event device fields. When
-// serveCfg.Telemetry is set it is threaded into each engine deployment
-// (unless nodeCfg.Deploy.Telemetry is already set), so the engines'
-// transfer/compute histograms land in the same registry as the scheduler's
-// queue metrics.
-func NewServer(m *Model, nodeCfg NodeConfig, serveCfg ServeConfig) (*Server, error) {
-	devices := nodeCfg.Devices
-	if devices == 0 {
-		devices = 1
-	}
-	if devices < 0 {
-		return nil, fmt.Errorf("csdinf: device count must be positive, got %d", devices)
-	}
-	if serveCfg.Handles != nil {
-		return nil, fmt.Errorf("csdinf: NewServer deploys its own devices; leave ServeConfig.Handles nil")
-	}
-	deploy := nodeCfg.Deploy
-	if deploy.Telemetry == nil {
-		deploy.Telemetry = serveCfg.Telemetry
-	}
-	if deploy.Trace == nil {
-		deploy.Trace = serveCfg.Trace
-	}
-	if serveCfg.Devices == nil {
-		serveCfg.Devices = device.NewRegistry(device.Config{
-			Telemetry: serveCfg.Telemetry, Events: serveCfg.Events,
-		})
-	}
-	engines := make([]Inferencer, devices)
-	handles := make([]*Device, devices)
-	for i := range engines {
-		h := serveCfg.Devices.Register()
-		handles[i] = h
-		dev, err := csd.New(nodeCfg.CSD)
-		if err != nil {
-			return nil, fmt.Errorf("csdinf: device %s: %w", h.ID(), err)
-		}
-		devDeploy := deploy
-		if devDeploy.TraceName == "" {
-			devDeploy.TraceName = string(h.ID())
-		}
-		eng, err := core.Deploy(dev, m, devDeploy)
-		if err != nil {
-			return nil, fmt.Errorf("csdinf: deploy to device %s: %w", h.ID(), err)
-		}
-		engines[i] = eng
-		if err := h.SetReady("deployed"); err != nil {
-			return nil, err
-		}
-	}
-	serveCfg.Handles = handles
-	return serve.New(engines, serveCfg)
-}
+// ErrQueueFull is the scheduler's backpressure signal when a device queue
+// has no room (and FleetConfig.Block is false).
+var ErrQueueFull = serve.ErrQueueFull
 
 // NewFleet deploys the model to fleetCfg.Nodes fresh CSDs and starts the
-// rack-scale serving layer: tenant-aware consistent-hash placement,
-// per-class QoS admission, and drain/fail/rejoin lifecycle flows over the
-// shared device registry.
+// serving layer: tenant-aware consistent-hash placement, least-busy
+// placement for untenanted requests, per-class QoS admission, and
+// drain/fail/rejoin lifecycle flows over the shared device registry. Each
+// CSD keeps its registry ID ("csd-000", "csd-001", ...) across every
+// layer: telemetry labels, trace track groups, incident attribution, and
+// event device fields. Close the fleet to stop its device workers.
 func NewFleet(m *Model, fleetCfg FleetConfig) (*Fleet, error) {
 	return fleet.New(m, fleetCfg)
 }
@@ -541,9 +458,9 @@ func NewDetectorMux(pred detect.Predictor, cfg DetectorMuxConfig) (*DetectorMux,
 func Score(m *Model, ds *Dataset) ([]ScoredPrediction, error) { return train.Score(m, ds) }
 
 // Telemetry types (the zero-dependency metrics and tracing core). A single
-// Telemetry registry can be threaded through ServeConfig, NodeConfig,
-// DeployConfig, DetectorConfig, and UpdaterConfig so the whole stack reports
-// into one exposition surface.
+// Telemetry registry can be threaded through FleetConfig, DeployConfig,
+// DetectorConfig, and UpdaterConfig so the whole stack reports into one
+// exposition surface.
 type (
 	// Telemetry is a registry of named counters, gauges, and latency
 	// histograms with Prometheus text, JSON, and summary-table exposition.
@@ -578,7 +495,7 @@ type (
 )
 
 // NewTracer builds an empty timeline tracer. Thread it through
-// ServeConfig.Trace (or DeployConfig.Trace for a single engine) and export
+// FleetConfig.Trace (or DeployConfig.Trace for a single engine) and export
 // with WriteChrome or Profile after the run.
 func NewTracer() *Tracer { return trace.New() }
 
@@ -597,7 +514,7 @@ func NewTelemetryHandler(r *Telemetry, spans *SpanLog) http.Handler {
 
 // Event log types (the structured, leveled JSON-lines domain-event layer of
 // the observability stack — see internal/eventlog). An EventLogger threaded
-// through ServeConfig, DeployConfig, DetectorConfig, and UpdaterConfig
+// through FleetConfig, DeployConfig, DetectorConfig, and UpdaterConfig
 // records what happened — alerts, mitigations, model swaps, queue
 // rejections — with trace-job and process correlation IDs; a nil logger is
 // inert.
@@ -718,8 +635,7 @@ type (
 	// LoadResult is a completed run's report: throughput, latency from
 	// intended arrival, error taxonomy, SLO status, and chaos outcomes.
 	LoadResult = load.Result
-	// LoadTarget is anything csdload can drive — Fleet and Server both
-	// satisfy it.
+	// LoadTarget is anything csdload can drive — a Fleet satisfies it.
 	LoadTarget = load.Target
 	// ChaosStep is one scheduled mid-run disturbance (drain, fail, rejoin).
 	ChaosStep = load.ChaosStep
@@ -767,7 +683,7 @@ const (
 )
 
 // NewProfiler starts a continuous profiler. Thread it through
-// ServeConfig.Prof, FleetConfig.Prof, or DetectorConfig.Prof; serve its
+// FleetConfig.Prof or DetectorConfig.Prof; serve its
 // Handler at /prof.json; and wire IncidentConfig.OnOpen to WriteFlight for
 // incident-correlated flight dumps. Close it to stop the sampler.
 func NewProfiler(cfg ProfilerConfig) (*Profiler, error) { return prof.New(cfg) }

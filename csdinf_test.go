@@ -388,8 +388,8 @@ func TestCorpusDeterminismGolden(t *testing.T) {
 }
 
 // TestServerFacade exercises the concurrent serving layer end to end
-// through the public API: deploy to several devices, push live and stored
-// work from concurrent callers, and close.
+// through the public API: deploy to several devices, push live work from
+// concurrent callers, and close.
 func TestServerFacade(t *testing.T) {
 	cfg := PaperModelConfig()
 	cfg.EmbedDim, cfg.HiddenSize = 4, 8 // scaled down to keep the test fast
@@ -397,15 +397,16 @@ func TestServerFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewServer(m, NodeConfig{
-		Devices: 2,
-		Deploy:  DeployConfig{SeqLen: 16},
-	}, ServeConfig{Block: true})
+	s, err := NewFleet(m, FleetConfig{
+		Nodes:  2,
+		Block:  true,
+		Deploy: DeployConfig{SeqLen: 16},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Devices() != 2 || s.SeqLen() != 16 {
-		t.Fatalf("Devices = %d, SeqLen = %d", s.Devices(), s.SeqLen())
+	if s.Nodes() != 2 || s.SeqLen() != 16 {
+		t.Fatalf("Nodes = %d, SeqLen = %d", s.Nodes(), s.SeqLen())
 	}
 	seq := make([]int, 16)
 	for i := range seq {
@@ -433,7 +434,7 @@ func TestServerFacade(t *testing.T) {
 	}
 	var jobs int64
 	for _, st := range s.Stats() {
-		jobs += st.Jobs
+		jobs += st.Serve.Jobs
 	}
 	if jobs != 32 {
 		t.Fatalf("jobs = %d, want 32", jobs)
@@ -441,8 +442,8 @@ func TestServerFacade(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Predict(context.Background(), seq); !errors.Is(err, ErrServerClosed) {
-		t.Fatalf("post-close error = %v, want ErrServerClosed", err)
+	if _, _, err := s.Predict(context.Background(), seq); !errors.Is(err, ErrFleetClosed) {
+		t.Fatalf("post-close error = %v, want ErrFleetClosed", err)
 	}
 }
 

@@ -82,10 +82,11 @@ func main() {
 	fmt.Printf("post-swap detection: blocked=%v after %d windows\n",
 		det.Blocked(), det.Stats().WindowsEvaluated)
 
-	// Scale-out: the same model served across a 4-CSD node. Each window is
-	// placed on the device with the least simulated outstanding work.
+	// Scale-out: the same model served across a 4-CSD node. Each untenanted
+	// window is placed on the device with the least simulated outstanding
+	// work.
 	fmt.Println("\nscaling out to a 4-CSD node...")
-	srv, err := csdinf.NewServer(updater.Model(), csdinf.NodeConfig{Devices: 4}, csdinf.ServeConfig{Block: true})
+	fl, err := csdinf.NewFleet(updater.Model(), csdinf.FleetConfig{Nodes: 4, Block: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, errs[i] = srv.Predict(context.Background(), w)
+			_, _, errs[i] = fl.Predict(context.Background(), w)
 		}()
 	}
 	wg.Wait()
@@ -111,12 +112,12 @@ func main() {
 		log.Fatal(err)
 	}
 	var makespan, total time.Duration
-	for _, st := range srv.Stats() {
-		total += st.BusyTime
-		makespan = max(makespan, st.BusyTime)
+	for _, st := range fl.Stats() {
+		total += st.Serve.BusyTime
+		makespan = max(makespan, st.Serve.BusyTime)
 	}
 	fmt.Printf("64-sequence batch across %d devices: makespan %v (total device time %v)\n",
-		srv.Devices(), makespan, total)
+		fl.Nodes(), makespan, total)
 	fmt.Printf("node throughput: %.0f sequences/second\n", float64(len(batch))/makespan.Seconds())
-	srv.Close()
+	fl.Close()
 }

@@ -20,7 +20,7 @@ import (
 
 // Predictor classifies a fully-formed window. It is the stack-wide
 // inference contract: a single CSD engine (core.Engine), a multi-device
-// fleet (fleet.Fleet), the concurrent serving layer (serve.Server), and the
+// fleet (fleet.Fleet), the per-device scheduler (serve.Server), and the
 // hot-swappable maintenance engine (cti.HotSwapEngine) all satisfy it;
 // tests may substitute fakes.
 type Predictor = infer.Inferencer

@@ -7,19 +7,18 @@ import (
 
 	"github.com/kfrida1/csdinf/internal/core"
 	"github.com/kfrida1/csdinf/internal/csd"
+	"github.com/kfrida1/csdinf/internal/fleet"
 	"github.com/kfrida1/csdinf/internal/fpga"
-	"github.com/kfrida1/csdinf/internal/infer"
 	"github.com/kfrida1/csdinf/internal/kernels"
 	"github.com/kfrida1/csdinf/internal/lstm"
-	"github.com/kfrida1/csdinf/internal/serve"
 	"github.com/kfrida1/csdinf/internal/trace"
 )
 
 // TraceRunConfig controls the traced demo workload behind `csdbench
 // -trace` and `make trace`.
 type TraceRunConfig struct {
-	// Devices is the number of CSDs behind the scheduler; 0 defaults to 2,
-	// enough to show cross-device concurrency on the timeline.
+	// Devices is the number of CSDs in the fleet; 0 defaults to 2, enough
+	// to show cross-device concurrency on the timeline.
 	Devices int
 	// Stored is the number of SSD-resident sequences classified per device
 	// population (P2P path); 0 defaults to 12.
@@ -68,8 +67,8 @@ type TraceRunResult struct {
 }
 
 // TraceRun executes the Table I inference configuration — the paper model
-// on the fully-optimized (fixed-point) pipeline — under the concurrent
-// scheduler with the timeline tracer attached to every layer, producing
+// on the fully-optimized (fixed-point) pipeline — on a fleet with the
+// timeline tracer attached to every layer, producing
 // the trace the paper's optimization study would read off Vitis Analyzer:
 // per-CU kernel events with loop-nest cycle attributions, SSD/PCIe/DDR
 // transfer stages, and per-request queue events correlated by job ID.
@@ -85,39 +84,31 @@ func TraceRun(cfg TraceRunConfig) (*TraceRunResult, error) {
 
 	seqLen := 100
 	vocab := m.Config().VocabSize
-	offsets := make([]int64, cfg.Stored)
-	engines := make([]infer.Inferencer, cfg.Devices)
-	for i := range engines {
-		dev, err := csd.New(csd.Config{})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: device %d: %w", i, err)
-		}
-		// Mirror the scan targets on every device, as the background-scan
-		// replication deployment does (serve routes stored requests to any
-		// device).
-		for s := 0; s < cfg.Stored; s++ {
-			seq := syntheticSeq(seqLen, vocab, cfg.Seed+int64(s))
-			off := int64(s * seqLen * csd.ItemBytes)
-			offsets[s] = off
-			if _, err := dev.StoreSequence(off, seq); err != nil {
-				return nil, fmt.Errorf("experiments: store sequence %d: %w", s, err)
-			}
-		}
-		eng, err := core.Deploy(dev, m, core.DeployConfig{
+	fl, err := fleet.New(m, fleet.Config{
+		Nodes: cfg.Devices,
+		Block: true,
+		Deploy: core.DeployConfig{
 			Level: kernels.LevelFixedPoint, Part: fpga.AlveoU200, SeqLen: seqLen,
-			Trace: cfg.Trace, TraceName: fmt.Sprintf("csd%d", i),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: deploy to device %d: %w", i, err)
-		}
-		engines[i] = eng
-	}
-
-	srv, err := serve.New(engines, serve.Config{Block: true, Trace: cfg.Trace})
+		},
+		Trace: cfg.Trace,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	defer srv.Close()
+	defer fl.Close()
+	// Mirror the scan targets on every device, as the background-scan
+	// replication deployment does (untenanted stored requests go to any
+	// device).
+	offsets := make([]int64, cfg.Stored)
+	for s := range offsets {
+		offsets[s] = int64(s * seqLen * csd.ItemBytes)
+		seq := syntheticSeq(seqLen, vocab, cfg.Seed+int64(s))
+		for d := 0; d < fl.Nodes(); d++ {
+			if _, err := fl.Device(d).StoreSequence(offsets[s], seq); err != nil {
+				return nil, fmt.Errorf("experiments: store sequence %d: %w", s, err)
+			}
+		}
+	}
 
 	// Fan the workload out concurrently so device queues actually form and
 	// the timeline shows both devices busy at once.
@@ -128,7 +119,7 @@ func TraceRun(cfg TraceRunConfig) (*TraceRunResult, error) {
 		wg.Add(1)
 		go func(off int64) {
 			defer wg.Done()
-			if _, _, err := srv.PredictStored(ctx, off); err != nil {
+			if _, _, err := fl.PredictStored(ctx, off); err != nil {
 				errs <- fmt.Errorf("stored offset %d: %w", off, err)
 			}
 		}(off)
@@ -138,7 +129,7 @@ func TraceRun(cfg TraceRunConfig) (*TraceRunResult, error) {
 		go func(i int) {
 			defer wg.Done()
 			seq := syntheticSeq(seqLen, vocab, cfg.Seed+1000+int64(i))
-			if _, _, err := srv.Predict(ctx, seq); err != nil {
+			if _, _, err := fl.Predict(ctx, seq); err != nil {
 				errs <- fmt.Errorf("live window %d: %w", i, err)
 			}
 		}(i)

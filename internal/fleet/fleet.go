@@ -1,11 +1,12 @@
-// Package fleet is the rack-scale serving layer: N simulated CSD nodes
-// behind tenant-aware placement, per-tenant QoS admission, and device
-// failure/drain/rejoin flows.
+// Package fleet is the serving layer for more than one device: N simulated
+// CSD nodes behind tenant-aware placement, per-tenant QoS admission, and
+// device failure/drain/rejoin flows. It is the only multi-device front end;
+// a one-device deployment is simply a one-node fleet.
 //
 // The paper deploys one SmartSSD; its scalability argument (§II) is that
-// data centers install many. At rack scale three concerns appear that no
-// single-node scheduler addresses. Placement: a tenant's windows should
-// land on one device (cache locality, coherent per-device forensic
+// data centers install many. With many devices three concerns appear that
+// a per-device scheduler does not address. Placement: a tenant's windows
+// should land on one device (cache locality, coherent per-device forensic
 // timelines), so the fleet consistent-hashes tenant IDs over the device
 // ring and spills to the least-simulated-busy ready device only when the
 // home device is out of rotation or the request is untenanted. Admission:
@@ -28,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"github.com/kfrida1/csdinf/internal/core"
@@ -51,8 +53,9 @@ var ErrAdmission = errors.New("fleet: admission limit reached for class")
 // ErrClosed is returned for requests submitted after Close.
 var ErrClosed = errors.New("fleet: closed")
 
-// ErrNoReadyDevice is returned when no device in the fleet is Ready.
-var ErrNoReadyDevice = errors.New("fleet: no ready device")
+// ErrNoReadyDevice is returned when no device in the fleet is Ready. It is
+// serve's sentinel, so one errors.Is check covers both layers.
+var ErrNoReadyDevice = serve.ErrNoReadyDevice
 
 // Class is one QoS admission class: a named share of the fleet's total
 // in-flight capacity (nodes × queue depth). Shares need not sum to 1 —
@@ -82,7 +85,7 @@ type Config struct {
 	// to 64.
 	VirtualNodes int
 	// Classes are the QoS admission classes; empty defaults to one
-	// "default" class with Share 1 (admission never rejects).
+	// uncapped "default" class (admission never rejects).
 	Classes []Class
 	// ClassOf maps a tenant to a class name; nil maps every tenant to the
 	// first class. Unknown names also fall back to the first class.
@@ -126,9 +129,6 @@ func (c *Config) defaults() error {
 	}
 	if c.QueueDepth < 0 {
 		return fmt.Errorf("fleet: QueueDepth must be positive, got %d", c.QueueDepth)
-	}
-	if len(c.Classes) == 0 {
-		c.Classes = []Class{{Name: "default", Share: 1}}
 	}
 	for i, cl := range c.Classes {
 		if cl.Name == "" {
@@ -267,10 +267,17 @@ func newFleet(cfg *Config) (*Fleet, error) {
 			"Tenant requests placed off their hash-home device."),
 	}
 	total := int64(cfg.Nodes) * int64(cfg.QueueDepth)
-	for _, cl := range cfg.Classes {
-		cap := int64(cl.Share * float64(total))
-		if cap < 1 {
-			cap = 1
+	classes := cfg.Classes
+	implicit := len(classes) == 0
+	if implicit {
+		classes = []Class{{Name: "default", Share: 1}}
+	}
+	for _, cl := range classes {
+		cap := max(1, int64(cl.Share*float64(total)))
+		if implicit {
+			// The implicit class only labels the fleet_* series; it caps
+			// nothing, so blocking callers wait on the queues instead.
+			cap = math.MaxInt64
 		}
 		lbl := telemetry.L("class", cl.Name)
 		c := &class{
@@ -311,8 +318,7 @@ func (f *Fleet) newServer(n *node) (*serve.Server, error) {
 		QueueDepth: f.cfg.QueueDepth,
 		Block:      f.cfg.Block,
 		BatchMax:   f.cfg.BatchMax,
-		Devices:    f.registry,
-		Handles:    []*device.Device{n.h},
+		Device:     n.h,
 		Telemetry:  f.cfg.Telemetry,
 		Spans:      f.cfg.Spans,
 		Trace:      f.cfg.Trace,
@@ -533,8 +539,7 @@ func (f *Fleet) submit(ctx context.Context, call func(*serve.Server) (kernels.Re
 
 // NodeStats describes one fleet node.
 type NodeStats struct {
-	// Serve is the node's per-device serving snapshot (exactly one entry —
-	// each node schedules one device).
+	// Serve is the node's serving snapshot.
 	Serve serve.DeviceStats
 }
 
@@ -543,7 +548,7 @@ func (f *Fleet) Stats() []NodeStats {
 	out := make([]NodeStats, 0, len(f.nodes))
 	for _, n := range f.nodes {
 		if srv := n.srv.Load(); srv != nil {
-			out = append(out, NodeStats{Serve: srv.Stats()[0]})
+			out = append(out, NodeStats{Serve: srv.Stats()})
 		} else {
 			out = append(out, NodeStats{Serve: serve.DeviceStats{
 				ID:    string(n.h.ID()),

@@ -15,6 +15,7 @@ import (
 	"github.com/kfrida1/csdinf/internal/incident"
 	"github.com/kfrida1/csdinf/internal/infer"
 	"github.com/kfrida1/csdinf/internal/kernels"
+	"github.com/kfrida1/csdinf/internal/serve"
 	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
@@ -483,5 +484,81 @@ func TestClosedFleetRejects(t *testing.T) {
 	f.Close()
 	if _, _, err := f.Predict(context.Background(), seq()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed fleet: %v", err)
+	}
+}
+
+// TestLeastBusyPlacement covers the untenanted path: with no tenant to
+// hash, each request goes to the ready device with the least simulated
+// outstanding work, so a 10× cost asymmetry steers most work to the fast
+// device where round-robin would split 11/11.
+func TestLeastBusyPlacement(t *testing.T) {
+	slow := &fakeInf{seqLen: 8, cost: 10 * time.Millisecond}
+	fast := &fakeInf{seqLen: 8, cost: time.Millisecond}
+	f, err := NewFromEngines([]infer.Inferencer{slow, fast}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for i := 0; i < 22; i++ {
+		if _, _, err := f.Predict(context.Background(), seq()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc, fc := slow.execs.Load(), fast.execs.Load()
+	if sc+fc != 22 {
+		t.Fatalf("calls = %d + %d, want 22", sc, fc)
+	}
+	if fc <= 2*sc {
+		t.Fatalf("least-busy placement ineffective: slow %d, fast %d", sc, fc)
+	}
+}
+
+// TestDefaultClassNeverRejects pins the documented contract of a fleet
+// configured without classes: admission never rejects, so blocking callers
+// beyond nodes × depth wait for queue space instead of failing.
+func TestDefaultClassNeverRejects(t *testing.T) {
+	blocker := &fakeInf{seqLen: 8, started: make(chan struct{}, 8), release: make(chan struct{}, 8)}
+	f, err := NewFromEngines([]infer.Inferencer{blocker}, Config{QueueDepth: 1, Block: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	defer close(blocker.release) // unblocks the engine if the test fails early
+	const callers = 3            // one executing, one queued, one blocked on the full queue
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		go func() {
+			_, _, err := f.Predict(context.Background(), seq())
+			errs <- err
+		}()
+	}
+	waitInflight(t, f, "default", callers)
+	for i := 0; i < callers; i++ {
+		blocker.release <- struct{}{}
+	}
+	for i := 0; i < callers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+	}
+}
+
+// TestNoReadyDeviceIsServeSentinel: a full blackout fails with the one
+// ErrNoReadyDevice sentinel the serving stack shares, so callers matching
+// serve's error (load reports, the facade) classify it.
+func TestNoReadyDeviceIsServeSentinel(t *testing.T) {
+	engs, _ := engines(2)
+	f, err := NewFromEngines(engs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, d := range f.Registry().List() {
+		if err := f.Fail(d.ID(), "blackout"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := f.Predict(context.Background(), seq()); !errors.Is(err, serve.ErrNoReadyDevice) {
+		t.Fatalf("blackout error = %v, want serve.ErrNoReadyDevice", err)
 	}
 }

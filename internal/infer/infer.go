@@ -40,8 +40,8 @@ func (t Timing) Total() time.Duration { return t.Transfer + t.Compute }
 // context cancellation and deadlines: a canceled ctx aborts the call with
 // ctx.Err() before (or instead of) touching the device.
 //
-// Implementations: core.Engine (one CSD), serve.Server (queued concurrent
-// serving), fleet.Fleet (rack-scale placement), cti.HotSwapEngine (atomic
+// Implementations: core.Engine (one CSD), serve.Server (one device's
+// request queue), fleet.Fleet (placement over devices), cti.HotSwapEngine (atomic
 // model replacement), and the host-side baselines in internal/baseline.
 type Inferencer interface {
 	// Predict classifies one host-provided sequence of API-call IDs.

@@ -5,15 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/kfrida1/csdinf/internal/eventlog"
+	"github.com/kfrida1/csdinf/internal/fleet"
 	"github.com/kfrida1/csdinf/internal/incident"
 	"github.com/kfrida1/csdinf/internal/infer"
 	"github.com/kfrida1/csdinf/internal/kernels"
+	"github.com/kfrida1/csdinf/internal/serve"
 	"github.com/kfrida1/csdinf/internal/slo"
 )
 
@@ -341,3 +344,24 @@ func (p *tenantProbe) Predict(ctx context.Context, seq []int) (kernels.Result, i
 }
 
 func (p *tenantProbe) SeqLen() int { return p.seqLen }
+
+// TestReasonClassifiesFleetErrors: the report's failure breakdown names
+// the errors a fleet returns, including a full-rack blackout, which must
+// read no-ready-device rather than other.
+func TestReasonClassifiesFleetErrors(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{fleet.ErrNoReadyDevice, "no-ready-device"},
+		{fmt.Errorf("fleet: request re-placement failed: %w", fleet.ErrNoReadyDevice), "no-ready-device"},
+		{fleet.ErrAdmission, "admission"},
+		{fleet.ErrClosed, "closed"},
+		{serve.ErrQueueFull, "queue-full"},
+		{errInjected, "other"},
+	} {
+		if got := reason(tc.err); got != tc.want {
+			t.Errorf("reason(%v) = %q, want %q", tc.err, got, tc.want)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"sort"
 	"testing"
 	"time"
 
@@ -11,113 +10,45 @@ import (
 	"github.com/kfrida1/csdinf/internal/infer"
 )
 
-// TestDeviceStatsOrderedByID pins the deterministic ordering contract:
-// Stats() is sorted by registry ID regardless of internal slot order, so
-// multi-device output diffs cleanly at any fleet size.
-func TestDeviceStatsOrderedByID(t *testing.T) {
-	engines := []infer.Inferencer{
-		&fakeInf{seqLen: 8}, &fakeInf{seqLen: 8}, &fakeInf{seqLen: 8}, &fakeInf{seqLen: 8},
-	}
-	s, err := New(engines, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	st := s.Stats()
-	if len(st) != 4 {
-		t.Fatalf("%d stats", len(st))
-	}
-	ids := make([]string, len(st))
-	for i, d := range st {
-		ids[i] = d.ID
-	}
-	if !sort.StringsAreSorted(ids) {
-		t.Fatalf("DeviceStats not ID-ordered: %v", ids)
-	}
-	want := []string{"csd-000", "csd-001", "csd-002", "csd-003"}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("DeviceStats IDs = %v, want %v", ids, want)
-		}
-		if st[i].State != "ready" {
-			t.Fatalf("device %s state %q, want ready", ids[i], st[i].State)
-		}
-	}
-}
-
-// TestSharedRegistryHandles runs the server over pre-registered devices and
-// checks lifecycle state steers placement: a drained device attracts no new
-// work, and with every device out of rotation submits fail fast.
+// TestSharedRegistryHandles runs the server over a pre-registered device
+// and checks its lifecycle state gates new work: a drained device fails
+// submits fast with ErrNoReadyDevice, and a rejoined one serves again.
 func TestSharedRegistryHandles(t *testing.T) {
 	reg := device.NewRegistry(device.Config{})
-	d0, d1 := reg.Register(), reg.Register()
-	for _, d := range []*device.Device{d0, d1} {
-		if err := d.SetReady("test"); err != nil {
-			t.Fatal(err)
-		}
+	d := reg.Register()
+	if err := d.SetReady("test"); err != nil {
+		t.Fatal(err)
 	}
-	engines := []infer.Inferencer{
-		&fakeInf{seqLen: 8, cost: time.Millisecond},
-		&fakeInf{seqLen: 8, cost: time.Millisecond},
-	}
-	s, err := New(engines, Config{Devices: reg, Handles: []*device.Device{d0, d1}})
+	s, err := New([]infer.Inferencer{&fakeInf{seqLen: 8, cost: time.Millisecond}}, Config{Device: d})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Registry() != reg {
-		t.Fatal("Registry() is not the shared registry")
-	}
-	if reg.Len() != 2 {
+	if reg.Len() != 1 {
 		t.Fatalf("server registered extra devices: %d", reg.Len())
 	}
-
-	if err := d0.Drain("maintenance"); err != nil {
+	if _, _, err := s.Predict(context.Background(), testSeq()); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
-		if _, _, err := s.Predict(context.Background(), testSeq()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, st := range s.Stats() {
-		switch st.ID {
-		case "csd-000":
-			if st.Jobs != 0 {
-				t.Fatalf("drained device executed %d jobs", st.Jobs)
-			}
-			if st.State != "draining" {
-				t.Fatalf("csd-000 state %q", st.State)
-			}
-		case "csd-001":
-			if st.Jobs != 8 {
-				t.Fatalf("ready device executed %d jobs, want 8", st.Jobs)
-			}
-		}
-	}
 
-	if err := d1.Fail("simulated-fault"); err != nil {
+	if err := d.Drain("maintenance"); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.Predict(context.Background(), testSeq()); !errors.Is(err, ErrNoReadyDevice) {
-		t.Fatalf("with no ready device, err = %v, want ErrNoReadyDevice", err)
+		t.Fatalf("drained device: err = %v, want ErrNoReadyDevice", err)
+	}
+	if st := s.Stats(); st.ID != "csd-000" || st.State != "draining" || st.Jobs != 1 {
+		t.Fatalf("drained stats = %+v, want csd-000 draining with 1 job", st)
 	}
 
-	// Rejoin restores placement.
-	if err := d0.SetReady("maintenance-done"); err != nil {
+	// Rejoin restores service.
+	if err := d.SetReady("maintenance-done"); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.Predict(context.Background(), testSeq()); err != nil {
 		t.Fatalf("after rejoin: %v", err)
 	}
-}
-
-func TestHandleCountValidation(t *testing.T) {
-	reg := device.NewRegistry(device.Config{})
-	d := reg.Register()
-	_, err := New([]infer.Inferencer{&fakeInf{seqLen: 8}, &fakeInf{seqLen: 8}},
-		Config{Devices: reg, Handles: []*device.Device{d}})
-	if err == nil {
-		t.Fatal("mismatched handle count should fail")
+	if st := s.Stats(); st.State != "ready" || st.Jobs != 2 {
+		t.Fatalf("rejoined stats = %+v, want ready with 2 jobs", st)
 	}
 }

@@ -1,34 +1,28 @@
-// Package serve is the node-level request scheduler: the layer that turns a
-// rack of single-stream CSD engines into a concurrent inference service.
+// Package serve is the per-device request scheduler: the layer that turns
+// one single-stream CSD engine into a concurrent inference service.
 //
-// The paper's scalability argument (§II) is that SmartSSDs scale by
-// "allowing for the installation of multiple devices within a single node";
-// this package supplies the serving discipline that argument presumes. Each
-// device's engine owns one hardware pipeline and is not safe for concurrent
-// use, so the server gives every device a single worker goroutine fed by a
-// bounded queue. Incoming requests are placed on the ready device with the
-// least simulated outstanding work (accumulated busy time plus an estimate
-// of its queued backlog), a policy that beats round-robin when request
-// costs or device loads are uneven. A full queue pushes back — immediately
-// with ErrQueueFull, or by blocking until space frees, per Config.Block.
-// Workers coalesce adjacent stored-scan requests into one dispatch, the
-// background scanning pattern the paper's introduction motivates. Context
-// cancellation is honored end-to-end: a canceled request still in a queue
-// is abandoned before it ever touches the device.
+// A device's engine owns one hardware pipeline and is not safe for
+// concurrent use, so the server gives it a single worker goroutine fed by a
+// bounded queue. A full queue pushes back — immediately with ErrQueueFull,
+// or by blocking until space frees, per Config.Block. The worker coalesces
+// adjacent stored-scan requests into one dispatch, the background scanning
+// pattern the paper's introduction motivates. Context cancellation is
+// honored end-to-end: a canceled request still in the queue is abandoned
+// before it ever touches the device.
 //
-// Device identity, lifecycle, and busy accounting live in the shared
-// internal/device registry, not here: the server consumes registry handles
-// (its own, for standalone use, or pre-registered ones handed down by the
-// fleet layer), labels its telemetry and trace tracks with registry IDs,
-// and respects lifecycle state in placement — a draining device finishes
-// its queue but attracts no new work.
+// Serving more than one device is internal/fleet's job: the paper's
+// scalability argument (§II) is "the installation of multiple devices
+// within a single node", and the fleet places requests over one Server per
+// device. Device identity, lifecycle, and busy accounting live in the
+// shared internal/device registry: the server labels its telemetry and
+// trace tracks with its device's registry ID and accepts new work only
+// while that device is Ready — a draining device finishes its queue.
 package serve
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,43 +36,38 @@ import (
 	"github.com/kfrida1/csdinf/internal/trace"
 )
 
-// ErrQueueFull is returned (when Config.Block is false) if the chosen
-// device's queue has no room — the service is saturated and the caller
-// should shed or retry.
+// ErrQueueFull is returned (when Config.Block is false) if the device's
+// queue has no room — the service is saturated and the caller should shed
+// or retry.
 var ErrQueueFull = errors.New("serve: device queue full")
 
 // ErrClosed is returned for requests submitted after Close, and for
 // requests still queued when Close ran.
 var ErrClosed = errors.New("serve: server closed")
 
-// ErrNoReadyDevice is returned when no device is in the Ready lifecycle
-// state — every drive is provisioning, draining, or failed.
+// ErrNoReadyDevice is returned when the device is not in the Ready
+// lifecycle state — it is provisioning, draining, or failed. The fleet
+// returns the same sentinel when no device in the rack is Ready.
 var ErrNoReadyDevice = errors.New("serve: no ready device")
 
 // Config controls the scheduler.
 type Config struct {
-	// QueueDepth bounds each device's request queue; 0 defaults to 64.
+	// QueueDepth bounds the device's request queue; 0 defaults to 64.
 	QueueDepth int
 	// Block makes a full queue block the caller (until space, cancellation,
 	// or close) instead of failing fast with ErrQueueFull.
 	Block bool
-	// BatchMax bounds how many adjacent queued stored-scan requests a
-	// device worker coalesces into one dispatch; 0 defaults to 8, 1
-	// disables batching.
+	// BatchMax bounds how many adjacent queued stored-scan requests the
+	// worker coalesces into one dispatch; 0 defaults to 8, 1 disables
+	// batching.
 	BatchMax int
-	// Devices is the shared device registry owning identity, lifecycle,
-	// and busy accounting for the engines. Nil builds a private registry
-	// (against Config.Telemetry and Config.Events), preserving standalone
-	// use; fleet-scale callers pass their own so every layer sees the same
-	// device IDs.
-	Devices *device.Registry
-	// Handles pairs pre-registered devices with engines, index for index
-	// (len must equal the engine count). Nil makes the server register one
-	// device per engine in Devices and mark it Ready; non-nil leaves
-	// lifecycle entirely to the caller — the fleet layer drains, fails,
-	// and rejoins devices while the server keeps scheduling around them.
-	Handles []*device.Device
-	// Telemetry, when non-nil, receives the per-device serving metrics:
+	// Device is the registry device the engine serves as, owning its
+	// identity, lifecycle, and busy accounting. Nil registers one in a
+	// private registry (against Config.Telemetry and Config.Events) and
+	// marks it Ready, for standalone use; non-nil leaves lifecycle to the
+	// caller — the fleet drains, fails, and rejoins its devices.
+	Device *device.Device
+	// Telemetry, when non-nil, receives the device's serving metrics:
 	// serve_jobs_total, serve_dispatches_total, serve_errors_total,
 	// serve_canceled_total, serve_queue_full_total, the
 	// serve_queue_wait_seconds wall-time histogram, and the
@@ -93,7 +82,7 @@ type Config struct {
 	// outside a detector).
 	Spans *telemetry.SpanLog
 	// Trace, when non-nil, records each request's queue residency on the
-	// scheduler's per-device tracks (named by registry ID) and assigns the
+	// scheduler's device track (named by registry ID) and assigns the
 	// request a trace job ID, stored on its record as Span.ID — the
 	// correlation key tying the queue event to the transfer and kernel
 	// events the device emits and the events logged for the same request.
@@ -102,8 +91,8 @@ type Config struct {
 	// per-request completions (debug: request.done, with device and
 	// queue-wait attribution), backpressure rejections (warn: queue.full),
 	// device-side failures (warn: request.error), and lifecycle events
-	// (info: server.start / server.close). Device-attributed events carry
-	// the registry ID.
+	// (info: server.start / server.close). Every event carries the
+	// registry ID.
 	Events *eventlog.Logger
 	// Prof, when non-nil, attributes each request's host wall-clock to
 	// pipeline stages (queue, encode, transfer, compute, observe, ...) on
@@ -173,12 +162,17 @@ type request struct {
 	own bool
 }
 
-// slot is one engine plus its serving state. Identity, lifecycle, and
-// busy/backlog accounting live on the registry handle; the scalar serving
-// counters live directly in telemetry instruments (created against
-// Config.Telemetry or detached when telemetry is off), so Stats() and
-// /metrics read the same source of truth.
-type slot struct {
+// Server schedules classification requests onto one single-stream
+// inference engine. It implements infer.Inferencer, so a detector, mux, or
+// hot-swap wrapper can sit directly on top of it. Its methods are safe for
+// concurrent use.
+//
+// Identity, lifecycle, and busy/backlog accounting live on the registry
+// device h; the scalar serving counters live directly in telemetry
+// instruments (created against Config.Telemetry or detached when telemetry
+// is off), so Stats() and /metrics read the same source of truth.
+type Server struct {
+	cfg   Config
 	h     *device.Device
 	inf   infer.Inferencer
 	queue chan *request
@@ -190,15 +184,6 @@ type slot struct {
 	queueFull  *telemetry.Counter // ErrQueueFull rejections
 	queueWait  *telemetry.Histogram
 	batchSize  *telemetry.Histogram
-}
-
-// Server schedules classification requests over a set of single-stream
-// inference engines. It implements infer.Inferencer, so a detector, mux, or
-// hot-swap wrapper can sit directly on top of a whole rack of devices. Its
-// methods are safe for concurrent use.
-type Server struct {
-	cfg   Config
-	slots []*slot
 
 	quit   chan struct{}
 	closed atomic.Bool
@@ -207,138 +192,89 @@ type Server struct {
 
 var _ infer.Inferencer = (*Server)(nil)
 
-// New starts a server over the given engines — one worker goroutine per
-// engine. Engines must all use the same window length. The server takes
-// ownership of serializing access to them; callers must not use the engines
-// directly while the server is running.
+// New starts a server over exactly one engine, with one worker goroutine.
+// The slice form is kept for callers that build engine lists; more than one
+// device is served by internal/fleet, which runs one Server per device. The
+// server takes ownership of serializing access to the engine; callers must
+// not use it directly while the server is running.
 //
-// Device identity comes from cfg.Handles when supplied (pre-registered by
-// the fleet layer, lifecycle managed by the caller); otherwise the server
-// registers one device per engine in cfg.Devices (or a private registry)
-// and marks it Ready.
+// Device identity comes from cfg.Device when supplied (pre-registered by
+// the fleet, lifecycle managed by the caller); otherwise the server
+// registers a device in a private registry and marks it Ready.
 func New(engines []infer.Inferencer, cfg Config) (*Server, error) {
-	if len(engines) == 0 {
-		return nil, errors.New("serve: no engines")
+	if len(engines) != 1 {
+		return nil, fmt.Errorf("serve: %d engines, want exactly 1 (serve several devices with internal/fleet)", len(engines))
+	}
+	eng := engines[0]
+	if eng == nil {
+		return nil, errors.New("serve: nil engine")
 	}
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	for i, e := range engines {
-		if e == nil {
-			return nil, fmt.Errorf("serve: engine %d is nil", i)
-		}
-		if e.SeqLen() != engines[0].SeqLen() {
-			return nil, fmt.Errorf("serve: engine %d window %d differs from engine 0 window %d",
-				i, e.SeqLen(), engines[0].SeqLen())
-		}
-	}
-	if cfg.Handles != nil && len(cfg.Handles) != len(engines) {
-		return nil, fmt.Errorf("serve: %d device handles for %d engines", len(cfg.Handles), len(engines))
-	}
-	handles := cfg.Handles
-	if handles == nil {
-		if cfg.Devices == nil {
-			cfg.Devices = device.NewRegistry(device.Config{
-				Telemetry: cfg.Telemetry, Events: cfg.Events,
-			})
-		}
-		for range engines {
-			d := cfg.Devices.Register()
-			if err := d.SetReady("serve-start"); err != nil {
-				return nil, err
-			}
-			handles = append(handles, d)
-		}
-	} else {
-		for i, h := range handles {
-			if h == nil {
-				return nil, fmt.Errorf("serve: device handle %d is nil", i)
-			}
+	h := cfg.Device
+	if h == nil {
+		h = device.NewRegistry(device.Config{
+			Telemetry: cfg.Telemetry, Events: cfg.Events,
+		}).Register()
+		if err := h.SetReady("serve-start"); err != nil {
+			return nil, err
 		}
 	}
-	s := &Server{cfg: cfg, quit: make(chan struct{})}
 	reg := cfg.Telemetry
-	for i, e := range engines {
-		h := handles[i]
-		dl := telemetry.L("device", string(h.ID()))
-		d := &slot{
-			h:     h,
-			inf:   e,
-			queue: make(chan *request, cfg.QueueDepth),
-			jobs: reg.Counter("serve_jobs_total",
-				"Requests executed successfully.", dl),
-			dispatches: reg.Counter("serve_dispatches_total",
-				"Worker wake-ups; a coalesced stored batch counts once.", dl),
-			errors: reg.Counter("serve_errors_total",
-				"Requests that failed on the device (cancellations excluded).", dl),
-			canceled: reg.Counter("serve_canceled_total",
-				"Requests abandoned by context cancellation before touching the device.", dl),
-			queueFull: reg.Counter("serve_queue_full_total",
-				"Requests rejected with ErrQueueFull.", dl),
-			queueWait: reg.Histogram("serve_queue_wait_seconds",
-				"Wall time between enqueue and worker dispatch.", telemetry.Buckets{}, dl),
-			batchSize: reg.Histogram("serve_batch_size",
-				"Stored-scan requests coalesced per dispatch.", telemetry.DefaultCountBuckets(), dl),
-		}
-		s.slots = append(s.slots, d)
-		s.wg.Add(1)
-		go s.run(d)
+	dl := telemetry.L("device", string(h.ID()))
+	s := &Server{
+		cfg:   cfg,
+		h:     h,
+		inf:   eng,
+		queue: make(chan *request, cfg.QueueDepth),
+		jobs: reg.Counter("serve_jobs_total",
+			"Requests executed successfully.", dl),
+		dispatches: reg.Counter("serve_dispatches_total",
+			"Worker wake-ups; a coalesced stored batch counts once.", dl),
+		errors: reg.Counter("serve_errors_total",
+			"Requests that failed on the device (cancellations excluded).", dl),
+		canceled: reg.Counter("serve_canceled_total",
+			"Requests abandoned by context cancellation before touching the device.", dl),
+		queueFull: reg.Counter("serve_queue_full_total",
+			"Requests rejected with ErrQueueFull.", dl),
+		queueWait: reg.Histogram("serve_queue_wait_seconds",
+			"Wall time between enqueue and worker dispatch.", telemetry.Buckets{}, dl),
+		batchSize: reg.Histogram("serve_batch_size",
+			"Stored-scan requests coalesced per dispatch.", telemetry.DefaultCountBuckets(), dl),
+		quit: make(chan struct{}),
 	}
-	cfg.Events.Info(context.Background(), "serve", "server.start",
-		eventlog.F("devices", len(engines)),
+	s.wg.Add(1)
+	go s.run()
+	cfg.Events.LogDevice(context.Background(), eventlog.LevelInfo, "serve", "server.start",
+		string(h.ID()),
 		eventlog.F("queue_depth", cfg.QueueDepth),
 		eventlog.F("batch_max", cfg.BatchMax),
 		eventlog.F("block", cfg.Block))
 	return s, nil
 }
 
-// Devices returns the number of devices being served.
-func (s *Server) Devices() int { return len(s.slots) }
-
 // Closed reports whether Close has begun: new submits fail with ErrClosed
 // and queued requests are being failed for re-placement.
 func (s *Server) Closed() bool { return s.closed.Load() }
 
-// Registry returns the device registry the server's engines are
-// registered in.
-func (s *Server) Registry() *device.Registry { return s.cfg.Devices }
+// SeqLen returns the classification window length of the deployed engine.
+func (s *Server) SeqLen() int { return s.inf.SeqLen() }
 
-// SeqLen returns the classification window length of the deployed engines.
-func (s *Server) SeqLen() int { return s.slots[0].inf.SeqLen() }
-
-// Predict classifies a live window, scheduling it on the ready device with
-// the least simulated outstanding work. The window is copied, so the caller
-// may reuse its slice (detectors slide theirs) as soon as Predict returns.
+// Predict classifies a live window on the device. The window is copied, so
+// the caller may reuse its slice (detectors slide theirs) as soon as
+// Predict returns.
 func (s *Server) Predict(ctx context.Context, seq []int) (kernels.Result, infer.Timing, error) {
 	req := &request{ctx: ctx, seq: append([]int(nil), seq...), done: make(chan response, 1)}
 	return s.submit(ctx, req)
 }
 
-// PredictStored classifies the sequence at the given SSD byte offset on the
-// least-loaded ready device. Offsets address the chosen device's SSD, so
-// stored serving presumes scan targets are mirrored across the rack (as the
-// background-scan replication deployment does). Adjacent queued stored
-// requests are coalesced into one device dispatch.
+// PredictStored classifies the sequence at the given byte offset on the
+// device's SSD. Adjacent queued stored requests are coalesced into one
+// device dispatch.
 func (s *Server) PredictStored(ctx context.Context, ssdOff int64) (kernels.Result, infer.Timing, error) {
 	req := &request{ctx: ctx, off: ssdOff, stored: true, done: make(chan response, 1)}
 	return s.submit(ctx, req)
-}
-
-// pick returns the ready device with the least simulated outstanding work,
-// or nil when every device is out of rotation (draining, failed, or still
-// provisioning).
-func (s *Server) pick() *slot {
-	var best *slot
-	var bestScore int64
-	for _, d := range s.slots {
-		if !d.h.IsReady() {
-			continue
-		}
-		if sc := d.h.Score(); best == nil || sc < bestScore {
-			best, bestScore = d, sc
-		}
-	}
-	return best
 }
 
 func (s *Server) submit(ctx context.Context, req *request) (kernels.Result, infer.Timing, error) {
@@ -362,31 +298,30 @@ func (s *Server) submit(ctx context.Context, req *request) (kernels.Result, infe
 	if s.cfg.Trace.Enabled() {
 		req.rec.ID = s.cfg.Trace.NewJob()
 	}
-	d := s.pick()
-	if d == nil {
+	if !s.h.IsReady() {
 		return kernels.Result{}, infer.Timing{}, ErrNoReadyDevice
 	}
-	d.h.IncPending()
+	s.h.IncPending()
 	req.enqueuedAt = time.Now()
 	if s.cfg.Block {
 		select {
-		case d.queue <- req:
+		case s.queue <- req:
 		case <-ctx.Done():
-			d.h.DecPending()
-			d.canceled.Inc()
+			s.h.DecPending()
+			s.canceled.Inc()
 			return kernels.Result{}, infer.Timing{}, ctx.Err()
 		case <-s.quit:
-			d.h.DecPending()
+			s.h.DecPending()
 			return kernels.Result{}, infer.Timing{}, ErrClosed
 		}
 	} else {
 		select {
-		case d.queue <- req:
+		case s.queue <- req:
 		default:
-			d.h.DecPending()
-			d.queueFull.Inc()
+			s.h.DecPending()
+			s.queueFull.Inc()
 			s.cfg.Events.LogDevice(req.ctx, eventlog.LevelWarn, "serve", "queue.full",
-				string(d.h.ID()),
+				string(s.h.ID()),
 				eventlog.F("queue_depth", s.cfg.QueueDepth))
 			return kernels.Result{}, infer.Timing{}, ErrQueueFull
 		}
@@ -403,7 +338,7 @@ func (s *Server) submit(ctx context.Context, req *request) (kernels.Result, infe
 			// Still queued and unclaimed: this request never touched the
 			// device and never will — safe for the caller (or a fleet
 			// layer) to re-place elsewhere.
-			d.h.DecPending()
+			s.h.DecPending()
 			return kernels.Result{}, infer.Timing{}, ErrClosed
 		}
 		// The worker owns it: the device is (or was) executing this
@@ -415,7 +350,7 @@ func (s *Server) submit(ctx context.Context, req *request) (kernels.Result, infe
 }
 
 // run is the device worker: the single goroutine with access to the engine.
-func (s *Server) run(d *slot) {
+func (s *Server) run() {
 	defer s.wg.Done()
 	for {
 		// Quit takes priority over further queued work: once Close has run,
@@ -424,32 +359,32 @@ func (s *Server) run(d *slot) {
 		// blocking select below picks randomly when both are ready.
 		select {
 		case <-s.quit:
-			s.failQueued(d)
+			s.failQueued()
 			return
 		default:
 		}
 		select {
 		case <-s.quit:
-			s.failQueued(d)
+			s.failQueued()
 			return
-		case req := <-d.queue:
-			batch := s.collect(d, req)
-			d.dispatches.Inc()
-			d.batchSize.Observe(int64(len(batch)))
+		case req := <-s.queue:
+			batch := s.collect(req)
+			s.dispatches.Inc()
+			s.batchSize.Observe(int64(len(batch)))
 			for _, r := range batch {
-				s.execute(d, r)
+				s.execute(r)
 			}
 		}
 	}
 }
 
 // failQueued completes every still-queued request with ErrClosed.
-func (s *Server) failQueued(d *slot) {
+func (s *Server) failQueued() {
 	for {
 		select {
-		case req := <-d.queue:
+		case req := <-s.queue:
 			if req.claim.CompareAndSwap(claimNone, claimWorker) {
-				d.h.DecPending()
+				s.h.DecPending()
 				req.done <- response{err: ErrClosed}
 			}
 		default:
@@ -461,14 +396,14 @@ func (s *Server) failQueued(d *slot) {
 // collect coalesces adjacent queued stored-scan requests behind the first
 // into one dispatch, stopping at a live request, an empty queue, or
 // BatchMax.
-func (s *Server) collect(d *slot, first *request) []*request {
+func (s *Server) collect(first *request) []*request {
 	batch := []*request{first}
 	if !first.stored || s.cfg.BatchMax <= 1 {
 		return batch
 	}
 	for len(batch) < s.cfg.BatchMax {
 		select {
-		case next := <-d.queue:
+		case next := <-s.queue:
 			batch = append(batch, next)
 			if !next.stored {
 				return batch
@@ -482,7 +417,7 @@ func (s *Server) collect(d *slot, first *request) []*request {
 
 // execute runs one request on the device's engine and completes it. A
 // request whose context is already done never touches the engine.
-func (s *Server) execute(d *slot, req *request) {
+func (s *Server) execute(req *request) {
 	if !req.claim.CompareAndSwap(claimNone, claimWorker) {
 		// The caller reclaimed this request at close; it was never
 		// executed and the caller has already re-placed it.
@@ -494,10 +429,10 @@ func (s *Server) execute(d *slot, req *request) {
 	rec := req.rec
 	rec.Add(telemetry.StageQueue, wait)
 	obs := rec.Begin(telemetry.StageObserve)
-	d.queueWait.ObserveDuration(wait)
+	s.queueWait.ObserveDuration(wait)
 	if rec != nil {
 		rec.Record(telemetry.PhaseQueue, wait)
-		rec.Device = string(d.h.ID())
+		rec.Device = string(s.h.ID())
 	}
 	if tr := s.cfg.Trace; tr.Enabled() {
 		// Pure wall-clock domain: the wait really elapsed on the host.
@@ -510,15 +445,15 @@ func (s *Server) execute(d *slot, req *request) {
 			start = 0
 		}
 		tr.Emit(trace.Event{
-			Track: trace.Track{Group: "serve", Name: string(d.h.ID())},
+			Track: trace.Track{Group: "serve", Name: string(s.h.ID())},
 			Name:  name, Cat: trace.CatQueue,
 			Start: start, Dur: wait, Job: rec.Job(),
 		})
 	}
 	obs.End()
 	if err := req.ctx.Err(); err != nil {
-		d.h.DecPending()
-		d.canceled.Inc()
+		s.h.DecPending()
+		s.canceled.Inc()
 		req.done <- response{err: err}
 		return
 	}
@@ -526,25 +461,25 @@ func (s *Server) execute(d *slot, req *request) {
 	// phases, stage costs and the job its device events carry.
 	var resp response
 	if req.stored {
-		resp.res, resp.timing, resp.err = d.inf.PredictStored(req.ctx, req.off)
+		resp.res, resp.timing, resp.err = s.inf.PredictStored(req.ctx, req.off)
 	} else {
-		resp.res, resp.timing, resp.err = d.inf.Predict(req.ctx, req.seq)
+		resp.res, resp.timing, resp.err = s.inf.Predict(req.ctx, req.seq)
 	}
 	obs = rec.Begin(telemetry.StageObserve)
-	d.h.AddBusy(int64(resp.timing.Total()))
+	s.h.AddBusy(int64(resp.timing.Total()))
 	if resp.err == nil {
-		d.jobs.Inc()
+		s.jobs.Inc()
 		if s.cfg.Events.Enabled(eventlog.LevelDebug) {
 			s.cfg.Events.LogDevice(req.ctx, eventlog.LevelDebug, "serve", "request.done",
-				string(d.h.ID()),
+				string(s.h.ID()),
 				eventlog.F("stored", req.stored),
 				eventlog.F("queue_wait_ns", wait),
 				eventlog.F("device_time_ns", resp.timing.Total()))
 		}
 	} else {
-		d.errors.Inc()
+		s.errors.Inc()
 		s.cfg.Events.LogDevice(req.ctx, eventlog.LevelWarn, "serve", "request.error",
-			string(d.h.ID()),
+			string(s.h.ID()),
 			eventlog.F("stored", req.stored),
 			eventlog.F("error", resp.err))
 	}
@@ -557,7 +492,7 @@ func (s *Server) execute(d *slot, req *request) {
 	}
 	// Drop the backlog count before releasing the caller, so a caller
 	// submitting its next request sees this device's true score.
-	d.h.DecPending()
+	s.h.DecPending()
 	req.done <- resp
 }
 
@@ -591,49 +526,36 @@ type DeviceStats struct {
 	QueueWaitP90  time.Duration
 }
 
-// Stats returns a snapshot of per-device serving activity, deterministically
-// ordered by device ID so multi-device output diffs cleanly at any fleet
-// size.
-func (s *Server) Stats() []DeviceStats {
-	out := make([]DeviceStats, len(s.slots))
-	for i, d := range s.slots {
-		wait := d.queueWait.Snapshot()
-		out[i] = DeviceStats{
-			ID:            string(d.h.ID()),
-			State:         d.h.State().String(),
-			Jobs:          d.jobs.Value(),
-			Dispatches:    d.dispatches.Value(),
-			BusyTime:      time.Duration(d.h.Busy()),
-			Queued:        d.h.Pending(),
-			Errors:        d.errors.Value(),
-			Canceled:      d.canceled.Value(),
-			QueueFull:     d.queueFull.Value(),
-			QueueWaits:    wait.Count,
-			QueueWaitMean: time.Duration(wait.Mean),
-			QueueWaitP90:  time.Duration(wait.P90),
-		}
+// Stats returns a snapshot of the device's serving activity.
+func (s *Server) Stats() DeviceStats {
+	wait := s.queueWait.Snapshot()
+	return DeviceStats{
+		ID:            string(s.h.ID()),
+		State:         s.h.State().String(),
+		Jobs:          s.jobs.Value(),
+		Dispatches:    s.dispatches.Value(),
+		BusyTime:      time.Duration(s.h.Busy()),
+		Queued:        s.h.Pending(),
+		Errors:        s.errors.Value(),
+		Canceled:      s.canceled.Value(),
+		QueueFull:     s.queueFull.Value(),
+		QueueWaits:    wait.Count,
+		QueueWaitMean: time.Duration(wait.Mean),
+		QueueWaitP90:  time.Duration(wait.P90),
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
-// Close stops the workers, fails queued requests with ErrClosed, and waits
-// for the workers to exit. Close is idempotent.
+// Close stops the worker, fails queued requests with ErrClosed, and waits
+// for the worker to exit. Close is idempotent.
 func (s *Server) Close() error {
 	if s.closed.CompareAndSwap(false, true) {
 		close(s.quit)
 		s.wg.Wait()
-		// Sweep once more after the workers exit: a submit racing with
+		// Sweep once more after the worker exits: a submit racing with
 		// Close can commit its enqueue after the worker's drain.
-		for _, d := range s.slots {
-			s.failQueued(d)
-		}
-		var jobs int64
-		for _, d := range s.slots {
-			jobs += d.jobs.Value()
-		}
-		s.cfg.Events.Info(context.Background(), "serve", "server.close",
-			eventlog.F("jobs_total", jobs))
+		s.failQueued()
+		s.cfg.Events.LogDevice(context.Background(), eventlog.LevelInfo, "serve", "server.close",
+			string(s.h.ID()), eventlog.F("jobs_total", s.jobs.Value()))
 		return nil
 	}
 	s.wg.Wait()

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,12 +52,12 @@ func (f *fakeInf) SeqLen() int { return f.seqLen }
 
 func testSeq() []int { return []int{1, 2, 3, 4, 5, 6, 7, 8} }
 
-// waitQueued polls until the single device's backlog reaches want.
-func waitQueued(t *testing.T, s *Server, dev int, want int64) {
+// waitQueued polls until the device's backlog reaches want.
+func waitQueued(t *testing.T, s *Server, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if s.Stats()[dev].Queued >= want {
+		if s.Stats().Queued >= want {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -65,8 +66,15 @@ func waitQueued(t *testing.T, s *Server, dev int, want int64) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, Config{}); err == nil {
-		t.Error("no engines: expected error")
+	for _, n := range []int{0, 2} {
+		engines := make([]infer.Inferencer, n)
+		for i := range engines {
+			engines[i] = &fakeInf{seqLen: 8}
+		}
+		_, err := New(engines, Config{})
+		if err == nil || !strings.Contains(err.Error(), "internal/fleet") {
+			t.Errorf("%d engines: error = %v, want one pointing at internal/fleet", n, err)
+		}
 	}
 	if _, err := New([]infer.Inferencer{nil}, Config{}); err == nil {
 		t.Error("nil engine: expected error")
@@ -77,40 +85,13 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New([]infer.Inferencer{&fakeInf{seqLen: 4}}, Config{BatchMax: -1}); err == nil {
 		t.Error("negative batch max: expected error")
 	}
-	if _, err := New([]infer.Inferencer{&fakeInf{seqLen: 4}, &fakeInf{seqLen: 8}}, Config{}); err == nil {
-		t.Error("mismatched windows: expected error")
-	}
 	s, err := New([]infer.Inferencer{&fakeInf{seqLen: 8}}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Devices() != 1 || s.SeqLen() != 8 {
-		t.Fatalf("Devices = %d, SeqLen = %d", s.Devices(), s.SeqLen())
-	}
-}
-
-func TestLeastBusyPlacement(t *testing.T) {
-	slow := &fakeInf{seqLen: 8, cost: 10 * time.Millisecond}
-	fast := &fakeInf{seqLen: 8, cost: time.Millisecond}
-	s, err := New([]infer.Inferencer{slow, fast}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 22; i++ {
-		if _, _, err := s.Predict(context.Background(), testSeq()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sc, fc := slow.calls.Load(), fast.calls.Load()
-	if sc+fc != 22 {
-		t.Fatalf("calls = %d + %d, want 22", sc, fc)
-	}
-	// A 10× cost asymmetry must steer most work to the fast device;
-	// round-robin would split 11/11.
-	if fc <= 2*sc {
-		t.Fatalf("least-busy placement ineffective: slow %d, fast %d", sc, fc)
+	if s.SeqLen() != 8 {
+		t.Fatalf("SeqLen = %d", s.SeqLen())
 	}
 }
 
@@ -133,7 +114,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	<-f.started
 	wg.Add(1)
 	go submit() // B: sits in the depth-1 queue
-	waitQueued(t, s, 0, 2)
+	waitQueued(t, s, 2)
 	// C: queue is full, non-blocking mode sheds immediately.
 	if _, _, err := s.Predict(context.Background(), testSeq()); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("saturated submit error = %v, want ErrQueueFull", err)
@@ -165,7 +146,7 @@ func TestBlockingBackpressureHonorsCancel(t *testing.T) {
 	<-f.started
 	wg.Add(1)
 	go submit() // B: queued
-	waitQueued(t, s, 0, 2)
+	waitQueued(t, s, 2)
 	// C: blocks in the queue send until its context is canceled.
 	ctx, cancel := context.WithCancel(context.Background())
 	cErr := make(chan error, 1)
@@ -173,7 +154,7 @@ func TestBlockingBackpressureHonorsCancel(t *testing.T) {
 		_, _, err := s.Predict(ctx, testSeq())
 		cErr <- err
 	}()
-	waitQueued(t, s, 0, 3) // pending counts the blocked sender
+	waitQueued(t, s, 3) // pending counts the blocked sender
 	cancel()
 	if err := <-cErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("blocked submit error = %v, want context.Canceled", err)
@@ -206,7 +187,7 @@ func TestCanceledQueuedRequestNeverReachesDevice(t *testing.T) {
 		_, _, err := s.Predict(ctx, testSeq())
 		bErr <- err
 	}()
-	waitQueued(t, s, 0, 2)
+	waitQueued(t, s, 2)
 	cancel()
 	if err := <-bErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled queued request error = %v, want context.Canceled", err)
@@ -265,12 +246,12 @@ func TestStoredScanBatching(t *testing.T) {
 			}
 		}(i)
 	}
-	waitQueued(t, s, 0, 5)
+	waitQueued(t, s, 5)
 	for i := 0; i < 5; i++ {
 		f.release <- struct{}{}
 	}
 	wg.Wait()
-	st := s.Stats()[0]
+	st := s.Stats()
 	if st.Jobs != 5 {
 		t.Fatalf("jobs = %d, want 5", st.Jobs)
 	}
@@ -329,11 +310,11 @@ func testEngines(t *testing.T, n int) []infer.Inferencer {
 	return out
 }
 
-// TestConcurrentStress drives 64 concurrent callers through 4 simulated
-// devices — run under -race, it proves the scheduler serializes every
-// engine correctly.
+// TestConcurrentStress drives 64 concurrent callers through one simulated
+// device — run under -race, it proves the scheduler serializes the engine
+// correctly.
 func TestConcurrentStress(t *testing.T) {
-	s, err := New(testEngines(t, 4), Config{Block: true})
+	s, err := New(testEngines(t, 1), Config{Block: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,14 +346,7 @@ func TestConcurrentStress(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	var jobs int64
-	for i, st := range s.Stats() {
-		if st.Jobs == 0 {
-			t.Errorf("device %d served nothing; placement starved it", i)
-		}
-		jobs += st.Jobs
-	}
-	if jobs != callers*perCaller {
+	if jobs := s.Stats().Jobs; jobs != callers*perCaller {
 		t.Fatalf("total jobs = %d, want %d", jobs, callers*perCaller)
 	}
 }

@@ -55,14 +55,14 @@ func TestQueueWaitRecorded(t *testing.T) {
 	}
 	<-f.started // first request is on the device
 	// Second request queues behind it; give it a measurable wait.
-	waitQueued(t, s, 0, 2)
+	waitQueued(t, s, 2)
 	time.Sleep(5 * time.Millisecond)
 	f.release <- struct{}{}
 	<-f.started
 	f.release <- struct{}{}
 	wg.Wait()
 
-	st := s.Stats()[0]
+	st := s.Stats()
 	if st.QueueWaits != 2 {
 		t.Fatalf("QueueWaits = %d, want 2", st.QueueWaits)
 	}
@@ -96,8 +96,7 @@ func TestQueueWaitRecorded(t *testing.T) {
 func TestServeCountersExposed(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	f := &fakeInf{seqLen: 8, cost: time.Millisecond}
-	s, err := New([]infer.Inferencer{f, &fakeInf{seqLen: 8, cost: time.Millisecond}},
-		Config{Telemetry: reg})
+	s, err := New([]infer.Inferencer{f}, Config{Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +106,8 @@ func TestServeCountersExposed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var jobs int64
-	for _, dev := range []string{"csd-000", "csd-001"} {
-		jobs += findSeries(t, reg, "serve_jobs_total", dev).Value
-	}
-	if jobs != 6 {
-		t.Fatalf("serve_jobs_total across devices = %d, want 6", jobs)
+	if jobs := findSeries(t, reg, "serve_jobs_total", "csd-000").Value; jobs != 6 {
+		t.Fatalf("serve_jobs_total = %d, want 6", jobs)
 	}
 
 	// The full per-device set must render in the exposition.
@@ -158,7 +153,7 @@ func TestQueueFullAndCanceledCounters(t *testing.T) {
 			t.Errorf("canceled request: %v", err)
 		}
 	}()
-	waitQueued(t, s, 0, 2)
+	waitQueued(t, s, 2)
 	// Queue (depth 1) is full: the next submit sheds.
 	if _, _, err := s.Predict(context.Background(), testSeq()); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("expected ErrQueueFull, got %v", err)
