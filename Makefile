@@ -140,13 +140,18 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzQualityLabel -fuzztime=$(FUZZTIME) ./internal/quality/
 	$(GO) test -run=^$$ -fuzz=FuzzIntervalSoundness -fuzztime=$(FUZZTIME) ./internal/absint/
 	$(GO) test -run=^$$ -fuzz=FuzzFixedFastMatchesShadow -fuzztime=$(FUZZTIME) ./internal/kernels/
+	$(GO) test -run=^$$ -fuzz=FuzzMatVecKernelsAgree -fuzztime=$(FUZZTIME) ./internal/fixed/
 
 # verify is the pre-merge gate: static checks (vet + both lint fronts), a
 # full build, and the whole test suite under the race detector (the serving
-# layer is concurrent).
+# layer is concurrent). The arm64 vet and build keep the non-amd64 MatVec
+# fallback compiling, and the verbose kernel test logs which MatVec path
+# this machine takes (simd or generic) and whether the simd leg ran.
 verify: lint
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/fixed/ ./internal/kernels/ && GOARCH=arm64 $(GO) build ./...
 	$(GO) build ./...
+	$(GO) test -v -run '^TestMatVecKernelsAgree$$' ./internal/fixed/
 	$(GO) test -race ./...
 
 fmt:

@@ -1,6 +1,9 @@
 package fixed
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // This file holds the overflow-checked variants of the Arith primitives.
 //
@@ -136,8 +139,27 @@ func (a Arith) Rescale(v Value, from Arith) Value {
 	if from.scale%a.scale == 0 {
 		return roundedDiv(v, from.scale/a.scale)
 	}
-	hi, lo := bits64Mul(v, a.scale)
-	return div128by64(hi, lo, from.scale)
+	return mulDivRound(v, a.scale, from.scale)
+}
+
+// mulDivRound returns v*num/den (num, den > 0) through a 128-bit product,
+// rounding half away from zero. A quotient beyond int64 keeps its low 64
+// bits, the same wrap the unchecked ops make.
+func mulDivRound(v, num, den int64) int64 {
+	mag := uint64(v)
+	if v < 0 {
+		mag = -mag
+	}
+	d := uint64(den)
+	hi, lo := bits.Mul64(mag, uint64(num))
+	q, r := bits.Div64(hi%d, lo, d)
+	if r >= d-r {
+		q++
+	}
+	if v < 0 {
+		return -int64(q)
+	}
+	return int64(q)
 }
 
 // rescaleRoundCheck reports whether roundedDiv(raw, a.scale) would overflow

@@ -3,6 +3,8 @@ package fixed
 import (
 	"errors"
 	"math"
+	"math/big"
+	"math/rand"
 	"testing"
 )
 
@@ -146,5 +148,36 @@ func TestRescale(t *testing.T) {
 	// Identity.
 	if got := wide.Rescale(777, wide); got != 777 {
 		t.Fatalf("identity Rescale = %d, want 777", got)
+	}
+}
+
+// TestRescaleGeneralMatchesBigInt pins Rescale's 128-bit path (scales that
+// do not divide each other) to exact big-integer arithmetic: |v|·num/den
+// rounded half away from zero, signed, and cut to its low 64 bits when the
+// quotient leaves int64.
+func TestRescaleGeneralMatchesBigInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vs := []Value{0, 1, -1, 449, -450, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	for i := 0; i < 2000; i++ {
+		vs = append(vs, Value(rng.Uint64())>>(i%64))
+	}
+	mod := new(big.Int).Lsh(big.NewInt(1), 64)
+	for _, sc := range [][2]int64{{300, 700}, {700, 300}, {1_000_000, 4096}, {4096, 1_000_000}, {3, math.MaxInt64}, {math.MaxInt64, 3}} {
+		from, to := MustNew(sc[0]), MustNew(sc[1])
+		for _, v := range vs {
+			q, r := new(big.Int).QuoRem(
+				new(big.Int).Mul(new(big.Int).Abs(big.NewInt(v)), big.NewInt(sc[1])),
+				big.NewInt(sc[0]), new(big.Int))
+			if new(big.Int).Lsh(r, 1).Cmp(big.NewInt(sc[0])) >= 0 {
+				q.Add(q, big.NewInt(1))
+			}
+			if v < 0 {
+				q.Neg(q)
+			}
+			want := int64(new(big.Int).Mod(q, mod).Uint64())
+			if got := to.Rescale(v, from); got != want {
+				t.Fatalf("Rescale(%d) from %d to %d = %d, want %d", v, sc[0], sc[1], got, want)
+			}
+		}
 	}
 }

@@ -11,6 +11,12 @@
 // The package is deliberately tiny and allocation-free: every kernel operation
 // in internal/kernels runs on these primitives, and the gate matrix-vector
 // products run through MatVec, which writes into a caller-owned destination.
+// On amd64 CPUs with AVX512F, AVX512DQ and OS-enabled ZMM state (checked
+// once, at package init, with CPUID and XGETBV), MatVec sums its rows in
+// Go assembly with 8-lane VPMULLQ/VPADDQ; everywhere else it runs the scalar
+// four-row kernel. Both return bit-identical results: VPMULLQ keeps the low
+// 64 bits of each product, as Go's int64 multiply does, and wrapping int64
+// sums do not depend on their order.
 package fixed
 
 import (
@@ -105,13 +111,6 @@ func (a Arith) Mul(x, y Value) Value {
 	return a.rescale(x * y)
 }
 
-// MulWide is Mul using 128-bit intermediate math, immune to overflow of the
-// raw product. It is slower; kernels use it only when magnitudes may be large.
-func (a Arith) MulWide(x, y Value) Value {
-	hi, lo := bits64Mul(x, y)
-	return div128by64(hi, lo, a.scale)
-}
-
 // Div returns x / y at the working scale with rounding, or an error when y is
 // zero.
 func (a Arith) Div(x, y Value) (Value, error) {
@@ -152,27 +151,48 @@ func (a Arith) Dot(x, y []Value) Value {
 }
 
 // MatVec sets dst[j] = Dot(w[j*n:(j+1)*n], x) for every row j, where w is a
-// row-major len(dst)×n matrix and n = len(x). It computes four rows per pass
-// over x, so each x[i] is loaded once for four multiplies. Every row keeps its
-// own accumulator and its own final rescale, so dst[j] is bit-identical to
-// the per-row Dot: int64 addition is associative modulo 2^64, so even a
-// wrapped accumulator ends on the same value.
+// row-major len(dst)×n matrix and n = len(x). It computes the raw sums of four
+// rows per pass over x, so each x[i] is loaded once for four multiplies: on
+// AVX-512 CPUs with rowSums4AVX512, elsewhere with rowSums4Generic. Every row
+// keeps its own accumulator and its own final rescale, so dst[j] is
+// bit-identical to the per-row Dot: int64 addition is associative modulo 2^64,
+// so even a wrapped accumulator ends on the same value.
 //
 // MatVec panics on a shape mismatch, like Dot.
 func (a Arith) MatVec(dst, w, x []Value) {
+	if hasAVX512 {
+		a.matVec(rowSums4AVX512, dst, w, x)
+		return
+	}
+	a.matVec(rowSums4Generic, dst, w, x)
+}
+
+// matVec is MatVec with the four-row kernel passed in, so tests and
+// benchmarks can run either kernel through the same rescale and tail rows.
+func (a Arith) matVec(rowSums4 func(dst, w, x []Value), dst, w, x []Value) {
 	n := len(x)
 	if len(w) != len(dst)*n {
 		panic(fmt.Sprintf("fixed: matvec shape mismatch: %d weights for %d rows of %d", len(w), len(dst), n))
 	}
-	j := 0
-	for ; j+4 <= len(dst); j += 4 {
-		blk := w[j*n : (j+4)*n]
-		s0, s1, s2, s3 := dot4(blk[:n], blk[n:2*n], blk[2*n:3*n], blk[3*n:], x)
-		d := dst[j : j+4 : j+4]
-		d[0], d[1], d[2], d[3] = a.rescale(s0), a.rescale(s1), a.rescale(s2), a.rescale(s3)
+	rowSums4(dst, w, x)
+	full := len(dst) &^ 3
+	for j, raw := range dst[:full] {
+		dst[j] = a.rescale(raw)
 	}
-	for ; j < len(dst); j++ {
+	for j := full; j < len(dst); j++ {
 		dst[j] = a.Dot(w[j*n:(j+1)*n], x)
+	}
+}
+
+// rowSums4Generic sets dst[j] to the raw accumulator of row j against x for
+// every row in a full block of four (j < len(dst)&^3), leaving the rest of dst
+// alone. Callers guarantee len(w) == len(dst)*len(x).
+func rowSums4Generic(dst, w, x []Value) {
+	n := len(x)
+	for j := 0; j+4 <= len(dst); j += 4 {
+		blk := w[j*n : (j+4)*n]
+		d := dst[j : j+4 : j+4]
+		d[0], d[1], d[2], d[3] = dot4(blk[:n], blk[n:2*n], blk[2*n:3*n], blk[3*n:], x)
 	}
 }
 
@@ -236,80 +256,4 @@ func roundedDiv(num, den int64) int64 {
 		return (num + den/2) / den
 	}
 	return (num - den/2) / den
-}
-
-// bits64Mul returns the 128-bit product of x and y as (hi, lo) in two's
-// complement.
-func bits64Mul(x, y int64) (hi int64, lo uint64) {
-	const mask = 0xFFFFFFFF
-	neg := false
-	ux, uy := uint64(x), uint64(y)
-	if x < 0 {
-		ux = uint64(-x)
-		neg = !neg
-	}
-	if y < 0 {
-		uy = uint64(-y)
-		neg = !neg
-	}
-	x0, x1 := ux&mask, ux>>32
-	y0, y1 := uy&mask, uy>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += x0 * y1
-	uhi := x1*y1 + w2 + w1>>32
-	ulo := ux * uy
-	if neg {
-		// Two's complement negation of the 128-bit value.
-		ulo = ^ulo + 1
-		uhi = ^uhi
-		if ulo == 0 {
-			uhi++
-		}
-	}
-	return int64(uhi), ulo
-}
-
-// div128by64 divides the signed 128-bit value (hi, lo) by the positive den,
-// rounding half away from zero. It is only used for magnitudes far from the
-// 128-bit limit, so the simple long-division loop below is sufficient.
-func div128by64(hi int64, lo uint64, den int64) int64 {
-	neg := hi < 0
-	uhi, ulo := uint64(hi), lo
-	if neg {
-		ulo = ^ulo + 1
-		uhi = ^uhi
-		if ulo == 0 {
-			uhi++
-		}
-	}
-	// Binary long division of the 128-bit magnitude by den.
-	var q, r uint64
-	d := uint64(den)
-	for i := 127; i >= 0; i-- {
-		r <<= 1
-		var bit uint64
-		if i >= 64 {
-			bit = (uhi >> (i - 64)) & 1
-		} else {
-			bit = (ulo >> i) & 1
-		}
-		r |= bit
-		if r >= d {
-			r -= d
-			if i < 64 {
-				q |= 1 << i
-			}
-		}
-	}
-	// Round half away from zero.
-	if 2*r >= d {
-		q++
-	}
-	if neg {
-		return -int64(q)
-	}
-	return int64(q)
 }

@@ -144,21 +144,6 @@ func TestMaxAbsError(t *testing.T) {
 	}
 }
 
-func TestMulWideLargeMagnitudes(t *testing.T) {
-	a := Default
-	// 3e6 * 3e6 = 9e12: the raw int64 product of the scaled values (3e12*3e12)
-	// would overflow; MulWide must survive.
-	x := a.FromFloat(3e6)
-	got := a.ToFloat(a.MulWide(x, x))
-	if math.Abs(got-9e12)/9e12 > 1e-9 {
-		t.Fatalf("MulWide(3e6, 3e6) = %v, want 9e12", got)
-	}
-	// Sign combinations.
-	if got := a.ToFloat(a.MulWide(a.FromFloat(-3e6), x)); math.Abs(got+9e12)/9e12 > 1e-9 {
-		t.Fatalf("MulWide(-3e6, 3e6) = %v, want -9e12", got)
-	}
-}
-
 // Property: quantization error is bounded by half a ulp at the scale.
 func TestPropQuantizationErrorBounded(t *testing.T) {
 	a := Default
@@ -216,18 +201,6 @@ func TestPropMulErrorBounded(t *testing.T) {
 	}
 }
 
-// Property: MulWide agrees with Mul wherever Mul is exact (no int64 overflow
-// of the raw product).
-func TestPropMulWideAgreesWithMul(t *testing.T) {
-	a := Default
-	f := func(x, y int32) bool {
-		return a.Mul(Value(x), Value(y)) == a.MulWide(Value(x), Value(y))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: negation flips sign through multiplication.
 func TestPropMulNegation(t *testing.T) {
 	a := Default
@@ -256,37 +229,6 @@ func TestRoundedDiv(t *testing.T) {
 			t.Errorf("roundedDiv(%d, %d) = %d, want %d", tt.num, tt.den, got, tt.want)
 		}
 	}
-}
-
-func TestBits64Mul(t *testing.T) {
-	tests := []struct {
-		x, y int64
-	}{
-		{0, 0}, {1, 1}, {-1, 1}, {1, -1}, {-1, -1},
-		{1 << 40, 1 << 40}, {-(1 << 40), 1 << 40},
-		{123456789, -987654321},
-	}
-	for _, tt := range tests {
-		hi, lo := bits64Mul(tt.x, tt.y)
-		// Verify against big-int-free check: divide back by one operand.
-		if tt.x != 0 {
-			got := div128by64(hi, lo, absInt64(tt.x))
-			want := tt.y
-			if tt.x < 0 {
-				want = -want
-			}
-			if got != want {
-				t.Errorf("bits64Mul(%d,%d)/|x| = %d, want %d", tt.x, tt.y, got, want)
-			}
-		}
-	}
-}
-
-func absInt64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func BenchmarkMul(b *testing.B) {
@@ -399,26 +341,5 @@ func TestMatVecShapeMismatchPanics(t *testing.T) {
 			}()
 			Default.MatVec(make([]Value, tc.rows), make([]Value, tc.w), make([]Value, tc.n))
 		}()
-	}
-}
-
-// BenchmarkMatVec128x32 is one recurrent gate product of the paper model:
-// four gates × H=32 rows over the 32-wide hidden state.
-func BenchmarkMatVec128x32(b *testing.B) {
-	a := Default
-	rng := rand.New(rand.NewSource(1))
-	w := make([]Value, 128*32)
-	for i := range w {
-		w[i] = a.FromFloat(rng.Float64() - 0.5)
-	}
-	x := make([]Value, 32)
-	for i := range x {
-		x[i] = a.FromFloat(rng.Float64() - 0.5)
-	}
-	dst := make([]Value, 128)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MatVec(dst, w, x)
 	}
 }

@@ -43,7 +43,7 @@ const fixedPath = "github.com/kfrida1/csdinf/internal/fixed"
 // (or accept and return it): calling one on an arith-like receiver yields a
 // tracked operand.
 var producers = map[string]bool{
-	"Add": true, "Sub": true, "Mul": true, "MulWide": true, "Div": true,
+	"Add": true, "Sub": true, "Mul": true, "Div": true,
 	"Neg": true, "Abs": true, "Dot": true, "One": true,
 	"FromFloat": true, "FromInt": true, "FromRaw": true, "Rescale": true,
 	"AddChecked": true, "SubChecked": true, "MulChecked": true,
