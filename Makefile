@@ -65,10 +65,10 @@ load-smoke:
 # prof-smoke is load-smoke with the continuous profiler on and chaos
 # injected: the full-rack blackout deliberately pages the availability
 # objective, so the run proves the page → incident → flight-dump chain and
-# uploads the dumps (runtime samples + per-request stage breakdowns, job-ID
-# correlated with the incident) and the final prof.json snapshot. Every
-# failure the blackout causes must be classified: a "reason": "other" entry
-# in the report fails the run.
+# uploads the dumps (runtime samples + the span ring's request rows, job-ID
+# correlated with the incident) and the final prof.json snapshot. It fails
+# unless a dump holds a request row with both clocks (simulated "phases",
+# host "stage_ns"), and on any unclassified ("reason": "other") failure.
 prof-smoke:
 	mkdir -p $(BENCH_JSON_DIR)/prof
 	$(GO) run ./cmd/csdload -devices 4 -arrivals poisson -rate 500 \
@@ -77,6 +77,9 @@ prof-smoke:
 		-json $(BENCH_JSON_DIR)/prof/slo-report.json
 	@ls $(BENCH_JSON_DIR)/prof/flight-*.json >/dev/null 2>&1 || \
 		{ echo "prof-smoke: no flight dump produced" >&2; exit 1; }
+	@grep -zqE '"phases": \[[[:space:]]*\{[^]]*\],[[:space:]]*"admitted": "[^"]*",[[:space:]]*"stage_ns": \{[[:space:]]*"[a-z]+": [0-9]+' \
+		$(BENCH_JSON_DIR)/prof/flight-*.json || \
+		{ echo "prof-smoke: no flight-dump request row carries both simulated phases and host stage costs" >&2; exit 1; }
 	@! grep -q '"reason": "other"' $(BENCH_JSON_DIR)/prof/slo-report.json || \
 		{ echo "prof-smoke: unclassified failures (reason \"other\") in slo-report.json" >&2; exit 1; }
 

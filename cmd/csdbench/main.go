@@ -25,7 +25,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -36,6 +35,7 @@ import (
 	"github.com/kfrida1/csdinf/internal/experiments"
 	"github.com/kfrida1/csdinf/internal/prof"
 	"github.com/kfrida1/csdinf/internal/quality"
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 func main() {
@@ -126,21 +126,10 @@ func writeBench(dir, experiment string, result any) error {
 		return err
 	}
 	path := filepath.Join(dir, "BENCH_"+experiment+".json")
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	doc := struct {
+	if err := telemetry.WriteJSONFile(path, struct {
 		Experiment string `json:"experiment"`
 		Result     any    `json:"result"`
-	}{experiment, result}
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
+	}{experiment, result}); err != nil {
 		return err
 	}
 	fmt.Printf("(wrote %s)\n\n", path)

@@ -203,9 +203,10 @@ func run(args []string) error {
 	}
 
 	// One registry, span ring, and event log for the whole stack: the
-	// engine, the scheduler, and the detector all report into them.
+	// engine, the scheduler, and the detector all report into them, and
+	// flight dumps ship the span ring.
 	reg := telemetry.NewRegistry()
-	spans := telemetry.NewSpanLog(32)
+	spans := telemetry.NewSpanLog(512)
 	evCfg := eventlog.Config{}
 	if *eventsPath != "" {
 		// The file sink captures the full forensic stream, including the
@@ -230,14 +231,14 @@ func run(args []string) error {
 	var profiler *prof.Profiler
 	var onIncident func(incident.Incident)
 	if *profOn {
-		profiler, err = prof.New(prof.Config{Telemetry: reg, Events: events})
+		profiler, err = prof.New(prof.Config{Telemetry: reg, Events: events, Spans: spans})
 		if err != nil {
 			return err
 		}
 		defer profiler.Close()
 		// Each opening incident dumps the flight recorder: the forensic
-		// report arrives with the runtime samples and per-stage request
-		// breakdowns that surrounded the detection.
+		// report arrives with the runtime samples and the span ring's
+		// request rows that surrounded the detection.
 		onIncident = func(inc incident.Incident) {
 			kind := inc.Kind
 			if kind == "" {
@@ -272,7 +273,7 @@ func run(args []string) error {
 		defer ln.Close()
 		fmt.Printf("metrics at http://%s/metrics\n", ln.Addr())
 		mux := http.NewServeMux()
-		mux.Handle("/", telemetry.NewHTTPHandlerOpts(reg, telemetry.HTTPOptions{
+		mux.Handle("/", telemetry.NewHTTPHandler(reg, telemetry.HTTPOptions{
 			Spans:  spans,
 			Extra:  extraHandlers(events, p.rec, profiler, p.quality),
 			Health: p.fl.Registry().Health,

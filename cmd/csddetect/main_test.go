@@ -237,11 +237,11 @@ func TestForensicsEndToEnd(t *testing.T) {
 		t.Fatal("trace export carries no job annotations")
 	}
 
-	srv := httptest.NewServer(telemetry.NewHTTPHandlerWith(reg, spans, map[string]http.Handler{
+	srv := httptest.NewServer(telemetry.NewHTTPHandler(reg, telemetry.HTTPOptions{Spans: spans, Extra: map[string]http.Handler{
 		"/events.json":    events.HTTPHandler(),
 		"/incidents.json": p.rec.HTTPHandler(),
 		"/quality.json":   p.quality.Handler(),
-	}))
+	}}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/spans.json")
 	if err != nil {

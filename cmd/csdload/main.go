@@ -43,7 +43,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -113,7 +112,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	reg := telemetry.NewRegistry()
-	spans := telemetry.NewSpanLog(32)
+	spans := telemetry.NewSpanLog(512)
 	events := eventlog.New(eventlog.Config{})
 	defer events.Close()
 
@@ -146,6 +145,7 @@ func run(args []string, out io.Writer) error {
 		profiler, err = prof.New(prof.Config{
 			Telemetry:   reg,
 			Events:      events,
+			Spans:       spans,
 			FlightExtra: func() any { return scorecard.Snapshot() },
 		})
 		if err != nil {
@@ -153,12 +153,12 @@ func run(args []string, out io.Writer) error {
 		}
 		defer profiler.Close()
 		// A tracer rides along so the scheduler allocates per-request job
-		// IDs — the correlation key between flight-dump breakdowns,
+		// IDs — the correlation key between flight-dump request rows,
 		// incident windows, and trace events. Its event ring is bounded.
 		tracer = trace.New()
 		// Every opened incident — SLO burn, device failure, flagged
 		// process — dumps the flight recorder, so the page arrives with
-		// the runtime samples and request breakdowns that surrounded it.
+		// the runtime samples and request rows that surrounded it.
 		incidentCfg.OnOpen = func(inc incident.Incident) {
 			kind := inc.Kind
 			if kind == "" {
@@ -253,7 +253,7 @@ func run(args []string, out io.Writer) error {
 		if profiler != nil {
 			extra["/prof.json"] = profiler.Handler()
 		}
-		handler := telemetry.NewHTTPHandlerOpts(reg, telemetry.HTTPOptions{
+		handler := telemetry.NewHTTPHandler(reg, telemetry.HTTPOptions{
 			Spans:  spans,
 			Extra:  extra,
 			Health: fl.Registry().Health,
@@ -295,15 +295,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteJSON(f); err != nil {
-			f.Close()
-			return fmt.Errorf("write %s: %w", *jsonPath, err)
-		}
-		if err := f.Close(); err != nil {
+		if err := telemetry.WriteJSONFile(*jsonPath, res); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "\nSLO report written to %s\n", *jsonPath)
@@ -316,7 +308,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "profiler snapshot written to %s\n", path)
 	}
 	if *qualityJSON != "" {
-		if err := writeQualityJSON(*qualityJSON, scorecard); err != nil {
+		if err := telemetry.WriteJSONFile(*qualityJSON, scorecard.Snapshot()); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "quality scorecard written to %s\n", *qualityJSON)
@@ -331,22 +323,6 @@ func run(args []string, out io.Writer) error {
 		time.Sleep(*hold)
 	}
 	return nil
-}
-
-// writeQualityJSON writes the scorecard snapshot — the same document
-// /quality.json serves — as an indented JSON artifact.
-func writeQualityJSON(path string, scorecard *quality.Scorecard) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(scorecard.Snapshot()); err != nil {
-		f.Close()
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	return f.Close()
 }
 
 // chaosPlan schedules the fleet disturbances of a -chaos run: a drain and

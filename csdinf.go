@@ -507,9 +507,9 @@ func NewSpanLog(capacity int) *SpanLog { return telemetry.NewSpanLog(capacity) }
 
 // NewTelemetryHandler returns an http.Handler serving the registry at
 // /metrics (Prometheus text format), /metrics.json (JSON snapshot plus
-// recent spans), and /healthz. spans may be nil.
+// recent spans), /spans.json, and /healthz. spans may be nil.
 func NewTelemetryHandler(r *Telemetry, spans *SpanLog) http.Handler {
-	return telemetry.NewHTTPHandler(r, spans)
+	return telemetry.NewHTTPHandler(r, telemetry.HTTPOptions{Spans: spans})
 }
 
 // Event log types (the structured, leveled JSON-lines domain-event layer of
@@ -649,15 +649,15 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 
 // Continuous-profiling types (the always-on runtime profiler and hot-path
 // cost attribution layer — see internal/prof): a background sampler over
-// scheduler/heap/GC/contention state, per-request pipeline-stage breakdowns,
-// and a bounded flight recorder dumped on incidents. A nil Profiler is
-// inert, like every other observability hook.
+// scheduler/heap/GC/contention state, per-stage cost aggregation, and a
+// bounded flight recorder dumped on incidents with the SpanLog's request
+// rows. A nil Profiler is inert, like every other observability hook.
 type (
 	// Profiler is the continuous profiler: background runtime sampling,
 	// per-stage cost aggregation, and the flight-recorder ring.
 	Profiler = prof.Profiler
-	// ProfilerConfig controls sampling period, ring capacities, contention
-	// profiling rates, and the telemetry/eventlog wiring.
+	// ProfilerConfig controls sampling period, ring capacity, contention
+	// profiling rates, and the telemetry/eventlog/span-log wiring.
 	ProfilerConfig = prof.Config
 	// ProfSample is one runtime sample: goroutines, heap, GC pauses, and
 	// top contended sites.
@@ -665,7 +665,7 @@ type (
 	// ProfStage names one host pipeline stage of a request's Span.
 	ProfStage = telemetry.Stage
 	// FlightDump is the flight recorder's exported state: recent runtime
-	// samples and request breakdowns around an incident.
+	// samples and SpanLog request rows around an incident.
 	FlightDump = prof.FlightDump
 	// ProfSnapshot is the profiler's full exported state (the /prof.json
 	// document).

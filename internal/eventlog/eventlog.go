@@ -161,8 +161,7 @@ type Logger struct {
 	total atomic.Int64 // events past the level filter
 
 	mu   sync.Mutex
-	ring []Event
-	next int
+	ring telemetry.Ring[Event]
 
 	sinkMu sync.Mutex
 	sinks  []*attachedSink
@@ -175,7 +174,7 @@ type Logger struct {
 // New builds a logger from the configuration.
 func New(cfg Config) *Logger {
 	cfg.defaults()
-	l := &Logger{cfg: cfg, ring: make([]Event, 0, cfg.Ring)}
+	l := &Logger{cfg: cfg, ring: telemetry.NewRing[Event](cfg.Ring)}
 	l.min.Store(int32(cfg.MinLevel))
 	return l
 }
@@ -257,12 +256,7 @@ func (l *Logger) emit(ctx context.Context, lvl Level, component, name string, pi
 	l.total.Add(1)
 
 	l.mu.Lock()
-	if len(l.ring) < cap(l.ring) {
-		l.ring = append(l.ring, ev)
-	} else {
-		l.ring[l.next] = ev
-		l.next = (l.next + 1) % len(l.ring)
-	}
+	l.ring.Put(ev)
 	l.mu.Unlock()
 
 	l.sinkMu.Lock()
@@ -284,10 +278,7 @@ func (l *Logger) Recent() []Event {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, 0, len(l.ring))
-	out = append(out, l.ring[l.next:]...)
-	out = append(out, l.ring[:l.next]...)
-	return out
+	return l.ring.Values()
 }
 
 // Total counts all events recorded past the level filter, including those

@@ -1,8 +1,9 @@
 package incident
 
 import (
-	"encoding/json"
 	"net/http"
+
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 // HTTPHandler serves the incident history as JSON — the /incidents.json
@@ -39,9 +40,6 @@ func (r *Recorder) HTTPHandler() http.Handler {
 			Open      int        `json:"open"`
 			Incidents []Incident `json:"incidents"`
 		}{Total: r.Total(), Open: r.Open(), Incidents: incidents}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(doc)
+		telemetry.ServeJSON(w, http.StatusOK, doc)
 	})
 }

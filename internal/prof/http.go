@@ -1,13 +1,13 @@
 package prof
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
-// StageSummary aggregates one stage across every recorded breakdown.
+// StageSummary aggregates one stage across every recorded request: the
+// count and sum of its prof_stage_seconds histogram.
 type StageSummary struct {
 	Stage   string  `json:"stage"`
 	Count   int64   `json:"count"`
@@ -16,19 +16,19 @@ type StageSummary struct {
 }
 
 // Snapshot is the /prof.json document: profiler configuration, a fresh
-// runtime sample, per-stage cost aggregates, and the flight-recorder rings.
+// runtime sample, per-stage cost aggregates, and the flight recorder's
+// runtime samples. The request rows are /spans.json's.
 type Snapshot struct {
-	Enabled            bool              `json:"enabled"`
-	SampleEverySeconds float64           `json:"sample_every_seconds,omitempty"`
-	MutexFraction      int               `json:"mutex_fraction,omitempty"`
-	BlockRateNS        int               `json:"block_rate_ns,omitempty"`
-	SamplesTotal       int64             `json:"samples_total"`
-	RequestsTotal      int64             `json:"requests_total"`
-	FlightDumps        int64             `json:"flight_dumps"`
-	Last               Sample            `json:"last"`
-	Stages             []StageSummary    `json:"stages,omitempty"`
-	Samples            []Sample          `json:"samples"`
-	Requests           []BreakdownRecord `json:"requests"`
+	Enabled            bool           `json:"enabled"`
+	SampleEverySeconds float64        `json:"sample_every_seconds,omitempty"`
+	MutexFraction      int            `json:"mutex_fraction,omitempty"`
+	BlockRateNS        int            `json:"block_rate_ns,omitempty"`
+	SamplesTotal       int64          `json:"samples_total"`
+	RequestsTotal      int64          `json:"requests_total"`
+	FlightDumps        int64          `json:"flight_dumps"`
+	Last               Sample         `json:"last"`
+	Stages             []StageSummary `json:"stages,omitempty"`
+	Samples            []Sample       `json:"samples"`
 }
 
 // Snapshot takes a fresh runtime sample and returns the full profiler
@@ -38,7 +38,6 @@ func (p *Profiler) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	last := p.Sample()
-	samples, breakdowns := p.flight.snapshot()
 	p.mu.Lock()
 	snap := Snapshot{
 		Enabled:            true,
@@ -46,24 +45,24 @@ func (p *Profiler) Snapshot() Snapshot {
 		MutexFraction:      p.cfg.MutexFraction,
 		BlockRateNS:        p.cfg.BlockRateNS,
 		SamplesTotal:       p.samples,
-		RequestsTotal:      p.requests,
+		RequestsTotal:      p.requestsC.Value(),
 		FlightDumps:        p.dumps,
 		Last:               last,
-		Samples:            samples,
-		Requests:           breakdowns,
+		Samples:            p.ring.Values(),
 	}
+	p.mu.Unlock()
 	for s := telemetry.Stage(0); s < telemetry.NumStages; s++ {
-		if p.stageCount[s] == 0 {
+		h := p.stageH[s].Snapshot()
+		if h.Count == 0 {
 			continue
 		}
 		snap.Stages = append(snap.Stages, StageSummary{
 			Stage:   s.String(),
-			Count:   p.stageCount[s],
-			TotalNS: p.stageWall[s],
-			MeanNS:  float64(p.stageWall[s]) / float64(p.stageCount[s]),
+			Count:   h.Count,
+			TotalNS: h.Sum,
+			MeanNS:  float64(h.Sum) / float64(h.Count),
 		})
 	}
-	p.mu.Unlock()
 	return snap
 }
 
@@ -71,9 +70,6 @@ func (p *Profiler) Snapshot() Snapshot {
 // an Enabled-false document), so wiring code needs no branches.
 func (p *Profiler) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(p.Snapshot())
+		telemetry.ServeJSON(w, http.StatusOK, p.Snapshot())
 	})
 }

@@ -7,11 +7,11 @@
 //
 // Three instruments, all zero-dependency and cheap enough to run always-on:
 //
-//   - A runtime sampler: periodic goroutine counts, heap/GC deltas from
-//     runtime.MemStats, a GC pause histogram, and mutex/block contention
-//     profiles (runtime.SetMutexProfileFraction / SetBlockProfileRate) with
-//     top-N contended-site extraction — exported as prof_* telemetry series
-//     and a /prof.json endpoint.
+//   - A runtime sampler: allocation, GC and GC-pause deltas between reads
+//     of telemetry.ReadRuntime (runtime/metrics, which never stops the
+//     world), plus what runtime/metrics lacks — the top-N contended sites
+//     of the mutex and block profiles and the sampler's own cost — exported
+//     as go_*/prof_* series and /prof.json.
 //   - Hot-path cost attribution: each request's record (telemetry.Span)
 //     carries its wall-clock time (and, in serialized audit runs,
 //     allocations) per pipeline stage — queue, encode, transfer, compute,
@@ -20,10 +20,11 @@
 //     prof_stage_seconds histograms.
 //     The "observe" stage prices the telemetry/trace/eventlog record calls
 //     themselves, so the overhead of observability is itself observable.
-//   - A flight recorder: a bounded in-memory ring of recent runtime samples
-//     and request breakdowns, dumped to a JSON artifact (plus a
-//     prof.flight.dump event) when an SLO page fires or an incident opens,
-//     so every burn-rate page ships with the runtime state that preceded it.
+//   - A flight recorder: a bounded ring of recent runtime samples, dumped
+//     with the Config.Spans rows (the /spans.json rows, both clocks) to a
+//     JSON artifact (plus a prof.flight.dump event) when an SLO page fires
+//     or an incident opens, so every page ships with the runtime state and
+//     the requests that preceded it.
 //
 // Like the rest of the stack, a nil *Profiler (and a nil record) is valid
 // everywhere and records nothing, so instrumented code needs no
@@ -32,6 +33,7 @@ package prof
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -50,9 +52,6 @@ type Config struct {
 	// Ring bounds the flight recorder's retained runtime samples; 0
 	// defaults to 240 (one minute at the default period).
 	Ring int
-	// BreakdownRing bounds the flight recorder's retained per-request stage
-	// breakdowns; 0 defaults to 512.
-	BreakdownRing int
 	// TopN bounds the contended-site lists extracted from the mutex and
 	// block profiles; 0 defaults to 8.
 	TopN int
@@ -69,17 +68,19 @@ type Config struct {
 	// when requests run serialized — the observability self-audit does;
 	// a loaded fleet does not. Off by default.
 	CountAllocs bool
-	// Telemetry, when non-nil, receives the prof_* series: runtime gauges
-	// (prof_goroutines, prof_heap_alloc_bytes, prof_heap_objects), GC and
-	// allocation counters (prof_gc_cycles_total, prof_alloc_bytes_total,
-	// prof_mallocs_total), the prof_gc_pause_seconds histogram, per-stage
-	// prof_stage_seconds{stage=...} histograms, and the profiler's own cost
-	// (prof_sample_cost_seconds).
+	// Telemetry, when non-nil, receives the go_* runtime series a /metrics
+	// scrape also refreshes and the prof_* series New registers: runtime
+	// deltas, GC pauses, per-stage prof_stage_seconds{stage=...} costs and
+	// the profiler's own cost.
 	Telemetry *telemetry.Registry
 	// Events, when non-nil, receives the profiler's structured events:
 	// prof.start (info, at construction), prof.sample (debug, per sampler
 	// tick), and prof.flight.dump (warn, per flight-recorder dump).
 	Events *eventlog.Logger
+	// Spans is the request ring a flight dump ships as its "requests":
+	// pass the log the fleet, server or detector records into. Nil dumps
+	// an empty list.
+	Spans *telemetry.SpanLog
 	// FlightExtra, when non-nil, is invoked at every flight dump and its
 	// result embedded in the dump's "extra" field — subsystem state worth
 	// shipping with a page (csdload wires the detection-quality
@@ -98,9 +99,6 @@ func (c *Config) defaults() {
 	}
 	if c.Ring == 0 {
 		c.Ring = 240
-	}
-	if c.BreakdownRing == 0 {
-		c.BreakdownRing = 512
 	}
 	if c.TopN == 0 {
 		c.TopN = 8
@@ -130,10 +128,11 @@ type Sample struct {
 	// previous sample (zero on the first).
 	AllocBytes uint64 `json:"alloc_bytes_delta"`
 	Mallocs    uint64 `json:"mallocs_delta"`
-	// GCCycles is the completed-GC delta since the previous sample;
-	// GCPausesNS are the individual stop-the-world pauses of those cycles.
-	GCCycles   uint32  `json:"gc_cycles_delta"`
-	GCPausesNS []int64 `json:"gc_pauses_ns,omitempty"`
+	// GCCycles and GCPauses are the completed-GC and GC stop-the-world
+	// pause deltas since the previous sample; prof_gc_pause_seconds holds
+	// the pauses' durations.
+	GCCycles uint32 `json:"gc_cycles_delta"`
+	GCPauses uint64 `json:"gc_pauses_delta"`
 	// TopMutex and TopBlock are the most contended sites from the
 	// cumulative runtime mutex/block profiles, ranked by cycles (ties
 	// broken by site label, so the ordering is deterministic).
@@ -149,34 +148,27 @@ type Sample struct {
 type Profiler struct {
 	cfg Config
 
-	// Sampler state: the previous MemStats for delta computation.
+	// mu guards the sampler state: the previous runtime read for deltas
+	// (zero before the first), the pause-count buffer the next read
+	// reuses, and the sample ring.
 	mu        sync.Mutex
-	prev      runtime.MemStats
-	hasPrev   bool
+	prev      telemetry.RuntimeStats
+	spare     []uint64
 	prevMutex int // SetMutexProfileFraction value to restore at Close
+	ring      telemetry.Ring[Sample]
+	samples   int64
+	dumps     int64
 
-	flight *flight
-
-	// Per-stage aggregation for Snapshot (telemetry histograms hold the
-	// full distributions; these scalars feed /prof.json without a registry).
-	stageCount [telemetry.NumStages]int64
-	stageWall  [telemetry.NumStages]int64
-	requests   int64
-	samples    int64
-	dumps      int64
-
-	goroutinesG *telemetry.Gauge
-	heapG       *telemetry.Gauge
-	heapObjG    *telemetry.Gauge
-	allocC      *telemetry.Counter
-	mallocsC    *telemetry.Counter
-	gcC         *telemetry.Counter
-	pauseH      *telemetry.Histogram
-	costH       *telemetry.Histogram
-	stageH      [telemetry.NumStages]*telemetry.Histogram
-	requestH    *telemetry.Histogram
-	requestsC   *telemetry.Counter
-	dumpsC      *telemetry.Counter
+	heapObjG  *telemetry.Gauge
+	allocC    *telemetry.Counter
+	mallocsC  *telemetry.Counter
+	gcC       *telemetry.Counter
+	pauseH    *telemetry.Histogram
+	costH     *telemetry.Histogram
+	stageH    [telemetry.NumStages]*telemetry.Histogram
+	requestH  *telemetry.Histogram
+	requestsC *telemetry.Counter
+	dumpsC    *telemetry.Counter
 
 	quit chan struct{}
 	wg   sync.WaitGroup
@@ -189,19 +181,17 @@ type Profiler struct {
 func New(cfg Config) (*Profiler, error) {
 	cfg.defaults()
 	p := &Profiler{
-		cfg:    cfg,
-		flight: newFlight(cfg.Ring, cfg.BreakdownRing),
-		quit:   make(chan struct{}),
+		cfg:  cfg,
+		ring: telemetry.NewRing[Sample](cfg.Ring),
+		quit: make(chan struct{}),
 	}
 	reg := cfg.Telemetry
-	p.goroutinesG = reg.Gauge("prof_goroutines", "Live goroutines at the last runtime sample.")
-	p.heapG = reg.Gauge("prof_heap_alloc_bytes", "Bytes of allocated heap objects at the last runtime sample.")
 	p.heapObjG = reg.Gauge("prof_heap_objects", "Live heap objects at the last runtime sample.")
 	p.allocC = reg.Counter("prof_alloc_bytes_total", "Cumulative bytes allocated, accumulated across runtime samples.")
 	p.mallocsC = reg.Counter("prof_mallocs_total", "Cumulative heap allocations, accumulated across runtime samples.")
 	p.gcC = reg.Counter("prof_gc_cycles_total", "Completed garbage-collection cycles, accumulated across runtime samples.")
 	p.pauseH = reg.Histogram("prof_gc_pause_seconds",
-		"Individual GC stop-the-world pauses observed by the runtime sampler.", telemetry.Buckets{})
+		"GC stop-the-world pauses seen by the runtime sampler, at the runtime histogram's bucket resolution.", telemetry.Buckets{})
 	p.costH = reg.Histogram("prof_sample_cost_seconds",
 		"Host cost of taking one runtime sample — the profiler auditing itself.", telemetry.Buckets{})
 	for s := telemetry.Stage(0); s < telemetry.NumStages; s++ {
@@ -211,7 +201,7 @@ func New(cfg Config) (*Profiler, error) {
 	}
 	p.requestH = reg.Histogram("prof_request_wall_seconds",
 		"Total attributed host wall-clock cost per request.", telemetry.Buckets{})
-	p.requestsC = reg.Counter("prof_requests_total", "Request breakdowns recorded.")
+	p.requestsC = reg.Counter("prof_requests_total", "Request records aggregated.")
 	p.dumpsC = reg.Counter("prof_flight_dumps_total", "Flight-recorder dumps written.")
 
 	if cfg.MutexFraction > 0 {
@@ -249,57 +239,48 @@ func (p *Profiler) loop() {
 	}
 }
 
-// Sample takes one runtime sample immediately: reads MemStats and the
-// contention profiles, updates the prof_* series, appends to the flight
-// recorder, and returns the sample. Safe to call concurrently with the
-// background sampler; a nil profiler returns the zero Sample.
+// Sample takes one runtime sample immediately: reads the runtime and the
+// contention profiles, updates the go_* and prof_* series, appends to the
+// flight recorder, and returns the sample. Nothing in it stops the world.
+// Safe to call concurrently with the background sampler; a nil profiler
+// returns the zero Sample.
 func (p *Profiler) Sample() Sample {
 	if p == nil {
 		return Sample{}
 	}
 	start := time.Now()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-
 	p.mu.Lock()
+	rt := telemetry.ReadRuntime(p.cfg.Telemetry, p.spare)
 	s := Sample{
 		Time:           p.cfg.Clock(),
-		Goroutines:     runtime.NumGoroutine(),
-		HeapAllocBytes: ms.HeapAlloc,
-		HeapObjects:    ms.HeapObjects,
+		Goroutines:     int(rt.Goroutines),
+		HeapAllocBytes: rt.HeapBytes,
+		HeapObjects:    rt.HeapObjects,
 	}
-	if p.hasPrev {
-		s.AllocBytes = ms.TotalAlloc - p.prev.TotalAlloc
-		s.Mallocs = ms.Mallocs - p.prev.Mallocs
-		s.GCCycles = ms.NumGC - p.prev.NumGC
-		// MemStats keeps the last 256 pauses in a ring indexed by cycle
-		// number; extract only the cycles this sample covers.
-		from := p.prev.NumGC
-		if ms.NumGC > from+256 {
-			from = ms.NumGC - 256
-		}
-		for i := from; i < ms.NumGC; i++ {
-			s.GCPausesNS = append(s.GCPausesNS, int64(ms.PauseNs[(i+255)%256]))
+	if p.prev.Pauses != nil {
+		s.AllocBytes = rt.AllocBytes - p.prev.AllocBytes
+		s.Mallocs = rt.Mallocs - p.prev.Mallocs
+		s.GCCycles = uint32(rt.GCCycles - p.prev.GCCycles)
+		for i, n := range rt.Pauses {
+			n -= p.prev.Pauses[i]
+			s.GCPauses += n
+			for ; n > 0; n-- {
+				p.pauseH.Observe(pauseNS(rt.PauseBuckets, i))
+			}
 		}
 	}
-	p.prev = ms
-	p.hasPrev = true
+	p.spare, p.prev = p.prev.Pauses, rt
 	s.TopMutex = topSites(runtime.MutexProfile, p.cfg.TopN)
 	s.TopBlock = topSites(runtime.BlockProfile, p.cfg.TopN)
 	s.CostNS = int64(time.Since(start))
 	p.samples++
+	p.ring.Put(s)
 	p.mu.Unlock()
-	p.flight.addSample(s)
 
-	p.goroutinesG.Set(int64(s.Goroutines))
-	p.heapG.Set(int64(s.HeapAllocBytes))
 	p.heapObjG.Set(int64(s.HeapObjects))
 	p.allocC.Add(int64(s.AllocBytes))
 	p.mallocsC.Add(int64(s.Mallocs))
 	p.gcC.Add(int64(s.GCCycles))
-	for _, pause := range s.GCPausesNS {
-		p.pauseH.Observe(pause)
-	}
 	p.costH.Observe(s.CostNS)
 	if p.cfg.Events.Enabled(eventlog.LevelDebug) {
 		p.cfg.Events.Debug(context.Background(), "prof", "prof.sample",
@@ -309,6 +290,17 @@ func (p *Profiler) Sample() Sample {
 			eventlog.F("cost_ns", s.CostNS))
 	}
 	return s
+}
+
+// pauseNS is the duration a pause in bucket i of the runtime's pause
+// histogram is recorded as: the bucket's upper bound, or its lower bound
+// for the open-ended last bucket.
+func pauseNS(bounds []float64, i int) int64 {
+	b := bounds[i+1]
+	if math.IsInf(b, 1) {
+		b = bounds[i]
+	}
+	return int64(b * 1e9)
 }
 
 // Open marks a freshly created request record as profiled: it stamps the
@@ -323,37 +315,22 @@ func (p *Profiler) Open(rec *telemetry.Span) {
 }
 
 // Record aggregates a completed request record's stage costs into the
-// per-stage histograms and the flight recorder. The layer that created the
-// record calls it once; layers handed a caller's record leave it to the
-// caller.
+// per-stage and per-request histograms. The layer that created the record
+// calls it once; layers handed a caller's record leave it to the caller.
+// The record itself is retained by the SpanLog its creator adds it to.
 func (p *Profiler) Record(rec *telemetry.Span) {
 	if p == nil || rec == nil {
 		return
 	}
 	var total int64
-	r := BreakdownRecord{Time: rec.Admitted(), Job: rec.ID}
 	for s := telemetry.Stage(0); s < telemetry.NumStages; s++ {
-		w, a := int64(rec.Wall(s)), rec.Allocs(s)
-		if w == 0 && a == 0 {
-			continue
+		if w := int64(rec.Wall(s)); w != 0 {
+			total += w
+			p.stageH[s].Observe(w)
 		}
-		total += w
-		p.stageH[s].Observe(w)
-		r.set(s, w, a)
 	}
-	r.TotalNS = total
 	p.requestH.Observe(total)
 	p.requestsC.Inc()
-	p.mu.Lock()
-	for s := telemetry.Stage(0); s < telemetry.NumStages; s++ {
-		if w := rec.Wall(s); w != 0 {
-			p.stageCount[s]++
-			p.stageWall[s] += int64(w)
-		}
-	}
-	p.requests++
-	p.mu.Unlock()
-	p.flight.addBreakdown(r)
 }
 
 // Close stops the background sampler and restores the mutex-profile

@@ -6,7 +6,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 	"time"
@@ -72,6 +74,9 @@ func TestNilProfilerIsInert(t *testing.T) {
 func TestSampleDeltasAndGauges(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	p := newManual(t, Config{Telemetry: reg})
+	// runtime/metrics counts small allocations when a span leaves its
+	// mcache; a GC flushes every mcache, so both samples see exact counts.
+	runtime.GC()
 	p.Sample() // establish the baseline
 
 	// Allocate measurably and force a GC so the second sample carries
@@ -93,31 +98,60 @@ func TestSampleDeltasAndGauges(t *testing.T) {
 	if s.Mallocs == 0 || s.AllocBytes == 0 {
 		t.Fatalf("allocation deltas empty: mallocs=%d bytes=%d", s.Mallocs, s.AllocBytes)
 	}
-	if s.GCCycles == 0 || len(s.GCPausesNS) == 0 {
-		t.Fatalf("GC not observed: cycles=%d pauses=%d", s.GCCycles, len(s.GCPausesNS))
+	if s.GCCycles == 0 || s.GCPauses == 0 {
+		t.Fatalf("GC not observed: cycles=%d pauses=%d", s.GCCycles, s.GCPauses)
 	}
 	if s.CostNS <= 0 {
 		t.Fatalf("sample cost = %d", s.CostNS)
 	}
 
-	// The prof_* series mirror the sample.
-	found := map[string]bool{}
+	// The go_* and prof_* series mirror the sample; the pause histogram
+	// holds one observation per pause the sampler saw.
+	found := map[string]telemetry.Metric{}
 	for _, m := range reg.Snapshot() {
-		found[m.Name] = true
+		found[m.Name] = m
 	}
-	for _, name := range []string{
-		"prof_goroutines", "prof_heap_alloc_bytes", "prof_heap_objects",
-		"prof_alloc_bytes_total", "prof_mallocs_total", "prof_gc_cycles_total",
-		"prof_gc_pause_seconds", "prof_sample_cost_seconds",
+	for name, want := range map[string]bool{
+		"go_goroutines": true, "go_heap_alloc_bytes": true, "go_gc_pauses_total": true,
+		"prof_heap_objects": true, "prof_alloc_bytes_total": true, "prof_mallocs_total": true,
+		"prof_gc_cycles_total": true, "prof_gc_pause_seconds": true, "prof_sample_cost_seconds": true,
+		// Deleted: they duplicated go_goroutines and go_heap_alloc_bytes.
+		"prof_goroutines": false, "prof_heap_alloc_bytes": false,
 	} {
-		if !found[name] {
-			t.Errorf("series %s missing from registry snapshot", name)
+		if _, ok := found[name]; ok != want {
+			t.Errorf("series %s registered = %v, want %v", name, ok, want)
 		}
+	}
+	if h := found["prof_gc_pause_seconds"].Histogram; h == nil || uint64(h.Count) != s.GCPauses {
+		t.Errorf("prof_gc_pause_seconds = %+v, want %d observations", h, s.GCPauses)
+	}
+}
+
+// TestSamplerNeverStopsTheWorld: sampling reads runtime/metrics, so it
+// adds no non-GC stop-the-world pause (runtime.ReadMemStats adds one per
+// call).
+func TestSamplerNeverStopsTheWorld(t *testing.T) {
+	p := newManual(t, Config{Telemetry: telemetry.NewRegistry()})
+	stw := []metrics.Sample{{Name: "/sched/pauses/total/other:seconds"}}
+	pauses := func() (n uint64) {
+		metrics.Read(stw)
+		for _, c := range stw[0].Value.Float64Histogram().Counts {
+			n += c
+		}
+		return n
+	}
+	before := pauses()
+	for i := 0; i < 10; i++ {
+		p.Sample()
+	}
+	if d := pauses() - before; d != 0 {
+		t.Fatalf("10 samples stopped the world %d times", d)
 	}
 }
 
 func TestBreakdownStagesAndContext(t *testing.T) {
-	p := newManual(t, Config{})
+	spans := telemetry.NewSpanLog(8)
+	p := newManual(t, Config{Spans: spans})
 	b := &telemetry.Span{ID: 42}
 	p.Open(b)
 	ctx := telemetry.WithSpan(context.Background(), b)
@@ -137,6 +171,8 @@ func TestBreakdownStagesAndContext(t *testing.T) {
 		t.Fatalf("compute wall = %v", b.Wall(telemetry.StageCompute))
 	}
 
+	// The record's creator flushes it to both sinks.
+	spans.Add(*b)
 	p.Record(b)
 	snap := p.Snapshot()
 	if snap.RequestsTotal != 1 {
@@ -152,11 +188,8 @@ func TestBreakdownStagesAndContext(t *testing.T) {
 	if stages["compute"].Count != 1 {
 		t.Fatalf("compute summary = %+v", stages["compute"])
 	}
-	if len(snap.Requests) != 1 || snap.Requests[0].Job != 42 {
-		t.Fatalf("flight requests = %+v", snap.Requests)
-	}
-	if got, want := snap.Requests[0].TotalNS, int64(b.Wall(telemetry.StageQueue)+b.Wall(telemetry.StageCompute)); got != want {
-		t.Fatalf("flight total %d != stage sum %d", got, want)
+	if reqs := p.Flight("test", 0).Requests; len(reqs) != 1 || !reflect.DeepEqual(reqs[0], *b) {
+		t.Fatalf("flight requests = %+v, want the record %+v", reqs, *b)
 	}
 }
 
@@ -175,7 +208,8 @@ func TestCountAllocsAttributesStageAllocations(t *testing.T) {
 
 func TestFlightRingBoundedAndOrdered(t *testing.T) {
 	now := time.Unix(1000, 0)
-	p := newManual(t, Config{Ring: 4, BreakdownRing: 3,
+	spans := telemetry.NewSpanLog(3)
+	p := newManual(t, Config{Ring: 4, Spans: spans,
 		Clock: func() time.Time { now = now.Add(time.Second); return now }})
 	for i := 0; i < 6; i++ {
 		p.Sample()
@@ -184,9 +218,11 @@ func TestFlightRingBoundedAndOrdered(t *testing.T) {
 		b := &telemetry.Span{ID: int64(100 + i)}
 		p.Open(b)
 		b.Add(telemetry.StageQueue, time.Microsecond)
+		spans.Add(*b)
 		p.Record(b)
 	}
-	samples, breakdowns := p.flight.snapshot()
+	d := p.Flight("test", 0)
+	samples, breakdowns := d.Samples, d.Requests
 	if len(samples) != 4 {
 		t.Fatalf("samples retained = %d, want 4", len(samples))
 	}
@@ -198,7 +234,7 @@ func TestFlightRingBoundedAndOrdered(t *testing.T) {
 	if len(breakdowns) != 3 {
 		t.Fatalf("breakdowns retained = %d, want 3", len(breakdowns))
 	}
-	if breakdowns[0].Job != 102 || breakdowns[2].Job != 104 {
+	if breakdowns[0].ID != 102 || breakdowns[2].ID != 104 {
 		t.Fatalf("breakdown eviction wrong: %+v", breakdowns)
 	}
 }
@@ -206,10 +242,13 @@ func TestFlightRingBoundedAndOrdered(t *testing.T) {
 func TestWriteFlightDumpArtifactAndEvent(t *testing.T) {
 	events := eventlog.New(eventlog.Config{})
 	defer events.Close()
-	p := newManual(t, Config{Events: events})
+	spans := telemetry.NewSpanLog(8)
+	p := newManual(t, Config{Events: events, Spans: spans})
 	b := &telemetry.Span{ID: 9}
 	p.Open(b)
+	b.Record(telemetry.PhaseCompute, 200*time.Microsecond)
 	b.Add(telemetry.StageCompute, time.Millisecond)
+	spans.Add(*b)
 	p.Record(b)
 
 	dir := t.TempDir()
@@ -234,8 +273,12 @@ func TestWriteFlightDumpArtifactAndEvent(t *testing.T) {
 	if len(d.Samples) == 0 {
 		t.Fatal("dump carries no runtime samples")
 	}
-	if len(d.Requests) != 1 || d.Requests[0].Job != 9 {
+	if len(d.Requests) != 1 || d.Requests[0].ID != 9 || len(d.Requests[0].Phases) != 1 {
 		t.Fatalf("dump requests = %+v", d.Requests)
+	}
+	// The row carries both clocks: the simulated phase and the host stage.
+	if !strings.Contains(string(data), `"stage_ns": {`) || !strings.Contains(string(data), `"compute": 1000000`) {
+		t.Fatalf("dump request row lacks host stage costs:\n%s", data)
 	}
 
 	var dumpEv *eventlog.Event

@@ -1,8 +1,9 @@
 package quality
 
 import (
-	"encoding/json"
 	"net/http"
+
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 // Handler serves the scorecard snapshot as the /quality.json document.
@@ -15,9 +16,6 @@ func (s *Scorecard) Handler() http.Handler {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(s.Snapshot())
+		telemetry.ServeJSON(w, http.StatusOK, s.Snapshot())
 	})
 }

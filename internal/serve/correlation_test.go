@@ -2,6 +2,9 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
+	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"github.com/kfrida1/csdinf/internal/detect"
@@ -29,13 +32,15 @@ func (t *timingTap) Predict(ctx context.Context, seq []int) (kernels.Result, inf
 // TestOneWindowCorrelatesAcrossSinks sends one detector-driven window
 // through a fully wired server and checks that every sink holds exactly one
 // entry for it, all under the same non-zero job ID: the span log, the
-// flight recorder, the event log and the trace timeline.
+// flight recorder, the event log and the trace timeline. The flight dump's
+// request row is the span log's row, and /spans.json shows it with both
+// clocks: simulated phases and host stage costs.
 func TestOneWindowCorrelatesAcrossSinks(t *testing.T) {
 	spans := telemetry.NewSpanLog(8)
 	events := eventlog.New(eventlog.Config{MinLevel: eventlog.LevelDebug})
 	defer events.Close()
 	tracer := trace.New()
-	p, err := prof.New(prof.Config{SampleEvery: -1, MutexFraction: -1, BlockRateNS: -1})
+	p, err := prof.New(prof.Config{SampleEvery: -1, MutexFraction: -1, BlockRateNS: -1, Spans: spans})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +98,28 @@ func TestOneWindowCorrelatesAcrossSinks(t *testing.T) {
 		t.Errorf("span phases = %+v, want one transfer and one compute", logged[0].Phases)
 	}
 
-	if reqs := p.Snapshot().Requests; len(reqs) != 1 || reqs[0].Job != job {
-		t.Errorf("flight recorder requests = %+v, want one with job %d", reqs, job)
+	if n := p.Snapshot().RequestsTotal; n != 1 {
+		t.Errorf("profiler aggregated %d requests, want 1", n)
+	}
+	// The flight row is the span log's row: job, phases, host stage costs.
+	if reqs := p.Flight("test", 0).Requests; len(reqs) != 1 || !reflect.DeepEqual(reqs[0], logged[0]) {
+		t.Errorf("flight recorder requests = %+v, want the span log's row %+v", reqs, logged[0])
+	}
+	rr := httptest.NewRecorder()
+	telemetry.NewHTTPHandler(nil, telemetry.HTTPOptions{Spans: spans}).
+		ServeHTTP(rr, httptest.NewRequest("GET", "/spans.json", nil))
+	var doc struct {
+		Spans []struct {
+			Phases  []telemetry.Phase `json:"phases"`
+			StageNS map[string]int64  `json:"stage_ns"`
+		} `json:"spans"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if host := logged[0].Wall(telemetry.StageCompute); host == 0 || len(doc.Spans) != 1 ||
+		len(doc.Spans[0].Phases) != len(logged[0].Phases) || doc.Spans[0].StageNS["compute"] != int64(host) {
+		t.Errorf("/spans.json rows = %+v, want one with both clocks (host compute %v)", doc.Spans, host)
 	}
 
 	var done []eventlog.Event

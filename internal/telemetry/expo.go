@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -106,6 +107,17 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(struct {
 		Metrics []Metric `json:"metrics"`
 	}{Metrics: r.Snapshot()})
+}
+
+// WriteJSONFile writes doc to path as the indented JSON artifact every
+// file-writing surface of the stack produces (BENCH_*.json, flight dumps,
+// reports): the bytes ServeJSON would serve.
+func WriteJSONFile(path string, doc any) error {
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o666)
 }
 
 // WriteSummary writes a human-readable two-part table: scalar metrics, then

@@ -42,43 +42,24 @@ func readBuildInfo() buildInfo {
 	return b
 }
 
-// NewHTTPHandler returns the metrics endpoint served by cmd/csddetect's
-// -metrics-addr flag:
-//
-//	/metrics       Prometheus text exposition
-//	/metrics.json  JSON snapshot (plus recent spans when a log is given)
-//	/spans.json    the SpanLog ring: recent per-request pipeline spans
-//	/healthz       liveness probe: status, build identification (module,
-//	               version, go version, VCS revision), and process uptime
-//
-// Every scrape of /metrics or /metrics.json also refreshes the baseline Go
-// runtime series (go_goroutines, go_heap_alloc_bytes, go_gc_pauses_total),
-// so runtime health is visible even with no other instrumentation wired.
-//
-// spans may be nil (then /spans.json reports an empty ring). Extra handlers
-// (e.g. the event log's /events.json and the incident recorder's
-// /incidents.json, which live above this package in the import graph) mount
-// via NewHTTPHandlerWith. The handler is safe for concurrent use alongside
-// live instrumentation — that is the point of it.
-func NewHTTPHandler(r *Registry, spans *SpanLog) http.Handler {
-	return NewHTTPHandlerWith(r, spans, nil)
+// ServeJSON answers with doc as an indented JSON document, the form every
+// JSON endpoint of the stack serves.
+func ServeJSON(w http.ResponseWriter, status int, doc any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(doc)
 }
 
-// NewHTTPHandlerWith is NewHTTPHandler plus extra pattern → handler mounts
-// on the same mux. An extra pattern that collides with a built-in endpoint
-// panics at construction — a wiring bug, caught at the call site instead of
-// surfacing as shadowed scrapes later. Extra mounts are applied in sorted
-// pattern order, so mounting is deterministic.
-func NewHTTPHandlerWith(r *Registry, spans *SpanLog, extra map[string]http.Handler) http.Handler {
-	return NewHTTPHandlerOpts(r, HTTPOptions{Spans: spans, Extra: extra})
-}
-
-// HTTPOptions configures NewHTTPHandlerOpts.
+// HTTPOptions configures NewHTTPHandler.
 type HTTPOptions struct {
 	// Spans backs /spans.json; nil reports an empty ring.
 	Spans *SpanLog
 	// Extra mounts additional pattern → handler pairs on the same mux
-	// (e.g. /events.json, /incidents.json, /slo.json).
+	// (e.g. /events.json, /incidents.json, /slo.json, /prof.json). A
+	// pattern that collides with a built-in endpoint panics at
+	// construction; extras mount in sorted pattern order.
 	Extra map[string]http.Handler
 	// Health, when non-nil, supplies the /healthz judgment: a status string
 	// ("ok", "degraded", ...) and whether the process can serve. When not
@@ -88,41 +69,47 @@ type HTTPOptions struct {
 	Health func() (status string, ready bool)
 }
 
-// NewHTTPHandlerOpts is NewHTTPHandler with the full option set.
-func NewHTTPHandlerOpts(r *Registry, opts HTTPOptions) http.Handler {
+// NewHTTPHandler returns the metrics endpoint served by cmd/csddetect's and
+// cmd/csdload's -metrics-addr flag:
+//
+//	/metrics       Prometheus text exposition
+//	/metrics.json  JSON snapshot (plus recent spans when a log is given)
+//	/spans.json    the SpanLog ring: recent per-request records, both clocks
+//	/healthz       liveness probe: status, build identification (module,
+//	               version, go version, VCS revision), and process uptime
+//
+// plus the opts.Extra mounts. Every scrape of /metrics or /metrics.json
+// also refreshes the baseline Go runtime series through ReadRuntime, so
+// runtime health is visible even with no other instrumentation wired. The
+// handler is safe for concurrent use alongside live instrumentation — that
+// is the point of it.
+func NewHTTPHandler(r *Registry, opts HTTPOptions) http.Handler {
 	spans := opts.Spans
-	rt := newRuntimeStats(r)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		rt.refresh()
+		ReadRuntime(r, nil)
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		rt.refresh()
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
+		ReadRuntime(r, nil)
 		// Zero state serializes as [], never null, like every JSON
 		// endpoint in the stack.
 		metrics := r.Snapshot()
 		if metrics == nil {
 			metrics = []Metric{}
 		}
-		_ = enc.Encode(struct {
+		ServeJSON(w, http.StatusOK, struct {
 			Metrics []Metric `json:"metrics"`
 			Spans   []Span   `json:"recent_spans,omitempty"`
 		}{Metrics: metrics, Spans: spans.Snapshot()})
 	})
 	mux.HandleFunc("/spans.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
 		snap := spans.Snapshot()
 		if snap == nil {
 			snap = []Span{}
 		}
-		_ = enc.Encode(struct {
+		ServeJSON(w, http.StatusOK, struct {
 			Total    int64  `json:"total"`
 			Retained int    `json:"retained"`
 			Spans    []Span `json:"spans"`
@@ -130,17 +117,14 @@ func NewHTTPHandlerOpts(r *Registry, opts HTTPOptions) http.Handler {
 	})
 	build := readBuildInfo()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
-		status, ready := "ok", true
+		status, ready, code := "ok", true, http.StatusOK
 		if opts.Health != nil {
 			status, ready = opts.Health()
 		}
-		w.Header().Set("Content-Type", "application/json")
 		if !ready && req.URL.Query().Get("ready") != "" {
-			w.WriteHeader(http.StatusServiceUnavailable)
+			code = http.StatusServiceUnavailable
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(struct {
+		ServeJSON(w, code, struct {
 			Status        string    `json:"status"`
 			Ready         bool      `json:"ready"`
 			Build         buildInfo `json:"build"`

@@ -17,7 +17,7 @@ func TestHTTPHandlerEndpoints(t *testing.T) {
 	r := goldenRegistry()
 	spans := NewSpanLog(4)
 	spans.Add(Span{Name: "window", Phases: []Phase{{Name: PhaseCompute, Duration: time.Microsecond}}})
-	srv := httptest.NewServer(NewHTTPHandler(r, spans))
+	srv := httptest.NewServer(NewHTTPHandler(r, HTTPOptions{Spans: spans}))
 	defer srv.Close()
 
 	get := func(path string) (*http.Response, string) {
@@ -130,7 +130,7 @@ func TestHTTPHandlerZeroSpans(t *testing.T) {
 		{"empty-log", NewSpanLog(4)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := httptest.NewServer(NewHTTPHandler(NewRegistry(), tc.spans))
+			srv := httptest.NewServer(NewHTTPHandler(NewRegistry(), HTTPOptions{Spans: tc.spans}))
 			defer srv.Close()
 			resp, err := http.Get(srv.URL + "/spans.json")
 			if err != nil {
@@ -163,7 +163,7 @@ func TestHTTPHandlerZeroSpans(t *testing.T) {
 // nil registry must serve "metrics": [] — not null — matching the
 // normalization every other JSON endpoint in the stack guarantees.
 func TestHTTPHandlerZeroMetrics(t *testing.T) {
-	srv := httptest.NewServer(NewHTTPHandler(nil, nil))
+	srv := httptest.NewServer(NewHTTPHandler(nil, HTTPOptions{}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics.json")
 	if err != nil {
@@ -185,7 +185,7 @@ func TestHTTPHandlerZeroMetrics(t *testing.T) {
 func TestSpanLogConcurrentWriters(t *testing.T) {
 	const writers, adds, capacity = 8, 500, 32
 	spans := NewSpanLog(capacity)
-	srv := httptest.NewServer(NewHTTPHandler(NewRegistry(), spans))
+	srv := httptest.NewServer(NewHTTPHandler(NewRegistry(), HTTPOptions{Spans: spans}))
 	defer srv.Close()
 
 	var wg sync.WaitGroup
@@ -245,7 +245,7 @@ func TestSpanLogConcurrentWriters(t *testing.T) {
 func TestHealthzDegraded(t *testing.T) {
 	var mu sync.Mutex
 	status, ready := "ok", true
-	srv := httptest.NewServer(NewHTTPHandlerOpts(NewRegistry(), HTTPOptions{
+	srv := httptest.NewServer(NewHTTPHandler(NewRegistry(), HTTPOptions{
 		Health: func() (string, bool) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -286,7 +286,7 @@ func TestHealthzDegraded(t *testing.T) {
 	check("/healthz?ready=1", http.StatusServiceUnavailable, "degraded", false)
 }
 
-// TestHTTPHandlerExtraMounts checks NewHTTPHandlerWith mounts additional
+// TestHTTPHandlerExtraMounts checks HTTPOptions.Extra mounts additional
 // endpoints alongside the built-ins (how /events.json and /incidents.json
 // reach the telemetry server without inverting the import graph).
 func TestHTTPHandlerExtraMounts(t *testing.T) {
@@ -295,7 +295,7 @@ func TestHTTPHandlerExtraMounts(t *testing.T) {
 			w.Write([]byte(`{"extra":true}`))
 		}),
 	}
-	srv := httptest.NewServer(NewHTTPHandlerWith(NewRegistry(), nil, extra))
+	srv := httptest.NewServer(NewHTTPHandler(NewRegistry(), HTTPOptions{Extra: extra}))
 	defer srv.Close()
 	for _, path := range []string{"/extra.json", "/healthz"} {
 		resp, err := http.Get(srv.URL + path)
@@ -326,9 +326,9 @@ func TestExtraMountCollisionPanics(t *testing.T) {
 					t.Fatalf("panic for %s = %v, want telemetry-prefixed message naming the pattern", pattern, r)
 				}
 			}()
-			NewHTTPHandlerWith(NewRegistry(), nil, map[string]http.Handler{
+			NewHTTPHandler(NewRegistry(), HTTPOptions{Extra: map[string]http.Handler{
 				pattern: http.NotFoundHandler(),
-			})
+			}})
 		}()
 	}
 }
@@ -337,7 +337,7 @@ func TestExtraMountCollisionPanics(t *testing.T) {
 // endpoint carries baseline Go runtime health without any explicit wiring,
 // refreshed at scrape time.
 func TestRuntimeSeriesOnDefaultScrape(t *testing.T) {
-	srv := httptest.NewServer(NewHTTPHandler(NewRegistry(), nil))
+	srv := httptest.NewServer(NewHTTPHandler(NewRegistry(), HTTPOptions{}))
 	defer srv.Close()
 
 	runtime.GC() // guarantee at least one pause for go_gc_pauses_total

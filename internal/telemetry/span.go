@@ -2,8 +2,8 @@ package telemetry
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
-	"runtime/metrics"
 	"strings"
 	"sync"
 	"time"
@@ -161,6 +161,35 @@ func (s *Span) String() string {
 	return b.String()
 }
 
+// MarshalJSON writes the record with both clocks side by side: name, id,
+// device and the simulated phases as an unprofiled record always had them,
+// then — once a profiler opened it — the admission time, the host wall ns
+// of each stage that ran ("stage_ns") and, when allocations were counted,
+// their per-stage counts ("stage_allocs").
+func (s Span) MarshalJSON() ([]byte, error) {
+	w := struct {
+		Name        string           `json:"name"`
+		ID          int64            `json:"id,omitempty"`
+		Device      string           `json:"device,omitempty"`
+		Phases      []Phase          `json:"phases"`
+		Admitted    *time.Time       `json:"admitted,omitempty"`
+		StageNS     map[string]int64 `json:"stage_ns,omitempty"`
+		StageAllocs map[string]int64 `json:"stage_allocs,omitempty"`
+	}{Name: s.Name, ID: s.ID, Device: s.Device, Phases: s.Phases}
+	if s.profiled {
+		w.Admitted, w.StageNS, w.StageAllocs = &s.admitted, map[string]int64{}, map[string]int64{}
+		for st := Stage(0); st < NumStages; st++ {
+			if s.wall[st] != 0 || s.allocs[st] != 0 {
+				w.StageNS[st.String()], w.StageAllocs[st.String()] = s.wall[st], s.allocs[st]
+			}
+		}
+		if !s.countAllocs {
+			w.StageAllocs = nil
+		}
+	}
+	return json.Marshal(w)
+}
+
 // Profile turns on per-stage host-cost attribution for a request admitted
 // at the given time; countAllocs adds per-stage allocation counts. Until it
 // is called, Begin, End and Add record nothing.
@@ -170,9 +199,6 @@ func (s *Span) Profile(admitted time.Time, countAllocs bool) {
 	}
 	s.admitted, s.profiled, s.countAllocs = admitted, true, countAllocs
 }
-
-// Admitted returns the admission time passed to Profile.
-func (s *Span) Admitted() time.Time { return s.admitted }
 
 // Add attributes d to the stage, accumulating across calls.
 func (s *Span) Add(st Stage, d time.Duration) {
@@ -217,7 +243,7 @@ func (s *Span) Begin(st Stage) StageTimer {
 	}
 	t := StageTimer{s: s, st: st, t0: time.Now()}
 	if s.countAllocs {
-		t.a0 = allocObjects()
+		t.a0 = mallocs()
 	}
 	return t
 }
@@ -230,17 +256,8 @@ func (t StageTimer) End() {
 	}
 	t.s.wall[t.st] += int64(time.Since(t.t0))
 	if t.s.countAllocs {
-		t.s.allocs[t.st] += int64(allocObjects() - t.a0)
+		t.s.allocs[t.st] += int64(mallocs() - t.a0)
 	}
-}
-
-// allocObjects reads the process-global cumulative heap-allocation count.
-// Only meaningful between two points with no concurrent allocators — the
-// serialized self-audit, not a loaded fleet.
-func allocObjects() uint64 {
-	s := []metrics.Sample{{Name: "/gc/heap/allocs:objects"}}
-	metrics.Read(s)
-	return s[0].Value.Uint64()
 }
 
 type spanCtxKey struct{}
@@ -258,14 +275,13 @@ func SpanFrom(ctx context.Context) *Span {
 	return s
 }
 
-// SpanLog retains the most recent completed spans in a fixed ring — enough
-// to answer "what did the last requests spend their time on" without
+// SpanLog retains the most recent completed spans in a Ring — enough to
+// answer "what did the last requests spend their time on" without
 // unbounded memory. A nil *SpanLog ignores Add, so callers can thread an
 // optional log without branching.
 type SpanLog struct {
 	mu    sync.Mutex
-	buf   []Span
-	next  int
+	ring  Ring[Span]
 	total int64
 }
 
@@ -274,7 +290,7 @@ func NewSpanLog(capacity int) *SpanLog {
 	if capacity <= 0 {
 		capacity = 128
 	}
-	return &SpanLog{buf: make([]Span, 0, capacity)}
+	return &SpanLog{ring: NewRing[Span](capacity)}
 }
 
 // Add appends a completed span, evicting the oldest when full.
@@ -285,15 +301,7 @@ func (l *SpanLog) Add(s Span) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.total++
-	slot := l.next
-	if len(l.buf) < cap(l.buf) {
-		slot = len(l.buf)
-		l.buf = append(l.buf, s)
-	} else {
-		l.buf[slot] = s
-		l.next = (l.next + 1) % len(l.buf)
-	}
-	l.buf[slot].detach()
+	l.ring.Put(s).detach()
 }
 
 // Snapshot returns the retained spans, oldest first.
@@ -303,9 +311,7 @@ func (l *SpanLog) Snapshot() []Span {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Span, 0, len(l.buf))
-	out = append(out, l.buf[l.next:]...)
-	out = append(out, l.buf[:l.next]...)
+	out := l.ring.Values()
 	for i := range out {
 		out[i].detach()
 	}

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -89,4 +90,38 @@ func TestSpanPhasesInlineAndLogCopiesOwnThem(t *testing.T) {
 	if got := l.Snapshot(); got[1].Phases != nil {
 		t.Fatal("a span without phases gained an empty phase list")
 	}
+}
+
+// TestCountAllocsStageTimerAllocatesNothing: counting a stage's
+// allocations must not itself allocate, or the self-audit's allocs/op
+// would price the counter instead of the request path.
+func TestCountAllocsStageTimerAllocatesNothing(t *testing.T) {
+	s := &Span{}
+	s.Profile(time.Now(), true)
+	if n := testing.AllocsPerRun(100, func() {
+		s.Begin(StageObserve).End()
+	}); n != 0 {
+		t.Fatalf("Begin/End on an alloc-counting span allocated %v times", n)
+	}
+}
+
+// TestSpanJSONCarriesBothClocks: an unprofiled record marshals exactly as
+// it always did; a profiled one adds its admission time and host stage
+// costs beside the simulated phases.
+func TestSpanJSONCarriesBothClocks(t *testing.T) {
+	s := Span{Name: "window", ID: 7, Device: "1"}
+	s.Record(PhaseCompute, 200*time.Microsecond)
+	check := func(want string) {
+		t.Helper()
+		if got, err := json.Marshal(s); err != nil || string(got) != want {
+			t.Fatalf("span JSON = %s, %v\nwant %s", got, err, want)
+		}
+	}
+	const row = `{"name":"window","id":7,"device":"1","phases":[{"name":"compute","duration_ns":200000}]`
+	check(row + `}`)
+	s.Profile(time.Date(2024, 6, 24, 12, 0, 0, 0, time.UTC), true)
+	s.Add(StageCompute, 3*time.Microsecond)
+	s.Add(StageQueue, time.Microsecond)
+	s.allocs[StageCompute] = 2
+	check(row + `,"admitted":"2024-06-24T12:00:00Z","stage_ns":{"compute":3000,"queue":1000},"stage_allocs":{"compute":2,"queue":0}}`)
 }

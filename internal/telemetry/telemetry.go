@@ -16,6 +16,8 @@
 //     trace job ID, device, the pipeline phases (queue wait → SSD transfer
 //     → FPGA compute → verdict) and, when a profiler opened it, per-Stage
 //     host wall time — and a ring of recent completed records.
+//   - Ring, the bounded buffer every retained log uses, and ReadRuntime,
+//     the process's one runtime/metrics reader.
 //
 // Everything except a Span in flight is safe for concurrent use, and
 // everything is built only on the standard library; the rest of the stack
@@ -72,3 +74,33 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
+
+// Ring retains the most recent values in a fixed-capacity buffer: the one
+// ring behind the span log, the event log, closed incidents, SLO alert
+// transitions and the profiler's samples. It is not safe for concurrent
+// use; its owner holds the lock.
+type Ring[T any] struct {
+	buf  []T
+	next int
+}
+
+// NewRing builds a ring retaining the last capacity (> 0) values.
+func NewRing[T any](capacity int) Ring[T] { return Ring[T]{buf: make([]T, 0, capacity)} }
+
+// Put stores v, evicting the oldest value when full, and returns the slot
+// it landed in.
+func (r *Ring[T]) Put(v T) *T {
+	i := len(r.buf)
+	if i < cap(r.buf) {
+		r.buf = append(r.buf, v)
+	} else {
+		i, r.next = r.next, (r.next+1)%i
+		r.buf[i] = v
+	}
+	return &r.buf[i]
+}
+
+// Values returns a copy of the retained values, oldest first.
+func (r *Ring[T]) Values() []T {
+	return append(append(make([]T, 0, len(r.buf)), r.buf[r.next:]...), r.buf[:r.next]...)
+}
