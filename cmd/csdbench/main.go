@@ -25,6 +25,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -35,7 +36,6 @@ import (
 	"github.com/kfrida1/csdinf/internal/experiments"
 	"github.com/kfrida1/csdinf/internal/prof"
 	"github.com/kfrida1/csdinf/internal/quality"
-	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 func main() {
@@ -126,10 +126,21 @@ func writeBench(dir, experiment string, result any) error {
 		return err
 	}
 	path := filepath.Join(dir, "BENCH_"+experiment+".json")
-	if err := telemetry.WriteJSONFile(path, struct {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	doc := struct {
 		Experiment string `json:"experiment"`
 		Result     any    `json:"result"`
-	}{experiment, result}); err != nil {
+	}{experiment, result}
+	if err := enc.Encode(doc); err != nil {
+		f.Close()
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("(wrote %s)\n\n", path)

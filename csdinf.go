@@ -506,8 +506,8 @@ func NewTelemetry() *Telemetry { return telemetry.NewRegistry() }
 func NewSpanLog(capacity int) *SpanLog { return telemetry.NewSpanLog(capacity) }
 
 // NewTelemetryHandler returns an http.Handler serving the registry at
-// /metrics (Prometheus text format), /metrics.json (JSON snapshot plus
-// recent spans), /spans.json, and /healthz. spans may be nil.
+// /metrics (Prometheus text format), /metrics.json (JSON snapshot),
+// /spans.json (the span ring), and /healthz. spans may be nil.
 func NewTelemetryHandler(r *Telemetry, spans *SpanLog) http.Handler {
 	return telemetry.NewHTTPHandler(r, telemetry.HTTPOptions{Spans: spans})
 }

@@ -161,7 +161,8 @@ type Logger struct {
 	total atomic.Int64 // events past the level filter
 
 	mu   sync.Mutex
-	ring telemetry.Ring[Event]
+	ring []Event
+	next int
 
 	sinkMu sync.Mutex
 	sinks  []*attachedSink
@@ -174,7 +175,7 @@ type Logger struct {
 // New builds a logger from the configuration.
 func New(cfg Config) *Logger {
 	cfg.defaults()
-	l := &Logger{cfg: cfg, ring: telemetry.NewRing[Event](cfg.Ring)}
+	l := &Logger{cfg: cfg, ring: make([]Event, 0, cfg.Ring)}
 	l.min.Store(int32(cfg.MinLevel))
 	return l
 }
@@ -256,7 +257,12 @@ func (l *Logger) emit(ctx context.Context, lvl Level, component, name string, pi
 	l.total.Add(1)
 
 	l.mu.Lock()
-	l.ring.Put(ev)
+	if len(l.ring) < cap(l.ring) {
+		l.ring = append(l.ring, ev)
+	} else {
+		l.ring[l.next] = ev
+		l.next = (l.next + 1) % len(l.ring)
+	}
 	l.mu.Unlock()
 
 	l.sinkMu.Lock()
@@ -278,7 +284,10 @@ func (l *Logger) Recent() []Event {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.ring.Values()
+	out := make([]Event, 0, len(l.ring))
+	out = append(out, l.ring[l.next:]...)
+	out = append(out, l.ring[:l.next]...)
+	return out
 }
 
 // Total counts all events recorded past the level filter, including those

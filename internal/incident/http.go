@@ -1,9 +1,8 @@
 package incident
 
 import (
+	"encoding/json"
 	"net/http"
-
-	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 // HTTPHandler serves the incident history as JSON — the /incidents.json
@@ -40,6 +39,9 @@ func (r *Recorder) HTTPHandler() http.Handler {
 			Open      int        `json:"open"`
 			Incidents []Incident `json:"incidents"`
 		}{Total: r.Total(), Open: r.Open(), Incidents: incidents}
-		telemetry.ServeJSON(w, http.StatusOK, doc)
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(doc)
 	})
 }

@@ -168,7 +168,7 @@ type Recorder struct {
 	// tracked holds the per-PID state of the current epoch: a candidate
 	// (flagged=false) or an open incident.
 	tracked map[int]*state
-	closed  telemetry.Ring[Incident]
+	closed  []Incident
 	nextID  int64
 	opened  int64
 }
@@ -195,7 +195,7 @@ func NewRecorder(cfg Config) (*Recorder, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	return &Recorder{cfg: cfg, tracked: make(map[int]*state), closed: telemetry.NewRing[Incident](cfg.MaxClosed)}, nil
+	return &Recorder{cfg: cfg, tracked: make(map[int]*state)}, nil
 }
 
 // Window folds one classified window into the process's incident state.
@@ -319,7 +319,11 @@ func (r *Recorder) DeviceFailure(deviceID, reason string) Incident {
 	if r.cfg.Generation != nil {
 		inc.ModelGeneration = r.cfg.Generation()
 	}
-	r.closed.Put(inc)
+	if len(r.closed) >= r.cfg.MaxClosed {
+		drop := len(r.closed) - r.cfg.MaxClosed + 1
+		r.closed = append(r.closed[:0], r.closed[drop:]...)
+	}
+	r.closed = append(r.closed, inc)
 	r.mu.Unlock()
 	r.cfg.Events.LogDevice(context.Background(), eventlog.LevelError, "incident", "incident.device_failure", deviceID,
 		eventlog.F("incident_id", inc.ID),
@@ -352,7 +356,11 @@ func (r *Recorder) SLOBreach(objective, rule, reason string) Incident {
 	if r.cfg.Generation != nil {
 		inc.ModelGeneration = r.cfg.Generation()
 	}
-	r.closed.Put(inc)
+	if len(r.closed) >= r.cfg.MaxClosed {
+		drop := len(r.closed) - r.cfg.MaxClosed + 1
+		r.closed = append(r.closed[:0], r.closed[drop:]...)
+	}
+	r.closed = append(r.closed, inc)
 	r.mu.Unlock()
 	r.cfg.Events.Error(context.Background(), "incident", "incident.slo_breach",
 		eventlog.F("incident_id", inc.ID),
@@ -434,7 +442,11 @@ func (r *Recorder) closeLocked(pid int, st *state, reason string, at time.Time) 
 	st.inc.CloseReason = reason
 	st.inc.ClosedAt = at
 	delete(r.tracked, pid)
-	r.closed.Put(st.inc)
+	if len(r.closed) >= r.cfg.MaxClosed {
+		drop := len(r.closed) - r.cfg.MaxClosed + 1
+		r.closed = append(r.closed[:0], r.closed[drop:]...)
+	}
+	r.closed = append(r.closed, st.inc)
 }
 
 // Snapshot returns the incident history — closed incidents in close order,
@@ -449,9 +461,9 @@ func (r *Recorder) Snapshot() []Incident {
 }
 
 func (r *Recorder) snapshotLocked() []Incident {
-	out := r.closed.Values()
-	for i := range out {
-		out[i] = cloneIncident(out[i])
+	out := make([]Incident, 0, len(r.closed)+len(r.tracked))
+	for _, inc := range r.closed {
+		out = append(out, cloneIncident(inc))
 	}
 	var open []Incident
 	for _, st := range r.tracked {

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,6 +20,7 @@ import (
 	"github.com/kfrida1/csdinf/internal/kernels"
 	"github.com/kfrida1/csdinf/internal/serve"
 	"github.com/kfrida1/csdinf/internal/slo"
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 // stubTarget is a hermetic Target whose failure mode is flipped by chaos
@@ -164,18 +167,23 @@ func TestRunReportRenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var text, jsonBuf bytes.Buffer
+	var text bytes.Buffer
 	if err := res.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
 	if text.Len() == 0 {
 		t.Error("empty text report")
 	}
-	if err := res.WriteJSON(&jsonBuf); err != nil {
+	path := filepath.Join(t.TempDir(), "slo-report.json")
+	if err := telemetry.WriteJSONFile(path, res); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back Result
-	if err := json.Unmarshal(jsonBuf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("report JSON does not round-trip: %v", err)
 	}
 	if back.ScheduleDigest != res.ScheduleDigest {

@@ -3,6 +3,8 @@ package load
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"github.com/kfrida1/csdinf/internal/infer"
 	"github.com/kfrida1/csdinf/internal/kernels"
 	"github.com/kfrida1/csdinf/internal/quality"
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 // qualityStub is a perfect oracle Target: it reads the ground-truth label
@@ -204,11 +207,15 @@ func TestRunQualityReportRenders(t *testing.T) {
 			t.Errorf("text report missing %q:\n%s", want, out)
 		}
 	}
-	var jsonBuf bytes.Buffer
-	if err := res.WriteJSON(&jsonBuf); err != nil {
+	path := filepath.Join(t.TempDir(), "slo-report.json")
+	if err := telemetry.WriteJSONFile(path, res); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(jsonBuf.String(), `"quality"`) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"quality"`) {
 		t.Error("JSON report has no quality block")
 	}
 }

@@ -1,19 +1,10 @@
 package load
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 )
-
-// WriteJSON writes the result as an indented JSON artifact (the
-// slo-report.json CI uploads).
-func (r *Result) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
 
 // WriteText renders the human-facing attainment report.
 func (r *Result) WriteText(w io.Writer) error {

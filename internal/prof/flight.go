@@ -46,7 +46,9 @@ func (p *Profiler) Flight(reason string, incidentID int64) FlightDump {
 		Samples: p.ring.Values(),
 	}
 	p.mu.Unlock()
-	d.Requests = append([]telemetry.Span{}, p.cfg.Spans.Snapshot()...)
+	if d.Requests = p.cfg.Spans.Snapshot(); d.Requests == nil { // no Config.Spans
+		d.Requests = []telemetry.Span{}
+	}
 	if p.cfg.FlightExtra != nil {
 		d.Extra = p.cfg.FlightExtra()
 	}

@@ -151,7 +151,8 @@ func TestSamplerNeverStopsTheWorld(t *testing.T) {
 
 func TestBreakdownStagesAndContext(t *testing.T) {
 	spans := telemetry.NewSpanLog(8)
-	p := newManual(t, Config{Spans: spans})
+	reg := telemetry.NewRegistry()
+	p := newManual(t, Config{Telemetry: reg, Spans: spans})
 	b := &telemetry.Span{ID: 42}
 	p.Open(b)
 	ctx := telemetry.WithSpan(context.Background(), b)
@@ -187,6 +188,15 @@ func TestBreakdownStagesAndContext(t *testing.T) {
 	}
 	if stages["compute"].Count != 1 {
 		t.Fatalf("compute summary = %+v", stages["compute"])
+	}
+	// The per-request wall is the sum of the record's stage walls.
+	want := int64(b.Wall(telemetry.StageQueue) + b.Wall(telemetry.StageCompute))
+	if got := stages["queue"].TotalNS + stages["compute"].TotalNS; got != want {
+		t.Fatalf("stage totals sum to %d, want %d", got, want)
+	}
+	req := reg.Histogram("prof_request_wall_seconds", "", telemetry.Buckets{}).Snapshot()
+	if req.Count != 1 || req.Sum != want {
+		t.Fatalf("prof_request_wall_seconds count %d sum %d, want 1 and %d", req.Count, req.Sum, want)
 	}
 	if reqs := p.Flight("test", 0).Requests; len(reqs) != 1 || !reflect.DeepEqual(reqs[0], *b) {
 		t.Fatalf("flight requests = %+v, want the record %+v", reqs, *b)

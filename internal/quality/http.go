@@ -1,9 +1,8 @@
 package quality
 
 import (
+	"encoding/json"
 	"net/http"
-
-	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 // Handler serves the scorecard snapshot as the /quality.json document.
@@ -16,6 +15,9 @@ func (s *Scorecard) Handler() http.Handler {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		telemetry.ServeJSON(w, http.StatusOK, s.Snapshot())
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(s.Snapshot())
 	})
 }

@@ -120,7 +120,7 @@ type Evaluator struct {
 
 	mu     sync.Mutex
 	objs   []*objState
-	log    telemetry.Ring[AlertTransition]
+	log    []AlertTransition
 	opened int64
 }
 
@@ -138,7 +138,7 @@ func NewEvaluator(cfg Config) (*Evaluator, error) {
 	if cfg.MaxAlerts < 0 {
 		return nil, fmt.Errorf("slo: MaxAlerts must be positive, got %d", cfg.MaxAlerts)
 	}
-	e := &Evaluator{cfg: cfg, log: telemetry.NewRing[AlertTransition](cfg.MaxAlerts)}
+	e := &Evaluator{cfg: cfg}
 	now := cfg.Clock()
 	seen := make(map[string]bool, len(cfg.Objectives))
 	for i := range cfg.Objectives {
@@ -512,12 +512,16 @@ func (e *Evaluator) Evaluate() Status {
 			telemetry.L("objective", f.objective),
 			telemetry.L("rule", tr.Rule)).Inc()
 		e.mu.Lock()
-		e.log.Put(tr)
+		if len(e.log) >= e.cfg.MaxAlerts {
+			drop := len(e.log) - e.cfg.MaxAlerts + 1
+			e.log = append(e.log[:0], e.log[drop:]...)
+		}
+		e.log = append(e.log, tr)
 		e.mu.Unlock()
 	}
 
 	e.mu.Lock()
-	st.Alerts = e.log.Values()
+	st.Alerts = append([]AlertTransition(nil), e.log...)
 	st.IncidentsOpened = e.opened
 	e.mu.Unlock()
 	return st

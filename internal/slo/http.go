@@ -1,9 +1,8 @@
 package slo
 
 import (
+	"encoding/json"
 	"net/http"
-
-	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 // HTTPHandler serves the evaluator's current judgment as JSON — mount it at
@@ -18,6 +17,12 @@ func (e *Evaluator) HTTPHandler() http.Handler {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		telemetry.ServeJSON(w, http.StatusOK, e.Evaluate())
+		st := e.Evaluate()
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(st); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
 	})
 }

@@ -99,19 +99,23 @@ func escapeHelp(v string) string {
 }
 
 // WriteJSON writes the snapshot as an indented JSON document — the
-// machine-readable twin of WritePrometheus, used by the /metrics.json
-// endpoint and the BENCH_*.json emitters.
+// machine-readable twin of WritePrometheus, served at /metrics.json. An
+// empty registry writes "metrics": [], never null, like every JSON
+// endpoint in the stack.
 func (r *Registry) WriteJSON(w io.Writer) error {
+	metrics := r.Snapshot()
+	if metrics == nil {
+		metrics = []Metric{}
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(struct {
 		Metrics []Metric `json:"metrics"`
-	}{Metrics: r.Snapshot()})
+	}{Metrics: metrics})
 }
 
-// WriteJSONFile writes doc to path as the indented JSON artifact every
-// file-writing surface of the stack produces (BENCH_*.json, flight dumps,
-// reports): the bytes ServeJSON would serve.
+// WriteJSONFile writes doc to path as an indented JSON artifact (flight
+// dumps, prof.json, csdload's reports): the bytes ServeJSON would serve.
 func WriteJSONFile(path string, doc any) error {
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -73,7 +73,7 @@ type HTTPOptions struct {
 // cmd/csdload's -metrics-addr flag:
 //
 //	/metrics       Prometheus text exposition
-//	/metrics.json  JSON snapshot (plus recent spans when a log is given)
+//	/metrics.json  JSON snapshot of the registry
 //	/spans.json    the SpanLog ring: recent per-request records, both clocks
 //	/healthz       liveness probe: status, build identification (module,
 //	               version, go version, VCS revision), and process uptime
@@ -93,16 +93,8 @@ func NewHTTPHandler(r *Registry, opts HTTPOptions) http.Handler {
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		ReadRuntime(r, nil)
-		// Zero state serializes as [], never null, like every JSON
-		// endpoint in the stack.
-		metrics := r.Snapshot()
-		if metrics == nil {
-			metrics = []Metric{}
-		}
-		ServeJSON(w, http.StatusOK, struct {
-			Metrics []Metric `json:"metrics"`
-			Spans   []Span   `json:"recent_spans,omitempty"`
-		}{Metrics: metrics, Spans: spans.Snapshot()})
+		w.Header().Set("Content-Type", "application/json")
+		_ = r.WriteJSON(w)
 	})
 	mux.HandleFunc("/spans.json", func(w http.ResponseWriter, _ *http.Request) {
 		snap := spans.Snapshot()

@@ -16,8 +16,9 @@
 //     trace job ID, device, the pipeline phases (queue wait → SSD transfer
 //     → FPGA compute → verdict) and, when a profiler opened it, per-Stage
 //     host wall time — and a ring of recent completed records.
-//   - Ring, the bounded buffer every retained log uses, and ReadRuntime,
-//     the process's one runtime/metrics reader.
+//   - Ring, the bounded buffer behind the span log and the profiler's
+//     sample ring, and ReadRuntime, the process's one runtime/metrics
+//     reader.
 //
 // Everything except a Span in flight is safe for concurrent use, and
 // everything is built only on the standard library; the rest of the stack
@@ -75,10 +76,9 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Ring retains the most recent values in a fixed-capacity buffer: the one
-// ring behind the span log, the event log, closed incidents, SLO alert
-// transitions and the profiler's samples. It is not safe for concurrent
-// use; its owner holds the lock.
+// Ring retains the most recent values in a fixed-capacity buffer: the
+// span log's records and the profiler's runtime samples. It is not safe
+// for concurrent use; its owner holds the lock.
 type Ring[T any] struct {
 	buf  []T
 	next int
