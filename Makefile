@@ -20,26 +20,26 @@ bench-json:
 	$(GO) run ./cmd/csdbench -experiment table2 -json $(BENCH_JSON_DIR)
 	$(GO) run ./cmd/csdbench -experiment energy -json $(BENCH_JSON_DIR)
 
-# bench-gate regenerates the table1, fleet, wallclock, and quality results
-# and fails (nonzero exit) when classification throughput or any platform's
-# per-item latency regressed more than ±15%, the fleet's serving throughput /
-# p99 queue wait regressed more than ±50% (wall-clock benchmark), the
-# instrumented serve path's ns/op (±50%) or allocs/op (±25%) regressed, or
-# detection quality slipped (recall / detection latency ±15%, FPR +0.02
-# absolute, drift PSI +0.2 absolute), against the checked-in baselines.
-# Refresh a baseline deliberately by copying a trusted BENCH_<x>.json over
-# the matching bench-results/baseline-<x>.json (plain baseline.json for
-# table1); refresh the drift reference with
-# csdbench -experiment quality -quality-write-reference.
+# bench-gate regenerates the fig3, table1, wallclock and quality results and
+# makes one cmd/benchdiff call, which checks every row of its manifest
+# against the checked-in bench-results/baseline-<source>.json and exits
+# nonzero when any row fails. Row kinds:
+#   exact  the JSON subtree must equal the baseline's. Simulated device time
+#          (Table I rows, FPGA items/s, Fig. 3) and the seeded quality
+#          scorecard are deterministic, so any change fails, better or worse.
+#   max    lower is better; fresh may not exceed baseline × (1 + tolerance).
+#          The wallclock self-audit's allocs/op and B/op gate at 1%.
+# Host wall time is not gated here; hostbench (bash hostbench/run.sh) owns it.
+# Re-pin a source deliberately: copy a trusted BENCH_<source>.json over
+# bench-results/baseline-<source>.json and say why in CHANGES.md. Refresh
+# the drift reference with csdbench -experiment quality
+# -quality-write-reference.
 bench-gate:
+	$(GO) run ./cmd/csdbench -experiment fig3 -json $(BENCH_JSON_DIR)
 	$(GO) run ./cmd/csdbench -experiment table1 -measure-go=false -json $(BENCH_JSON_DIR)
-	$(GO) run ./cmd/csdbench -experiment fleet -json $(BENCH_JSON_DIR)
 	$(GO) run ./cmd/csdbench -experiment wallclock -json $(BENCH_JSON_DIR)
 	$(GO) run ./cmd/csdbench -experiment quality -json $(BENCH_JSON_DIR)
-	$(GO) run ./cmd/benchdiff -fresh $(BENCH_JSON_DIR)/BENCH_table1.json \
-		-fleet-fresh $(BENCH_JSON_DIR)/BENCH_fleet.json \
-		-wallclock-fresh $(BENCH_JSON_DIR)/BENCH_wallclock.json \
-		-quality-fresh $(BENCH_JSON_DIR)/BENCH_quality.json
+	$(GO) run ./cmd/benchdiff -fresh $(BENCH_JSON_DIR) -baselines bench-results
 
 # smoke replays the ransomware demo with full forensics on: the JSON-lines
 # event stream and one incident report per flagged process land next to the

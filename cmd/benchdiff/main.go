@@ -1,35 +1,41 @@
-// Command benchdiff is the benchmark regression gate: it compares fresh
-// BENCH_table1.json, BENCH_fleet.json, BENCH_wallclock.json, and
-// BENCH_quality.json results (written by `make bench-gate` / cmd/csdbench)
-// against the checked-in baselines and fails — with a nonzero exit — when
-// the FPGA classification throughput, any platform's per-item latency, the
-// fleet's serving throughput, the fleet-wide p99 queue wait, the
-// instrumented serve path's per-request wall-clock or allocation count, or
-// the detection-quality scorecard (recall, false-positive rate,
-// windows-to-flag quantiles, score-drift PSI) regressed beyond the
-// tolerance.
+// Command benchdiff is the benchmark regression gate. One manifest of rows
+// {source, path, kind, tolerance} names every gated number: each row
+// compares the JSON subtree at path between the checked-in
+// baseline-<source>.json and the fresh BENCH_<source>.json that
+// cmd/csdbench -experiment <source> -json writes. The gate exits nonzero when
+// any row fails. There are two kinds of row:
 //
-// The simulated device timings are deterministic, so the default ±15%
-// table1 tolerance exists for the host-measured rows (CPU wall time varies
-// with the runner) while still catching real modeling or scheduling
-// regressions. The fleet benchmark is wall-clock end to end, so its gate
-// uses a wider default (±50%) that still catches structural scheduling
-// regressions (a lost device, a serialization bug) without flaking on
-// runner noise.
+//   - exact: the subtrees must be deep-equal. Simulated device timings
+//     (Table I, Fig. 3) and the seeded detection-quality scorecard are
+//     deterministic, so any change — better or worse — is either a bug or a
+//     deliberate re-pin.
+//   - max: a lower-is-better number may not exceed baseline × (1 +
+//     tolerance). It gates the observability self-audit's allocs/op and
+//     B/op, which repeat to well under 1% between runs.
+//
+// Host wall time is not gated here: hostbench owns it, with its own
+// per-layer ladder and bounds.
+//
+// Re-pin a source by copying a trusted BENCH_<source>.json over
+// baseline-<source>.json and saying why in CHANGES.md.
 //
 // Usage:
 //
-//	benchdiff                                 # compare bench-results defaults
-//	benchdiff -fresh out/BENCH_table1.json -baseline bench-results/baseline.json
-//	benchdiff -tolerance 0.10
-//	benchdiff -fleet-fresh "" 	              # skip the fleet gate
+//	benchdiff                                  # both directories default to bench-results
+//	benchdiff -fresh out -baselines bench-results
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 func main() {
@@ -39,267 +45,203 @@ func main() {
 	}
 }
 
-// benchDoc is the subset of cmd/csdbench's BENCH_table1.json the gate
-// compares; unknown fields (confidence intervals, trace profiles) are
-// ignored.
-type benchDoc struct {
-	Experiment string `json:"experiment"`
-	Result     struct {
-		Rows []struct {
-			Platform string  `json:"Platform"`
-			MeanUS   float64 `json:"MeanUS"`
-		} `json:"Rows"`
-		FPGAItemsPerSecond float64 `json:"fpga_items_per_second"`
-	} `json:"result"`
+type kind string
+
+const (
+	exact  kind = "exact"
+	atMost kind = "max"
+)
+
+// row is one gated subtree of one source's result document.
+type row struct {
+	source    string
+	path      string // dot-separated keys from the document root
+	kind      kind
+	tolerance float64 // max rows only: relative headroom over baseline
 }
 
-// fleetDoc is the subset of BENCH_fleet.json the gate compares.
-type fleetDoc struct {
-	Experiment string `json:"experiment"`
-	Result     struct {
-		WindowsPerSecond float64 `json:"windows_per_second"`
-		QueueWaitP99US   float64 `json:"queue_wait_p99_us"`
-	} `json:"result"`
+var manifest = []row{
+	{"table1", "result.Rows", exact, 0},
+	{"table1", "result.fpga_items_per_second", exact, 0},
+
+	{"fig3", "result", exact, 0},
+
+	{"quality", "result.recall", exact, 0},
+	{"quality", "result.fpr", exact, 0},
+	{"quality", "result.precision", exact, 0},
+	{"quality", "result.accuracy", exact, 0},
+	{"quality", "result.windows_to_flag_p50", exact, 0},
+	{"quality", "result.windows_to_flag_p99", exact, 0},
+	{"quality", "result.bytes_at_risk_p50", exact, 0},
+	{"quality", "result.bytes_at_risk_p99", exact, 0},
+	{"quality", "result.drift_psi", exact, 0},
+	{"quality", "result.drifted", exact, 0},
+	{"quality", "result.snapshot.windows", exact, 0},
+	{"quality", "result.snapshot.labeled", exact, 0},
+	{"quality", "result.snapshot.unlabeled", exact, 0},
+	{"quality", "result.snapshot.confusion", exact, 0},
+	{"quality", "result.snapshot.families", exact, 0},
+	{"quality", "result.snapshot.processes", exact, 0},
+	{"quality", "result.snapshot.windows_to_flag", exact, 0},
+	{"quality", "result.snapshot.bytes_at_risk", exact, 0},
+	{"quality", "result.snapshot.score_bins", exact, 0},
+	{"quality", "result.snapshot.drift", exact, 0},
+
+	{"wallclock", "result.instrumented.allocs_per_op", atMost, 0.01},
+	{"wallclock", "result.instrumented.bytes_per_op", atMost, 0.01},
 }
 
-// wallclockDoc is the subset of BENCH_wallclock.json the gate compares:
-// the instrumented leg's per-request wall-clock and allocation costs from
-// the observability self-audit (cmd/csdbench -experiment wallclock).
-type wallclockDoc struct {
-	Experiment string `json:"experiment"`
-	Result     struct {
-		Instrumented struct {
-			NSPerOp     float64 `json:"ns_per_op"`
-			AllocsPerOp float64 `json:"allocs_per_op"`
-		} `json:"instrumented"`
-	} `json:"result"`
-}
-
-// qualityDoc is the subset of BENCH_quality.json the gate compares: the
-// detection-quality scorecard headline numbers from csdbench's quality
-// experiment.
-type qualityDoc struct {
-	Experiment string `json:"experiment"`
-	Result     struct {
-		Recall           float64 `json:"recall"`
-		FPR              float64 `json:"fpr"`
-		WindowsToFlagP50 float64 `json:"windows_to_flag_p50"`
-		WindowsToFlagP99 float64 `json:"windows_to_flag_p99"`
-		BytesAtRiskP99   float64 `json:"bytes_at_risk_p99"`
-		DriftPSI         float64 `json:"drift_psi"`
-	} `json:"result"`
-}
-
-func readJSON(path string, doc any) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(data, doc); err != nil {
-		return fmt.Errorf("parse %s: %w", path, err)
-	}
-	return nil
-}
-
-func readDoc(path string) (*benchDoc, error) {
-	var doc benchDoc
-	if err := readJSON(path, &doc); err != nil {
-		return nil, err
-	}
-	return &doc, nil
-}
-
-func run(args []string, out *os.File) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
-	fresh := fs.String("fresh", "bench-results/BENCH_table1.json", "freshly produced benchmark result")
-	baseline := fs.String("baseline", "bench-results/baseline.json", "checked-in baseline to compare against")
-	tolerance := fs.Float64("tolerance", 0.15, "relative regression tolerance (0.15 = ±15%)")
-	fleetFresh := fs.String("fleet-fresh", "bench-results/BENCH_fleet.json", "freshly produced fleet benchmark result (empty: skip the fleet gate)")
-	fleetBaseline := fs.String("fleet-baseline", "bench-results/baseline-fleet.json", "checked-in fleet baseline")
-	fleetTolerance := fs.Float64("fleet-tolerance", 0.50, "fleet regression tolerance (wall-clock benchmark, wider by default)")
-	wcFresh := fs.String("wallclock-fresh", "bench-results/BENCH_wallclock.json", "freshly produced wallclock self-audit result (empty: skip the wallclock gate)")
-	wcBaseline := fs.String("wallclock-baseline", "bench-results/baseline-wallclock.json", "checked-in wallclock baseline")
-	wcTolerance := fs.Float64("wallclock-tolerance", 0.50, "instrumented ns/op regression tolerance (wall-clock benchmark, wide by default)")
-	wcAllocTolerance := fs.Float64("wallclock-alloc-tolerance", 0.25, "instrumented allocs/op regression tolerance (allocation counts are stable, tighter)")
-	qFresh := fs.String("quality-fresh", "bench-results/BENCH_quality.json", "freshly produced detection-quality result (empty: skip the quality gate)")
-	qBaseline := fs.String("quality-baseline", "bench-results/baseline-quality.json", "checked-in detection-quality baseline")
-	qTolerance := fs.Float64("quality-tolerance", 0.15, "relative tolerance for recall and windows-to-flag/bytes-at-risk quantiles")
-	qFPRSlack := fs.Float64("quality-fpr-slack", 0.02, "absolute false-positive-rate headroom over baseline (relative deltas blow up when the baseline FPR is 0)")
-	qPSISlack := fs.Float64("quality-psi-slack", 0.2, "absolute drift-PSI headroom over baseline (0.2 = the conventional significant-shift boundary)")
+	freshDir := fs.String("fresh", "bench-results", "directory holding the fresh BENCH_<source>.json results")
+	baseDir := fs.String("baselines", "bench-results", "directory holding the checked-in baseline-<source>.json files")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *tolerance <= 0 || *tolerance >= 1 {
-		return fmt.Errorf("tolerance %v outside (0, 1)", *tolerance)
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
-	if *fleetFresh != "" && (*fleetTolerance <= 0 || *fleetTolerance >= 1) {
-		return fmt.Errorf("fleet-tolerance %v outside (0, 1)", *fleetTolerance)
-	}
-	if *wcFresh != "" && (*wcTolerance <= 0 || *wcTolerance >= 1 || *wcAllocTolerance <= 0 || *wcAllocTolerance >= 1) {
-		return fmt.Errorf("wallclock tolerances (%v, %v) outside (0, 1)", *wcTolerance, *wcAllocTolerance)
-	}
-	if *qFresh != "" && (*qTolerance <= 0 || *qTolerance >= 1 || *qFPRSlack <= 0 || *qPSISlack <= 0) {
-		return fmt.Errorf("quality tolerances (%v, %v, %v) invalid", *qTolerance, *qFPRSlack, *qPSISlack)
-	}
+	return gate(*freshDir, *baseDir, out)
+}
 
-	base, err := readDoc(*baseline)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	cur, err := readDoc(*fresh)
-	if err != nil {
-		return fmt.Errorf("fresh result: %w", err)
-	}
-	if base.Experiment != cur.Experiment {
-		return fmt.Errorf("experiment mismatch: baseline %q vs fresh %q", base.Experiment, cur.Experiment)
-	}
-
-	var regressions []string
-	reportAt := func(metric string, baseVal, curVal, tol float64, higherIsBetter bool) {
-		delta := (curVal - baseVal) / baseVal
-		status := "ok"
-		regressed := false
-		if higherIsBetter {
-			regressed = delta < -tol
-		} else {
-			regressed = delta > tol
-		}
-		if regressed {
-			status = "REGRESSION"
-			regressions = append(regressions,
-				fmt.Sprintf("%s: baseline %.4g, fresh %.4g (%+.1f%%)", metric, baseVal, curVal, 100*delta))
-		}
-		fmt.Fprintf(out, "%-44s baseline %12.4g  fresh %12.4g  %+7.1f%%  %s\n",
-			metric, baseVal, curVal, 100*delta, status)
-	}
-	report := func(metric string, baseVal, curVal float64, higherIsBetter bool) {
-		reportAt(metric, baseVal, curVal, *tolerance, higherIsBetter)
-	}
-
-	// Throughput: classifications per second on the in-storage engine.
-	if base.Result.FPGAItemsPerSecond > 0 {
-		report("throughput fpga_items_per_second", base.Result.FPGAItemsPerSecond,
-			cur.Result.FPGAItemsPerSecond, true)
-	}
-
-	// Latency: per-item mean for every platform the baseline covers.
-	freshRows := make(map[string]float64, len(cur.Result.Rows))
-	for _, row := range cur.Result.Rows {
-		freshRows[row.Platform] = row.MeanUS
-	}
-	for _, row := range base.Result.Rows {
-		curUS, ok := freshRows[row.Platform]
-		if !ok || curUS <= 0 {
-			regressions = append(regressions,
-				fmt.Sprintf("latency %s: missing from fresh result", row.Platform))
-			fmt.Fprintf(out, "%-44s baseline %12.4g  fresh %12s  %8s  REGRESSION\n",
-				"latency "+row.Platform+" mean_us", row.MeanUS, "absent", "")
-			continue
-		}
-		report("latency "+row.Platform+" mean_us", row.MeanUS, curUS, false)
-	}
-
-	// Fleet: rack-scale throughput (higher is better) and fleet-wide p99
-	// queue wait (lower is better), at the wider wall-clock tolerance.
-	if *fleetFresh != "" {
-		var fleetBase, fleetCur fleetDoc
-		if err := readJSON(*fleetBaseline, &fleetBase); err != nil {
-			return fmt.Errorf("fleet baseline: %w", err)
-		}
-		if err := readJSON(*fleetFresh, &fleetCur); err != nil {
-			return fmt.Errorf("fresh fleet result: %w", err)
-		}
-		if fleetBase.Experiment != fleetCur.Experiment {
-			return fmt.Errorf("experiment mismatch: baseline %q vs fresh %q",
-				fleetBase.Experiment, fleetCur.Experiment)
-		}
-		reportAt("fleet windows_per_second", fleetBase.Result.WindowsPerSecond,
-			fleetCur.Result.WindowsPerSecond, *fleetTolerance, true)
-		reportAt("fleet queue_wait_p99_us", fleetBase.Result.QueueWaitP99US,
-			fleetCur.Result.QueueWaitP99US, *fleetTolerance, false)
-	}
-
-	// Wallclock self-audit: the instrumented leg's per-request wall-clock
-	// (lower is better, wide tolerance — host timing varies with the
-	// runner) and allocation count (lower is better, tighter tolerance —
-	// the allocation profile of the observability path is deterministic,
-	// so a breach means new per-request allocations crept in).
-	if *wcFresh != "" {
-		var wcBase, wcCur wallclockDoc
-		if err := readJSON(*wcBaseline, &wcBase); err != nil {
-			return fmt.Errorf("wallclock baseline: %w", err)
-		}
-		if err := readJSON(*wcFresh, &wcCur); err != nil {
-			return fmt.Errorf("fresh wallclock result: %w", err)
-		}
-		if wcBase.Experiment != wcCur.Experiment {
-			return fmt.Errorf("experiment mismatch: baseline %q vs fresh %q",
-				wcBase.Experiment, wcCur.Experiment)
-		}
-		reportAt("wallclock instrumented ns_per_op", wcBase.Result.Instrumented.NSPerOp,
-			wcCur.Result.Instrumented.NSPerOp, *wcTolerance, false)
-		reportAt("wallclock instrumented allocs_per_op", wcBase.Result.Instrumented.AllocsPerOp,
-			wcCur.Result.Instrumented.AllocsPerOp, *wcAllocTolerance, false)
-	}
-
-	// Detection quality: recall (higher is better) and the detection-latency
-	// quantiles (lower is better) gate relatively; FPR and drift PSI gate on
-	// absolute slack because their baselines can legitimately be 0, where a
-	// relative delta is meaningless.
-	if *qFresh != "" {
-		var qBase, qCur qualityDoc
-		if err := readJSON(*qBaseline, &qBase); err != nil {
-			return fmt.Errorf("quality baseline: %w", err)
-		}
-		if err := readJSON(*qFresh, &qCur); err != nil {
-			return fmt.Errorf("fresh quality result: %w", err)
-		}
-		if qBase.Experiment != qCur.Experiment {
-			return fmt.Errorf("experiment mismatch: baseline %q vs fresh %q",
-				qBase.Experiment, qCur.Experiment)
-		}
-		reportAbs := func(metric string, baseVal, curVal, slack float64) {
-			status := "ok"
-			if curVal > baseVal+slack {
-				status = "REGRESSION"
-				regressions = append(regressions,
-					fmt.Sprintf("%s: baseline %.4g, fresh %.4g (slack %.4g)", metric, baseVal, curVal, slack))
+// gate checks every manifest row, printing one line each, and fails with
+// the list of failed rows. Unreadable inputs — a missing file, a path absent on either
+// side, an experiment mismatch — fail at once.
+func gate(freshDir, baseDir string, out io.Writer) error {
+	type pair struct{ base, fresh map[string]any }
+	docs := map[string]pair{}
+	var failed []string
+	for _, r := range manifest {
+		p, ok := docs[r.source]
+		if !ok {
+			base, err := readDoc(filepath.Join(baseDir, "baseline-"+r.source+".json"))
+			if err != nil {
+				return err
 			}
-			fmt.Fprintf(out, "%-44s baseline %12.4g  fresh %12.4g  %9s  %s\n",
-				metric, baseVal, curVal, fmt.Sprintf("+%.4g max", slack), status)
+			fresh, err := readDoc(filepath.Join(freshDir, "BENCH_"+r.source+".json"))
+			if err != nil {
+				return err
+			}
+			if base["experiment"] != fresh["experiment"] {
+				return fmt.Errorf("%s: experiment mismatch: baseline %v vs fresh %v",
+					r.source, base["experiment"], fresh["experiment"])
+			}
+			p = pair{base, fresh}
+			docs[r.source] = p
 		}
-		reportAt("quality recall", qBase.Result.Recall, qCur.Result.Recall, *qTolerance, true)
-		if qBase.Result.WindowsToFlagP50 > 0 {
-			reportAt("quality windows_to_flag_p50", qBase.Result.WindowsToFlagP50,
-				qCur.Result.WindowsToFlagP50, *qTolerance, false)
+		base, err := lookup(p.base, r.path)
+		if err != nil {
+			return fmt.Errorf("baseline-%s.json: %w", r.source, err)
 		}
-		if qBase.Result.WindowsToFlagP99 > 0 {
-			reportAt("quality windows_to_flag_p99", qBase.Result.WindowsToFlagP99,
-				qCur.Result.WindowsToFlagP99, *qTolerance, false)
+		fresh, err := lookup(p.fresh, r.path)
+		if err != nil {
+			return fmt.Errorf("BENCH_%s.json: %w", r.source, err)
 		}
-		if qBase.Result.BytesAtRiskP99 > 0 {
-			reportAt("quality bytes_at_risk_p99", qBase.Result.BytesAtRiskP99,
-				qCur.Result.BytesAtRiskP99, *qTolerance, false)
+		status := "ok"
+		if msg := r.check(base, fresh); msg != "" {
+			status = "FAIL " + msg
+			failed = append(failed, r.source+" "+msg)
+		} else if r.kind == atMost {
+			status += fmt.Sprintf(" (baseline %v, fresh %v)", base, fresh)
 		}
-		reportAbs("quality fpr", qBase.Result.FPR, qCur.Result.FPR, *qFPRSlack)
-		reportAbs("quality drift_psi", qBase.Result.DriftPSI, qCur.Result.DriftPSI, *qPSISlack)
+		fmt.Fprintf(out, "%-10s %-36s %-5s %s\n", r.source, r.path, r.kind, status)
 	}
-
-	if len(regressions) > 0 {
-		return fmt.Errorf("%d benchmark regression(s) beyond tolerance:\n  %s",
-			len(regressions), joinLines(regressions))
+	if len(failed) > 0 {
+		return fmt.Errorf("%d of %d rows differ from baseline:\n  %s",
+			len(failed), len(manifest), strings.Join(failed, "\n  "))
 	}
-	fmt.Fprintf(out, "benchdiff: all metrics within tolerance of baseline\n")
+	fmt.Fprintf(out, "benchdiff: all %d rows match baseline\n", len(manifest))
 	return nil
 }
 
-func joinLines(lines []string) string {
-	out := ""
-	for i, l := range lines {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += l
+// check returns "" when fresh passes the row against base, else why not.
+func (r row) check(base, fresh any) string {
+	if r.kind == exact {
+		return firstDiff(r.path, base, fresh)
 	}
-	return out
+	b, okB := base.(float64)
+	f, okF := fresh.(float64)
+	if !okB || !okF {
+		return fmt.Sprintf("%s: want numbers, have baseline %s, fresh %s", r.path, show(base), show(fresh))
+	}
+	if limit := b * (1 + r.tolerance); f > limit {
+		return fmt.Sprintf("%s: fresh %v over baseline %v × %v = %v", r.path, f, b, 1+r.tolerance, limit)
+	}
+	return ""
+}
+
+func readDoc(path string) (map[string]any, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, fmt.Errorf("parse %s: %w", path, err)
+	}
+	return doc, nil
+}
+
+// lookup walks path's dot-separated keys from doc's root.
+func lookup(doc any, path string) (any, error) {
+	v := doc
+	for _, key := range strings.Split(path, ".") {
+		m, _ := v.(map[string]any)
+		next, ok := m[key]
+		if !ok {
+			return nil, fmt.Errorf("no %q", path)
+		}
+		v = next
+	}
+	return v, nil
+}
+
+// firstDiff returns "" when the decoded JSON values a and b are deep-equal,
+// else the first differing leaf (in key order) with both sides.
+func firstDiff(path string, a, b any) string {
+	switch a := a.(type) {
+	case map[string]any:
+		bm, ok := b.(map[string]any)
+		if !ok || len(a) != len(bm) {
+			break
+		}
+		for _, k := range slices.Sorted(maps.Keys(a)) {
+			bv, ok := bm[k]
+			if !ok {
+				return fmt.Sprintf("%s.%s: absent from fresh", path, k)
+			}
+			if d := firstDiff(path+"."+k, a[k], bv); d != "" {
+				return d
+			}
+		}
+		return ""
+	case []any:
+		bs, ok := b.([]any)
+		if !ok || len(a) != len(bs) {
+			break
+		}
+		for i := range a {
+			if d := firstDiff(path+"["+strconv.Itoa(i)+"]", a[i], bs[i]); d != "" {
+				return d
+			}
+		}
+		return ""
+	default:
+		if a == b {
+			return ""
+		}
+	}
+	return fmt.Sprintf("%s: baseline %s, fresh %s", path, show(a), show(b))
+}
+
+// show renders a decoded JSON value for a failure line, shortened.
+func show(v any) string {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Sprint(v)
+	}
+	if s := string(data); len(s) <= 60 {
+		return s
+	}
+	return string(data[:57]) + "..."
 }

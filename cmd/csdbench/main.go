@@ -13,8 +13,12 @@
 //	csdbench -experiment energy               # energy per inference item
 //	csdbench -experiment latency              # calls-to-mitigation per family
 //	csdbench -experiment models               # LSTM vs snapshot baseline
-//	csdbench -experiment fleet -nodes 4       # rack-scale fleet throughput/p99
 //	csdbench -experiment wallclock            # observability-overhead self-audit
+//	csdbench -experiment quality              # detection-quality scorecard
+//
+// With -json DIR each experiment also writes DIR/BENCH_<experiment>.json;
+// cmd/benchdiff gates the fig3, table1, wallclock and quality documents
+// against the checked-in bench-results/baseline-<experiment>.json.
 //
 // Pass -prof to run the continuous profiler alongside any experiment and
 // write its snapshot to <prof-dir>/prof.json on exit.
@@ -25,7 +29,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -36,6 +39,7 @@ import (
 	"github.com/kfrida1/csdinf/internal/experiments"
 	"github.com/kfrida1/csdinf/internal/prof"
 	"github.com/kfrida1/csdinf/internal/quality"
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 func main() {
@@ -47,7 +51,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("csdbench", flag.ContinueOnError)
-	experiment := fs.String("experiment", "all", "fig3 | table1 | fig4 | metrics | table2 | energy | latency | models | window | fleet | wallclock | quality | all")
+	experiment := fs.String("experiment", "all", "fig3 | table1 | fig4 | metrics | table2 | energy | latency | models | window | wallclock | quality | all")
 	trials := fs.Int("trials", 1000, "CPU/GPU latency samples for table1")
 	epochs := fs.Int("epochs", 40, "training epochs for fig4/metrics")
 	seed := fs.Int64("seed", 1, "seed for all randomized stages")
@@ -55,7 +59,6 @@ func run(args []string) error {
 	measureGo := fs.Bool("measure-go", true, "include the plain-Go CPU measurement in table1")
 	jsonDir := fs.String("json", "", "directory to also write results as BENCH_<experiment>.json (empty: off)")
 	tracePath := fs.String("trace", "", "with table1: run the traced serving demo and write a Chrome trace (Perfetto-loadable) to this file")
-	nodes := fs.Int("nodes", 4, "CSD node count for the fleet experiment")
 	iterations := fs.Int("iterations", 2000, "measured requests per leg for the wallclock self-audit")
 	profOn := fs.Bool("prof", false, "run the continuous profiler during the experiment")
 	profDir := fs.String("prof-dir", "bench-results", "with -prof: directory for the prof.json snapshot artifact")
@@ -92,7 +95,6 @@ func run(args []string) error {
 		"latency": func() error { return runLatency(*jsonDir, *epochs, *seed) },
 		"models":  func() error { return runModels(*jsonDir, *epochs, *seed) },
 		"window":  func() error { return runWindowSweep(*jsonDir, *seed) },
-		"fleet":   func() error { return runFleet(*jsonDir, *nodes, *seed) },
 		"wallclock": func() error {
 			return runWallClock(*jsonDir, *iterations, *seed)
 		},
@@ -111,7 +113,7 @@ func run(args []string) error {
 	}
 	r, ok := runs[*experiment]
 	if !ok {
-		return fmt.Errorf("unknown experiment %q (want fig3, table1, fig4, metrics, table2, energy, latency, models, window, fleet, wallclock, quality, all)", *experiment)
+		return fmt.Errorf("unknown experiment %q (want fig3, table1, fig4, metrics, table2, energy, latency, models, window, wallclock, quality, all)", *experiment)
 	}
 	return r()
 }
@@ -126,21 +128,11 @@ func writeBench(dir, experiment string, result any) error {
 		return err
 	}
 	path := filepath.Join(dir, "BENCH_"+experiment+".json")
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
 	doc := struct {
 		Experiment string `json:"experiment"`
 		Result     any    `json:"result"`
 	}{experiment, result}
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
+	if err := telemetry.WriteJSONFile(path, doc); err != nil {
 		return err
 	}
 	fmt.Printf("(wrote %s)\n\n", path)
@@ -321,17 +313,6 @@ func runModels(jsonDir string, epochs int, seed int64) error {
 	fmt.Print(experiments.FormatModelSelection(res))
 	fmt.Println()
 	return writeBench(jsonDir, "models", res)
-}
-
-func runFleet(jsonDir string, nodes int, seed int64) error {
-	fmt.Println("=== Fleet: rack-scale serving throughput and queue wait (extension) ===")
-	res, err := experiments.FleetRun(experiments.FleetRunConfig{Nodes: nodes, Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.FormatFleet(res))
-	fmt.Println()
-	return writeBench(jsonDir, "fleet", res)
 }
 
 func runWallClock(jsonDir string, iterations int, seed int64) error {

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/kfrida1/csdinf/internal/dataset"
@@ -22,32 +23,43 @@ import (
 	"github.com/kfrida1/csdinf/internal/train"
 )
 
-// trainedWeights quick-trains a small model and exports it for the CLI.
-func trainedWeights(t *testing.T) string {
-	t.Helper()
+// testWeights quick-trains a small model once per package run and keeps
+// its exported weights. Training is seeded, so every test sees the same
+// bytes it would see training its own copy.
+var testWeights = sync.OnceValues(func() ([]byte, error) {
 	ds, err := dataset.Build(dataset.BuildConfig{
 		RansomwareCount: 456, BenignCount: 465, Seed: 1,
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	trainDS, testDS, err := ds.Split(0.2, 2)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	res, err := train.Train(trainDS, testDS, train.Config{
 		Epochs: 8, Seed: 3, TargetAccuracy: 0.95,
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	path := filepath.Join(t.TempDir(), "w.txt")
-	f, err := os.Create(path)
+	var buf bytes.Buffer
+	if err := res.Model.WriteText(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+})
+
+// trainedWeights writes the package's quick-trained model into the test's
+// temp dir for the CLI.
+func trainedWeights(t *testing.T) string {
+	t.Helper()
+	data, err := testWeights()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if err := res.Model.WriteText(f); err != nil {
+	path := filepath.Join(t.TempDir(), "w.txt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path

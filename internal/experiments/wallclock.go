@@ -24,9 +24,10 @@ import (
 // per-stage allocation counting) and once with every collaborator nil — and
 // the host wall-clock and allocation cost per request compared. The paper
 // claims CSD inference frees host resources; this experiment keeps the
-// repo honest about how much host the *instrumentation* takes back, and
-// feeds the wallclock regression gate (BENCH_wallclock.json, diffed by
-// cmd/benchdiff against bench-results/baseline-wallclock.json).
+// repo honest about how much host the *instrumentation* takes back. Its
+// instrumented allocs/op and B/op (BENCH_wallclock.json) are bench-gate
+// rows; cmd/benchdiff holds them within 1% of
+// bench-results/baseline-wallclock.json.
 
 // WallClockConfig controls the self-audit.
 type WallClockConfig struct {
