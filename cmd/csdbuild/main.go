@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/kfrida1/csdinf/internal/drc"
@@ -31,13 +32,15 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "csdbuild:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run builds the configuration named by args and writes the build report
+// (and, with -drc, the design-rule report) to w.
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("csdbuild", flag.ContinueOnError)
 	level := fs.String("level", "fixed", "vanilla | ii | fixed | mixed")
 	platform := fs.String("platform", "u200", "u200 | ku15p")
@@ -79,10 +82,10 @@ func run(args []string) error {
 			return err
 		}
 		rep := drc.Check(design)
-		if err := rep.WriteText(os.Stdout); err != nil {
+		if err := rep.WriteText(w); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		if !rep.OK() {
 			return &drc.RejectError{Report: rep}
 		}
@@ -99,7 +102,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("v++ -c %s: %d cycles/invocation, %d DSP/CU\n",
+		fmt.Fprintf(w, "v++ -c %s: %d cycles/invocation, %d DSP/CU\n",
 			obj.Name, obj.CyclesPerInvocation, obj.ResPerCU.DSP)
 		objs = append(objs, obj)
 	}
@@ -108,6 +111,6 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("v++ -l: %w", err)
 	}
-	fmt.Println()
-	return bin.Report(os.Stdout)
+	fmt.Fprintln(w)
+	return bin.Report(w)
 }
