@@ -1,6 +1,6 @@
 // Command csdbuild runs the Vitis-style build flow for the CSD inference
-// kernels: it compiles the three kernels of Fig. 2 into kernel objects and
-// links them against a target platform, printing a v++-style build report
+// kernels: it compiles the three kernels of Fig. 2 and links them against a
+// target platform in one scheduling pass, printing a v++-style build report
 // (latency estimates, scheduling notes, fabric utilization). Linking fails
 // exactly when the real toolchain would — e.g. the fully-unrolled
 // fixed-point design against the SmartSSD's KU15P.
@@ -96,20 +96,13 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	var objs []*vitis.KernelObject
-	for _, spec := range specs {
-		obj, err := vitis.Compile(spec)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "v++ -c %s: %d cycles/invocation, %d DSP/CU\n",
-			obj.Name, obj.CyclesPerInvocation, obj.ResPerCU.DSP)
-		objs = append(objs, obj)
-	}
-
-	bin, err := vitis.Link(objs, part)
+	bin, err := vitis.Link(specs, part)
 	if err != nil {
 		return fmt.Errorf("v++ -l: %w", err)
+	}
+	for _, pk := range bin.Objects {
+		fmt.Fprintf(w, "v++ -c %s: %d cycles/invocation, %d DSP/CU\n",
+			pk.Spec.Name, pk.CyclesPerInvocation, pk.Res.DSP/pk.Spec.CUs)
 	}
 	fmt.Fprintln(w)
 	return bin.Report(w)

@@ -72,7 +72,6 @@ import (
 	"github.com/kfrida1/csdinf/internal/train"
 	"github.com/kfrida1/csdinf/internal/vitis"
 	"github.com/kfrida1/csdinf/internal/winapi"
-	"github.com/kfrida1/csdinf/internal/xrt"
 )
 
 // Version is the library version.
@@ -376,17 +375,9 @@ func DatasetFromTraces(traces []dataset.LabeledTrace, window, stride int, seed i
 // LabeledTrace is a full-length API-call trace with its label.
 type LabeledTrace = dataset.LabeledTrace
 
-// Toolchain and runtime types (the SmartSSD development toolkit of §II).
-type (
-	// FPGABinary is a linked FPGA binary (.xclbin) with its build report.
-	FPGABinary = vitis.Binary
-	// RuntimeDevice is an XRT-style handle to an opened CSD.
-	RuntimeDevice = xrt.Device
-	// BufferObject is a device-resident DDR buffer (XRT BO).
-	BufferObject = xrt.BO
-	// KernelHandle launches runs of a placed kernel.
-	KernelHandle = xrt.Kernel
-)
+// FPGABinary is a linked FPGA binary (.xclbin) with its build report (the
+// SmartSSD development toolkit of §II).
+type FPGABinary = vitis.Binary
 
 // BuildFPGABinary compiles the paper model's three kernels at the given
 // optimization level and links them against the platform — the v++ flow
@@ -397,19 +388,8 @@ func BuildFPGABinary(level OptLevel, part Part) (*FPGABinary, error) {
 	if err != nil {
 		return nil, err
 	}
-	objs := make([]*vitis.KernelObject, 0, len(specs))
-	for _, spec := range specs {
-		obj, err := vitis.Compile(spec)
-		if err != nil {
-			return nil, err
-		}
-		objs = append(objs, obj)
-	}
-	return vitis.Link(objs, part)
+	return vitis.Link(specs, part)
 }
-
-// OpenRuntime attaches the XRT-style runtime to a CSD.
-func OpenRuntime(dev *SmartSSD) (*RuntimeDevice, error) { return xrt.Open(dev) }
 
 // Numeric static-analysis types (the interval-domain abstract interpreter
 // over the fixed-point datapath — see internal/absint). Deploy runs this

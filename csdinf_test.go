@@ -206,31 +206,6 @@ func TestBuildFPGABinaryFacade(t *testing.T) {
 	}
 }
 
-func TestRuntimeFacade(t *testing.T) {
-	card, err := NewSmartSSD(CSDConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev, err := OpenRuntime(card)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin, err := BuildFPGABinary(LevelFixedPoint, AlveoU200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.LoadXclbin(bin); err != nil {
-		t.Fatal(err)
-	}
-	k, err := dev.Kernel("kernel_gates")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, err := k.Start(4).Wait(); err != nil || d <= 0 {
-		t.Fatalf("run = %v, %v", d, err)
-	}
-}
-
 func TestTraceGenerationFacade(t *testing.T) {
 	trace, err := RansomwareTrace("Wannacry", 0, 500, 1)
 	if err != nil || len(trace) != 500 {

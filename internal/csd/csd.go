@@ -136,7 +136,6 @@ const (
 	EvTransferP2P     = "transfer.p2p"
 	EvTransferViaHost = "transfer.via-host"
 	EvTransferH2D     = "transfer.h2d"
-	EvTransferD2H     = "transfer.d2h"
 )
 
 // emitTransfer reports one completed DMA on the structured event log; event
@@ -361,27 +360,6 @@ func (s *SmartSSD) WriteBuffer(buf *Buffer, data []byte) (time.Duration, error) 
 		{Track: trace.Track{Name: "pcie-host"}, Name: "h2d", Dur: t},
 	})
 	s.emitTransfer(EvTransferH2D, int64(len(data)), t)
-	return t, nil
-}
-
-// ReadBuffer moves buffer contents back to the host (e.g. fetching a
-// classification result).
-func (s *SmartSSD) ReadBuffer(buf *Buffer, dst []byte) (time.Duration, error) {
-	if buf == nil || buf.dev != s {
-		return 0, errors.New("csd: buffer does not belong to this device")
-	}
-	n := copy(dst, buf.data)
-	t, err := s.host.TransferTime(int64(n))
-	if err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	s.hostBytes += int64(n)
-	s.mu.Unlock()
-	s.traceTransfer(buf.Bank, []trace.Event{
-		{Track: trace.Track{Name: "pcie-host"}, Name: "d2h", Dur: t},
-	})
-	s.emitTransfer(EvTransferD2H, int64(n), t)
 	return t, nil
 }
 

@@ -146,9 +146,6 @@ func TestTransferForeignBufferRejected(t *testing.T) {
 	if _, err := s1.WriteBuffer(nil, nil); err == nil {
 		t.Error("nil buffer accepted by WriteBuffer")
 	}
-	if _, err := s1.ReadBuffer(nil, nil); err == nil {
-		t.Error("nil buffer accepted by ReadBuffer")
-	}
 }
 
 func TestTransferPropagatesSSDFault(t *testing.T) {
@@ -175,12 +172,8 @@ func TestWriteReadBuffer(t *testing.T) {
 	if _, err := s.WriteBuffer(buf, payload); err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]byte, 16)
-	if _, err := s.ReadBuffer(buf, dst); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst, payload) {
-		t.Fatalf("round trip = %q", dst)
+	if got := buf.Bytes(); !bytes.Equal(got, payload) {
+		t.Fatalf("round trip = %q", got)
 	}
 	if _, err := s.WriteBuffer(buf, make([]byte, 17)); err == nil {
 		t.Error("oversized write accepted")

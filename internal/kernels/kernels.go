@@ -187,16 +187,9 @@ func New(m *lstm.Model, cfg Config) (*Pipeline, error) {
 		return nil, errors.New("kernels: nil model")
 	}
 	cfg.defaults()
-	switch cfg.Level {
-	case LevelVanilla, LevelII, LevelFixedPoint, LevelMixed:
-	default:
-		return nil, fmt.Errorf("kernels: unknown optimization level %d", int(cfg.Level))
-	}
-	if cfg.GateCUs < 0 || 4%cfg.GateCUs != 0 {
-		return nil, fmt.Errorf("kernels: gate CU count %d must divide 4", cfg.GateCUs)
-	}
-	if cfg.Streaming && cfg.Level < LevelII {
-		return nil, fmt.Errorf("kernels: streaming requires level II or above, got %s", cfg.Level)
+	specs, err := Specs(m.Config(), cfg)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.SeqLen <= 0 {
 		return nil, fmt.Errorf("kernels: sequence length must be positive, got %d", cfg.SeqLen)
@@ -227,7 +220,7 @@ func New(m *lstm.Model, cfg Config) (*Pipeline, error) {
 		gateCUs: cfg.GateCUs,
 	}
 
-	for _, spec := range kernelSpecs(p.cfg, cfg.Level, cfg.GateCUs, cfg.Streaming) {
+	for _, spec := range specs {
 		pk, err := dev.Place(spec)
 		if err != nil {
 			return nil, fmt.Errorf("kernels: place %s at level %s: %w", spec.Name, cfg.Level, err)

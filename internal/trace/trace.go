@@ -4,12 +4,12 @@
 //
 // A Tracer records timestamped begin/end events on virtual *tracks*: one
 // per compute unit, DDR bank, PCIe link, SSD channel, and serve device
-// queue. Instrumented layers (internal/csd, internal/core, internal/xrt,
-// internal/serve) emit into a shared Tracer; the result exports as Chrome
-// trace-event JSON — loadable in Perfetto or chrome://tracing — and as a
-// text profile report (see Profile) that attributes simulated device
-// cycles to named kernels and loop nests, reports compute-unit occupancy,
-// and quantifies transfer/compute overlap.
+// queue. Instrumented layers (internal/csd, internal/core, internal/serve)
+// emit into a shared Tracer; the result exports as Chrome trace-event JSON
+// — loadable in Perfetto or chrome://tracing — and as a text profile report
+// (see Profile) that attributes simulated device cycles to named kernels
+// and loop nests, reports compute-unit occupancy, and quantifies
+// transfer/compute overlap.
 //
 // # Clock domains
 //
@@ -56,7 +56,7 @@ type Track struct {
 // carry simulated cycles and loop attributions, CatTransfer events form
 // the data-movement intervals of the overlap computation, CatQueue events
 // are host-side scheduling waits, and CatRuntime events are informational
-// wrappers (XRT API calls) excluded from the aggregates.
+// wrappers around host runtime calls, excluded from the aggregates.
 const (
 	CatKernel   = "kernel"
 	CatTransfer = "transfer"

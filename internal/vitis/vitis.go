@@ -1,13 +1,13 @@
 // Package vitis models the build flow the paper uses to produce its FPGA
-// binary (§IV): kernels written in HLS are compiled into kernel objects
-// (.xo files) with v++, then linked against the target platform into the
-// .xclbin binary that the host program loads at initialization.
+// binary (§IV): kernels written in HLS are compiled with v++ and linked
+// against the target platform into the .xclbin binary that the host
+// program loads at initialization.
 //
-// Compile schedules each kernel's loop nests (surfacing the II bounds and
-// resource estimates a real v++ compile log reports), and Link places all
-// compute units on the platform, failing exactly when the real linker
-// would: insufficient fabric. The resulting Binary carries the
-// utilization/timing summary and can render a v++-style build report.
+// Link schedules each kernel's loop nests once (the II bounds and resource
+// estimates a real v++ compile log reports) while placing all compute
+// units on the platform, failing exactly when the real linker would:
+// insufficient fabric. The resulting Binary carries the utilization/timing
+// summary and can render a v++-style build report.
 package vitis
 
 import (
@@ -20,107 +20,61 @@ import (
 	"github.com/kfrida1/csdinf/internal/hls"
 )
 
-// KernelObject is a compiled kernel (.xo): its specification plus the
-// schedules and resource estimates of one compute unit.
-type KernelObject struct {
-	// Name is the kernel name.
-	Name string
-	// Spec is the kernel specification, including requested CU count.
-	Spec fpga.KernelSpec
-	// Schedules are the per-loop schedules of one CU.
-	Schedules []hls.Schedule
-	// CyclesPerInvocation is one CU's latency per invocation.
-	CyclesPerInvocation int64
-	// ResPerCU is one CU's fabric estimate (loops + buffers).
-	ResPerCU hls.Resources
-}
-
-// Compile schedules a kernel specification into a kernel object — the
-// v++ -c step.
-func Compile(spec fpga.KernelSpec) (*KernelObject, error) {
-	if spec.Name == "" {
-		return nil, errors.New("vitis: kernel must have a name")
-	}
-	if spec.CUs <= 0 {
-		return nil, fmt.Errorf("vitis: kernel %q must request at least one CU", spec.Name)
-	}
-	obj := &KernelObject{Name: spec.Name, Spec: spec}
-	for _, l := range spec.Loops {
-		s, err := hls.ScheduleLoop(l)
-		if err != nil {
-			return nil, fmt.Errorf("vitis: compile %s: %w", spec.Name, err)
-		}
-		obj.Schedules = append(obj.Schedules, s)
-		obj.CyclesPerInvocation += s.Cycles
-		obj.ResPerCU.Add(s.Res)
-	}
-	for _, b := range spec.Buffers {
-		obj.ResPerCU.Add(b.Resources())
-	}
-	return obj, nil
-}
-
 // Binary is the linked FPGA binary (.xclbin): every kernel placed on the
 // platform, with the build summary.
 type Binary struct {
 	// Platform is the target part.
 	Platform fpga.Part
-	// Objects are the linked kernel objects.
-	Objects []*KernelObject
+	// Objects are the placed kernels, in spec order.
+	Objects []*fpga.PlacedKernel
 	// Utilization is post-link fabric utilization.
 	Utilization fpga.Utilization
 	// Used is the absolute fabric consumption.
 	Used hls.Resources
-
-	device *fpga.Device
 }
 
-// Link places the kernel objects on the platform — the v++ -l step. It
-// fails with fpga.ErrResourceExhausted when the design does not fit,
-// exactly as the paper's fixed-point design would fail to link against the
-// KU15P.
-func Link(objs []*KernelObject, platform fpga.Part) (*Binary, error) {
-	if len(objs) == 0 {
-		return nil, errors.New("vitis: no kernel objects to link")
+// Link schedules and places the kernel specs on the platform — the v++ -c
+// and -l steps in one pass. It fails with fpga.ErrResourceExhausted when
+// the design does not fit, exactly as the paper's fixed-point design would
+// fail to link against the KU15P.
+func Link(specs []fpga.KernelSpec, platform fpga.Part) (*Binary, error) {
+	if len(specs) == 0 {
+		return nil, errors.New("vitis: no kernels to link")
 	}
 	dev, err := fpga.NewDevice(platform)
 	if err != nil {
 		return nil, fmt.Errorf("vitis: %w", err)
 	}
-	b := &Binary{Platform: platform, device: dev}
-	for _, obj := range objs {
-		if obj == nil {
-			return nil, errors.New("vitis: nil kernel object")
+	b := &Binary{Platform: platform, Objects: make([]*fpga.PlacedKernel, 0, len(specs))}
+	for _, spec := range specs {
+		pk, err := dev.Place(spec)
+		if err != nil {
+			return nil, fmt.Errorf("vitis: link %s: %w", spec.Name, err)
 		}
-		if _, err := dev.Place(obj.Spec); err != nil {
-			return nil, fmt.Errorf("vitis: link %s: %w", obj.Name, err)
-		}
-		b.Objects = append(b.Objects, obj)
+		b.Objects = append(b.Objects, pk)
 	}
 	b.Utilization = dev.Utilization()
 	b.Used = dev.Used()
 	return b, nil
 }
 
-// Device exposes the placed device of the linked binary.
-func (b *Binary) Device() *fpga.Device { return b.device }
-
 // Report renders a v++-style build summary: per-kernel timing estimates,
 // scheduling notes (II bounds that fired), and the utilization table.
+// Per-CU figures divide the kernel's fabric by its CU count; Place scales
+// one CU's estimate by that count, so the division is exact.
 func (b *Binary) Report(w io.Writer) error {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "=== Build summary: platform %s @ %.0f MHz ===\n",
 		b.Platform.Name, b.Platform.ClockMHz)
 	fmt.Fprintf(&sb, "%-22s %4s %14s %16s %8s %10s\n",
 		"Kernel", "CUs", "Cycles/invoc", "Latency", "DSP/CU", "LUT/CU")
-	for _, o := range b.Objects {
-		us := float64(o.CyclesPerInvocation) / b.Platform.ClockMHz
+	for _, pk := range b.Objects {
+		us := float64(pk.CyclesPerInvocation) / b.Platform.ClockMHz
+		cus := pk.Spec.CUs
 		fmt.Fprintf(&sb, "%-22s %4d %14d %13.3f µs %8d %10d\n",
-			o.Name, o.Spec.CUs, o.CyclesPerInvocation, us, o.ResPerCU.DSP, o.ResPerCU.LUT)
-		for _, s := range o.Schedules {
-			for _, note := range s.Notes {
-				fmt.Fprintf(&sb, "    note: %s\n", note)
-			}
+			pk.Spec.Name, cus, pk.CyclesPerInvocation, us, pk.Res.DSP/cus, pk.Res.LUT/cus)
+		for _, note := range pk.Notes() {
+			fmt.Fprintf(&sb, "    note: %s\n", note)
 		}
 	}
 	fmt.Fprintf(&sb, "Utilization: DSP %.1f%% (%d/%d)  LUT %.1f%% (%d/%d)  FF %.1f%%  BRAM %.1f%%\n",

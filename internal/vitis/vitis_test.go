@@ -21,93 +21,41 @@ func paperSpecs(t *testing.T, level kernels.OptLevel) []fpga.KernelSpec {
 	return specs
 }
 
-func TestCompile(t *testing.T) {
-	specs := paperSpecs(t, kernels.LevelFixedPoint)
-	for _, spec := range specs {
-		obj, err := Compile(spec)
-		if err != nil {
-			t.Fatalf("compile %s: %v", spec.Name, err)
-		}
-		if obj.CyclesPerInvocation <= 0 {
-			t.Errorf("%s: no latency estimate", spec.Name)
-		}
-		if obj.ResPerCU == (hls.Resources{}) {
-			t.Errorf("%s: no resource estimate", spec.Name)
-		}
-	}
-}
-
-func TestCompileValidation(t *testing.T) {
-	if _, err := Compile(fpga.KernelSpec{Name: "", CUs: 1}); err == nil {
-		t.Error("unnamed kernel: expected error")
-	}
-	if _, err := Compile(fpga.KernelSpec{Name: "k", CUs: 0}); err == nil {
-		t.Error("zero CUs: expected error")
-	}
-	bad := fpga.KernelSpec{Name: "k", CUs: 1, Loops: []hls.Loop{{Name: "neg", Trip: -1}}}
-	if _, err := Compile(bad); err == nil {
-		t.Error("bad loop: expected error")
-	}
-}
-
 func TestLinkFixedPointOnU200(t *testing.T) {
-	var objs []*KernelObject
-	for _, spec := range paperSpecs(t, kernels.LevelFixedPoint) {
-		obj, err := Compile(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		objs = append(objs, obj)
-	}
-	bin, err := Link(objs, fpga.AlveoU200)
+	bin, err := Link(paperSpecs(t, kernels.LevelFixedPoint), fpga.AlveoU200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bin.Utilization.DSP <= 0.5 {
 		t.Errorf("fixed-point DSP utilization = %v, expected ~75%%", bin.Utilization.DSP)
 	}
-	if bin.Device() == nil {
-		t.Error("linked binary lost its device")
+	if len(bin.Objects) != 3 {
+		t.Errorf("placed kernels = %d, want 3", len(bin.Objects))
+	}
+	for _, pk := range bin.Objects {
+		if pk.CyclesPerInvocation <= 0 || pk.Res == (hls.Resources{}) {
+			t.Errorf("%s: cycles %d, resources %+v: missing estimate", pk.Spec.Name, pk.CyclesPerInvocation, pk.Res)
+		}
 	}
 }
 
 func TestLinkFailsOnKU15P(t *testing.T) {
-	var objs []*KernelObject
-	for _, spec := range paperSpecs(t, kernels.LevelFixedPoint) {
-		obj, err := Compile(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		objs = append(objs, obj)
-	}
-	if _, err := Link(objs, fpga.KU15P); !errors.Is(err, fpga.ErrResourceExhausted) {
+	if _, err := Link(paperSpecs(t, kernels.LevelFixedPoint), fpga.KU15P); !errors.Is(err, fpga.ErrResourceExhausted) {
 		t.Fatalf("error = %v, want ErrResourceExhausted", err)
 	}
 }
 
 func TestLinkValidation(t *testing.T) {
 	if _, err := Link(nil, fpga.AlveoU200); err == nil {
-		t.Error("no objects: expected error")
+		t.Error("no specs: expected error")
 	}
-	if _, err := Link([]*KernelObject{nil}, fpga.AlveoU200); err == nil {
-		t.Error("nil object: expected error")
-	}
-	if _, err := Link([]*KernelObject{{Name: "x", Spec: fpga.KernelSpec{Name: "x", CUs: 1}}},
-		fpga.Part{Name: "bad"}); err == nil {
+	if _, err := Link([]fpga.KernelSpec{{Name: "x", CUs: 1}}, fpga.Part{Name: "bad"}); err == nil {
 		t.Error("invalid platform: expected error")
 	}
 }
 
 func TestReport(t *testing.T) {
-	var objs []*KernelObject
-	for _, spec := range paperSpecs(t, kernels.LevelVanilla) {
-		obj, err := Compile(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		objs = append(objs, obj)
-	}
-	bin, err := Link(objs, fpga.AlveoU200)
+	bin, err := Link(paperSpecs(t, kernels.LevelVanilla), fpga.AlveoU200)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package simclock flags wall-clock use inside simulated-clock packages.
 //
-// The device stack (hls, fpga, csd, xrt, pcie, ssd, kernels) models time as
+// The device stack (hls, fpga, csd, pcie, ssd, kernels) models time as
 // counted cycles converted through the part's clock frequency; a stray
 // time.Now or time.Sleep there silently couples simulated latency to host
 // load and makes every cycle-accounting test flaky. Host-side packages
@@ -20,7 +20,6 @@ var simDirs = []string{
 	"internal/hls",
 	"internal/fpga",
 	"internal/csd",
-	"internal/xrt",
 	"internal/pcie",
 	"internal/ssd",
 	"internal/kernels",

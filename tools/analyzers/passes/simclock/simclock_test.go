@@ -77,7 +77,7 @@ var t = time.Now()
 }
 
 func TestAllowAnnotationSuppresses(t *testing.T) {
-	src := `package xrt
+	src := `package csd
 
 import "time"
 
@@ -88,7 +88,7 @@ var u = time.Now()
 
 var v = time.Now()
 `
-	diags := runOn(t, "internal/xrt", src)
+	diags := runOn(t, "internal/csd", src)
 	if len(diags) != 1 {
 		t.Fatalf("diagnostics = %v, want only the unannotated use", diags)
 	}
