@@ -1,8 +1,11 @@
 package telemetry
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -124,4 +127,64 @@ func TestSpanJSONCarriesBothClocks(t *testing.T) {
 	s.Add(StageQueue, time.Microsecond)
 	s.allocs[StageCompute] = 2
 	check(row + `,"admitted":"2024-06-24T12:00:00Z","stage_ns":{"compute":3000,"queue":1000},"stage_allocs":{"compute":2,"queue":0}}`)
+}
+
+// TestSpanJSONGolden pins the wire bytes of the four shapes a span row
+// takes on /spans.json and in flight dumps: unprofiled; profiled with
+// allocation counts; profiled without them; and profiled before any stage
+// ran, where both stage objects are empty and omitted. Rewrite with
+// -update.
+func TestSpanJSONGolden(t *testing.T) {
+	admitted := time.Date(2024, 6, 24, 12, 0, 0, 0, time.UTC)
+	phased := func(name string) Span {
+		s := Span{Name: name, ID: 42, Device: "csd-001"}
+		s.Record(PhaseQueue, 1500*time.Nanosecond)
+		s.Record(PhaseTransfer, 90*time.Microsecond)
+		s.Record(PhaseCompute, 88*time.Microsecond)
+		s.Record(PhaseVerdict, 120*time.Nanosecond)
+		return s
+	}
+
+	unprofiled := phased("window<&>")
+
+	withAllocs := phased("window")
+	withAllocs.Profile(admitted, true)
+	for st := Stage(0); st < NumStages; st++ {
+		withAllocs.Add(st, time.Duration(1000*(int(st)+1)))
+		withAllocs.allocs[st] = int64(st)
+	}
+	withAllocs.wall[StageVerdict] = 0 // allocations but no wall time: still listed
+	withAllocs.wall[StageObserve], withAllocs.allocs[StageObserve] = 0, 0
+
+	withoutAllocs := phased("stored-scan")
+	withoutAllocs.Profile(admitted, false)
+	withoutAllocs.Add(StageTransfer, 7*time.Microsecond)
+	withoutAllocs.Add(StageQueue, 2*time.Microsecond)
+	withoutAllocs.Add(StageEncode, -3) // a clock step back is recorded as is
+
+	noStage := Span{Name: "window"}
+	noStage.Profile(admitted, true)
+
+	var buf bytes.Buffer
+	for _, s := range []Span{unprofiled, withAllocs, withoutAllocs, noStage} {
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(b)
+		buf.WriteByte('\n')
+	}
+	path := filepath.Join("testdata", "span.golden")
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("span JSON mismatch\n--- got ---\n%s--- want ---\n%s", buf.Bytes(), want)
+	}
 }
