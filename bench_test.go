@@ -18,11 +18,15 @@ import (
 	"github.com/kfrida1/csdinf/internal/baseline"
 	"github.com/kfrida1/csdinf/internal/core"
 	"github.com/kfrida1/csdinf/internal/dataset"
+	"github.com/kfrida1/csdinf/internal/eventlog"
 	"github.com/kfrida1/csdinf/internal/experiments"
 	"github.com/kfrida1/csdinf/internal/fpga"
 	"github.com/kfrida1/csdinf/internal/hls"
 	"github.com/kfrida1/csdinf/internal/kernels"
 	"github.com/kfrida1/csdinf/internal/lstm"
+	"github.com/kfrida1/csdinf/internal/prof"
+	"github.com/kfrida1/csdinf/internal/telemetry"
+	"github.com/kfrida1/csdinf/internal/trace"
 	"github.com/kfrida1/csdinf/internal/train"
 )
 
@@ -484,11 +488,11 @@ func BenchmarkBackgroundScan(b *testing.B) {
 // 1% of bench-results/baseline-wallclock.json; its ns/op is not gated.
 func BenchmarkServe_WallClock(b *testing.B) {
 	m := paperModel(b)
-	reg := NewTelemetry()
-	spans := NewSpanLog(256)
-	events := NewEventLogger(EventLogConfig{})
+	reg := telemetry.NewRegistry()
+	spans := telemetry.NewSpanLog(256)
+	events := eventlog.New(eventlog.Config{})
 	defer events.Close()
-	profiler, err := NewProfiler(ProfilerConfig{
+	profiler, err := prof.New(prof.Config{
 		SampleEvery: -1, MutexFraction: -1, BlockRateNS: -1,
 		CountAllocs: true, Telemetry: reg, Events: events,
 	})
@@ -498,7 +502,7 @@ func BenchmarkServe_WallClock(b *testing.B) {
 	defer profiler.Close()
 	s, err := NewFleet(m, FleetConfig{
 		Nodes:     1,
-		Telemetry: reg, Spans: spans, Trace: NewTracer(), Events: events, Prof: profiler,
+		Telemetry: reg, Spans: spans, Trace: trace.New(), Events: events, Prof: profiler,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -1,65 +1,44 @@
-package csdinf
+package csdinf_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
+	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"hash/fnv"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/kfrida1/csdinf"
+	"github.com/kfrida1/csdinf/internal/fleet"
 )
 
-// TestEndToEndPipeline exercises the full public API exactly as the README
-// quickstart does: build corpus → train → deploy to a CSD → classify stored
-// sequences → stream-detect an infection.
+// TestEndToEndPipeline exercises the full public API exactly as the
+// examples do: build corpus → train → deploy to a CSD → classify stored
+// sequences → stream-detect an infection. It shares the examples' trained
+// classifier (trained, in example_test.go).
 func TestEndToEndPipeline(t *testing.T) {
-	// Scaled-down corpus so the test stays fast.
-	ds, err := BuildDataset(DatasetConfig{
-		RansomwareCount: 228, // 3 windows per variant
-		BenignCount:     186, // 6 per benign source
-		Window:          40,
-		Stride:          20,
-		Seed:            1,
-	})
+	run, err := trained()
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainDS, testDS, err := ds.Split(0.25, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := Train(trainDS, testDS, TrainConfig{
-		Epochs:     10,
-		BatchSize:  16,
-		Seed:       3,
-		EmbedDim:   6,
-		HiddenSize: 12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Final.Accuracy < 0.85 {
-		t.Fatalf("accuracy = %v", res.Final.Accuracy)
-	}
-
-	// Weight round trip through the host-init text format.
-	var buf bytes.Buffer
-	if err := SaveWeights(res.Model, &buf); err != nil {
-		t.Fatal(err)
-	}
-	model, err := LoadWeights(&buf)
-	if err != nil {
-		t.Fatal(err)
+	testDS, model := run.testDS, run.res.Model
+	if acc := run.res.Final.Accuracy; acc < 0.85 {
+		t.Fatalf("accuracy = %v", acc)
 	}
 
 	// Deploy to a CSD and classify sequences stored on the SSD.
-	dev, err := NewSmartSSD(CSDConfig{})
+	dev, err := csdinf.NewSmartSSD(csdinf.CSDConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := Deploy(dev, model, DeployConfig{Level: LevelFixedPoint, SeqLen: 40})
+	eng, err := csdinf.Deploy(dev, model, csdinf.DeployConfig{Level: csdinf.LevelFixedPoint, SeqLen: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,21 +67,21 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// Streaming detection over a live ransomware trace.
-	var ransom *Sequence
-	for i := range testDS.Sequences {
-		if testDS.Sequences[i].Ransomware {
-			ransom = &testDS.Sequences[i]
+	var ransom []int
+	for _, s := range testDS.Sequences {
+		if s.Ransomware {
+			ransom = s.Items
 			break
 		}
 	}
 	if ransom == nil {
 		t.Fatal("no ransomware sequence in test split")
 	}
-	det, err := NewDetector(eng, DetectorConfig{Stride: 10, AlertsToBlock: 1})
+	det, err := csdinf.NewDetector(eng, csdinf.DetectorConfig{Stride: 10, AlertsToBlock: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, call := range ransom.Items {
+	for _, call := range ransom {
 		if _, err := det.Observe(context.Background(), call); err != nil {
 			break // ErrBlocked is success here
 		}
@@ -115,7 +94,7 @@ func TestEndToEndPipeline(t *testing.T) {
 }
 
 func TestPaperModelConfigCounts(t *testing.T) {
-	m, err := NewModel(PaperModelConfig(), 1)
+	m, err := csdinf.NewModel(csdinf.PaperModelConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,31 +102,17 @@ func TestPaperModelConfigCounts(t *testing.T) {
 	if embed+lstmP != 7472 || head != 33 {
 		t.Fatalf("params = %d + %d, want 7472 + 33", embed+lstmP, head)
 	}
-	if VocabSize != 278 {
-		t.Fatalf("VocabSize = %d", VocabSize)
-	}
-}
-
-func TestAPICatalogPassthrough(t *testing.T) {
-	id, err := APIID("CryptEncrypt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	name, err := APIName(id)
-	if err != nil || name != "CryptEncrypt" {
-		t.Fatalf("round trip = %q, %v", name, err)
-	}
-	if _, err := APIID("NotAnAPI"); err == nil {
-		t.Error("unknown API accepted")
+	if csdinf.VocabSize != 278 {
+		t.Fatalf("VocabSize = %d", csdinf.VocabSize)
 	}
 }
 
 func TestFamiliesExported(t *testing.T) {
-	if len(Families) != 10 {
-		t.Fatalf("families = %d", len(Families))
+	if len(csdinf.Families) != 10 {
+		t.Fatalf("families = %d", len(csdinf.Families))
 	}
 	total := 0
-	for _, f := range Families {
+	for _, f := range csdinf.Families {
 		total += f.Variants
 	}
 	if total != 76 {
@@ -155,109 +120,56 @@ func TestFamiliesExported(t *testing.T) {
 	}
 }
 
-func TestDatasetCSVThroughFacade(t *testing.T) {
-	ds, err := BuildDataset(DatasetConfig{
-		RansomwareCount: 76, BenignCount: 31, Window: 20, Stride: 20, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ds.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDatasetCSV(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Sequences) != len(ds.Sequences) {
-		t.Fatalf("round trip rows = %d, want %d", len(got.Sequences), len(ds.Sequences))
-	}
-}
-
 func TestPartsExported(t *testing.T) {
-	if KU15P.Name != "xcku15p" || AlveoU200.Name != "xcu200" {
+	if csdinf.KU15P.Name != "xcku15p" || csdinf.AlveoU200.Name != "xcu200" {
 		t.Fatal("FPGA parts misconfigured")
 	}
-	if LevelVanilla >= LevelII || LevelII >= LevelFixedPoint {
+	if csdinf.LevelVanilla >= csdinf.LevelII || csdinf.LevelII >= csdinf.LevelFixedPoint || csdinf.LevelFixedPoint >= csdinf.LevelMixed {
 		t.Fatal("level ordering broken")
 	}
-	if ActionNone == ActionAlert || ActionAlert == ActionBlock {
+	if csdinf.ActionNone == csdinf.ActionAlert || csdinf.ActionAlert == csdinf.ActionBlock {
 		t.Fatal("action constants collide")
-	}
-	if Version == "" {
-		t.Fatal("empty version")
-	}
-}
-
-func TestBuildFPGABinaryFacade(t *testing.T) {
-	bin, err := BuildFPGABinary(LevelFixedPoint, AlveoU200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bin.Objects) != 3 {
-		t.Fatalf("kernels = %d, want 3", len(bin.Objects))
-	}
-	if _, err := BuildFPGABinary(LevelFixedPoint, KU15P); err == nil {
-		t.Fatal("fixed-point on KU15P should fail to link")
-	}
-	if _, err := BuildFPGABinary(LevelMixed, KU15P); err != nil {
-		t.Fatalf("mixed on KU15P failed: %v", err)
 	}
 }
 
 func TestTraceGenerationFacade(t *testing.T) {
-	trace, err := RansomwareTrace("Wannacry", 0, 500, 1)
+	trace, err := csdinf.RansomwareTrace("Wannacry", 0, 500, 1)
 	if err != nil || len(trace) != 500 {
 		t.Fatalf("RansomwareTrace: %d items, %v", len(trace), err)
 	}
-	if _, err := RansomwareTrace("NotAFamily", 0, 10, 1); err == nil {
+	if _, err := csdinf.RansomwareTrace("NotAFamily", 0, 10, 1); err == nil {
 		t.Error("unknown family accepted")
 	}
-	bt, err := BenignTrace(BenignApps[0], 200, 2)
+	bt, err := csdinf.BenignTrace(csdinf.BenignApps[0], 200, 2)
 	if err != nil || len(bt) != 200 {
 		t.Fatalf("BenignTrace: %d items, %v", len(bt), err)
 	}
-	dt, err := DesktopTrace(100, 3)
+	dt, err := csdinf.DesktopTrace(100, 3)
 	if err != nil || len(dt) != 100 {
 		t.Fatalf("DesktopTrace: %d items, %v", len(dt), err)
 	}
 }
 
 func TestReportFacade(t *testing.T) {
-	trace, err := RansomwareTrace("Cerber", 0, 300, 1)
+	trace, err := csdinf.RansomwareTrace("Cerber", 0, 300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := ReportFromTrace("cerber.exe", "Cerber", 0, trace)
+	r, err := csdinf.ReportFromTrace("cerber.exe", "Cerber", 0, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := r.Write(&buf); err != nil {
-		t.Fatal(err)
+	if r.Target.Name != "cerber.exe" || r.Target.Family != "Cerber" {
+		t.Fatalf("report target = %+v", r.Target)
 	}
-	got, err := ReadReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	items, err := got.Trace()
-	if err != nil || len(items) != 300 {
+	items, err := r.Trace()
+	if err != nil || !slices.Equal(items, trace) {
 		t.Fatalf("report trace: %d items, %v", len(items), err)
-	}
-	ds, err := DatasetFromTraces([]LabeledTrace{
-		{Items: items, Ransomware: true, Source: "cerber.exe"},
-	}, 100, 25, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds.Sequences) != 9 { // (300-100)/25+1
-		t.Fatalf("windows = %d, want 9", len(ds.Sequences))
 	}
 }
 
 func TestMitigationQuarantineFacade(t *testing.T) {
-	dev, err := NewSmartSSD(CSDConfig{})
+	dev, err := csdinf.NewSmartSSD(csdinf.CSDConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,73 +182,11 @@ func TestMitigationQuarantineFacade(t *testing.T) {
 	}
 }
 
-func TestDetectorMuxFacade(t *testing.T) {
-	ds, err := BuildDataset(DatasetConfig{
-		RansomwareCount: 228, BenignCount: 186, Window: 40, Stride: 20, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trainDS, testDS, err := ds.Split(0.25, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Train(trainDS, testDS, TrainConfig{
-		Epochs: 8, Seed: 3, EmbedDim: 6, HiddenSize: 12, TargetAccuracy: 0.9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev, err := NewSmartSSD(CSDConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := Deploy(dev, res.Model, DeployConfig{SeqLen: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux, err := NewDetectorMux(eng, DetectorMuxConfig{
-		Detector: DetectorConfig{Stride: 10, AlertsToBlock: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two interleaved processes: pid 7 infected, pid 3 benign desktop.
-	infection, err := RansomwareTrace("Cerber", 0, 400, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	desktop, err := DesktopTrace(400, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range infection {
-		if _, err := mux.Observe(context.Background(), 3, desktop[i]); err != nil {
-			break
-		}
-		if _, err := mux.Observe(context.Background(), 7, infection[i]); err != nil {
-			break
-		}
-	}
-	// AUC through the facade.
-	preds, err := Score(res.Model, testDS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	auc, err := AUC(preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auc < 0.9 {
-		t.Fatalf("AUC = %v", auc)
-	}
-}
-
 // TestCorpusDeterminismGolden guards the seeded generation pipeline: the
 // same seed must always produce the same corpus (a silent generator change
 // would invalidate every recorded experiment).
 func TestCorpusDeterminismGolden(t *testing.T) {
-	ds, err := BuildDataset(DatasetConfig{
+	ds, err := csdinf.BuildDataset(csdinf.DatasetConfig{
 		RansomwareCount: 76, BenignCount: 31, Window: 25, Stride: 25, Seed: 12345,
 	})
 	if err != nil {
@@ -366,16 +216,16 @@ func TestCorpusDeterminismGolden(t *testing.T) {
 // through the public API: deploy to several devices, push live work from
 // concurrent callers, and close.
 func TestServerFacade(t *testing.T) {
-	cfg := PaperModelConfig()
+	cfg := csdinf.PaperModelConfig()
 	cfg.EmbedDim, cfg.HiddenSize = 4, 8 // scaled down to keep the test fast
-	m, err := NewModel(cfg, 1)
+	m, err := csdinf.NewModel(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewFleet(m, FleetConfig{
+	s, err := csdinf.NewFleet(m, csdinf.FleetConfig{
 		Nodes:  2,
 		Block:  true,
-		Deploy: DeployConfig{SeqLen: 16},
+		Deploy: csdinf.DeployConfig{SeqLen: 16},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -417,103 +267,62 @@ func TestServerFacade(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Predict(context.Background(), seq); !errors.Is(err, ErrFleetClosed) {
-		t.Fatalf("post-close error = %v, want ErrFleetClosed", err)
+	if _, _, err := s.Predict(context.Background(), seq); !errors.Is(err, fleet.ErrClosed) {
+		t.Fatalf("post-close error = %v, want fleet.ErrClosed", err)
 	}
 }
 
-// TestObservabilityFacade exercises the event-log and incident re-exports:
-// a logger with a file sink, an incident recorder fed synthetic window
-// samples, and the forensic report output.
-func TestObservabilityFacade(t *testing.T) {
-	events := NewEventLogger(EventLogConfig{MinLevel: EventLevelDebug})
-	path := t.TempDir() + "/events.jsonl"
-	sink, err := NewEventFileSink(path)
+var update = flag.Bool("update", false, "rewrite testdata/api.golden")
+
+// TestAPIGolden pins the facade's exported surface: every exported
+// top-level name in csdinf.go, with its kind, must match
+// testdata/api.golden, so that growing (or shrinking) the public API is a
+// deliberate diff. Rewrite with -update.
+func TestAPIGolden(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "csdinf.go", nil, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
-	events.Attach("file", sink, 0)
-
-	rec, err := NewIncidentRecorder(IncidentConfig{
-		Generation: func() int64 { return 7 },
-		Events:     events,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Window(WindowSample{PID: 42, CallIndex: 100, Probability: 0.2, Action: ActionNone, Device: "0"})
-	rec.Window(WindowSample{PID: 42, CallIndex: 125, Probability: 0.9, Action: ActionBlock, Job: 5, Device: "0"})
-
-	incs := rec.Snapshot()
-	if len(incs) != 1 {
-		t.Fatalf("incidents = %d, want 1", len(incs))
-	}
-	inc := incs[0]
-	if inc.PID != 42 || inc.State != "closed" || inc.CloseReason != "blocked" {
-		t.Fatalf("incident = %+v", inc)
-	}
-	if inc.ModelGeneration != 7 || len(inc.Trajectory) != 2 {
-		t.Fatalf("generation %d, trajectory %d", inc.ModelGeneration, len(inc.Trajectory))
-	}
-	if _, err := rec.WriteReports(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := events.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var stats []EventSinkStats = events.SinkStats()
-	if len(stats) != 1 || stats[0].Written == 0 || stats[0].Dropped != 0 {
-		t.Fatalf("sink stats = %+v", stats)
-	}
-}
-
-// TestQualityFacade exercises the detection-quality surface end to end
-// through the public API: scorecard construction, label stamping, SLO
-// feedback into recall/false-positive objectives, and reference round-trip.
-func TestQualityFacade(t *testing.T) {
-	ev, err := NewSLOEvaluator(SLOConfig{Objectives: []SLObjective{
-		{Name: "recall", Kind: SLORecall, Target: 0.5, Window: 60_000_000_000},
-		{Name: "fp", Kind: SLOFalsePositive, Target: 0.5, Window: 60_000_000_000},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	card, err := NewQualityScorecard(QualityConfig{SLO: ev.Quality})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := WithQualityLabel(context.Background(), QualityLabel{Truth: true, Family: "LockBit"})
-	if l, ok := QualityLabelFrom(ctx); !ok || !l.Truth || l.Family != "lockbit" {
-		t.Fatalf("label round-trip = %+v, %v", l, ok)
-	}
-	card.Observe(ctx, QualityVerdict{PID: 1, Probability: 0.9, Flagged: true})
-	card.Observe(WithQualityLabel(context.Background(), QualityLabel{Family: "benign"}),
-		QualityVerdict{PID: 2, Probability: 0.1})
-
-	var snap QualitySnapshot = card.Snapshot()
-	if snap.Total.TP != 1 || snap.Total.TN != 1 {
-		t.Fatalf("confusion %+v, want tp=1 tn=1", snap.Total)
-	}
-	for _, o := range ev.Evaluate().Objectives {
-		if o.Good != 1 || o.Bad != 0 {
-			t.Errorf("objective %s counts %d/%d, want 1/0", o.Name, o.Good, o.Bad)
+	var names []string
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				names = append(names, d.Name.Name+" func")
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					if sp.Name.IsExported() {
+						names = append(names, sp.Name.Name+" type")
+					}
+				case *ast.ValueSpec:
+					for _, n := range sp.Names {
+						if n.IsExported() {
+							names = append(names, n.Name+" "+d.Tok.String())
+						}
+					}
+				}
+			}
 		}
 	}
-
-	ref, err := NewQualityReference("facade", []float64{0.1, 0.2, 0.9})
+	slices.Sort(names)
+	got := []byte(strings.Join(names, "\n") + "\n")
+	path := filepath.Join("testdata", "api.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("read golden (run with -update to create): %v", err)
 	}
-	path := t.TempDir() + "/ref.json"
-	if err := WriteQualityReference(path, ref); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadQualityReference(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != ref.Name || back.Samples != ref.Samples {
-		t.Fatalf("reference round-trip lost identity: %+v vs %+v", back, ref)
+	if string(got) != string(want) {
+		t.Errorf("exported API changed\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }

@@ -39,7 +39,7 @@ func FuzzEventJSON(f *testing.F) {
 		}
 
 		enc1 := e.AppendJSON(nil)
-		d1, err := DecodeJSON(enc1)
+		d1, err := decodeJSON(enc1)
 		if err != nil {
 			t.Fatalf("decode of encoder output failed: %v\nwire: %s", err, enc1)
 		}
@@ -54,7 +54,7 @@ func FuzzEventJSON(f *testing.F) {
 		}
 
 		enc2 := d1.AppendJSON(nil)
-		d2, err := DecodeJSON(enc2)
+		d2, err := decodeJSON(enc2)
 		if err != nil {
 			t.Fatalf("decode of re-encoded event failed: %v\nwire: %s", err, enc2)
 		}
@@ -74,11 +74,11 @@ func FuzzDecodeJSON(f *testing.F) {
 	f.Add([]byte(`[1,2]`))
 	f.Add([]byte(`{"seq":1,"ts":"2026-01-02T03:04:05Z","level":"info","component":"c","event":"a.b","x":{"nested":true}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := DecodeJSON(data)
+		e, err := decodeJSON(data)
 		if err != nil {
 			return
 		}
-		if _, err := DecodeJSON(e.AppendJSON(nil)); err != nil {
+		if _, err := decodeJSON(e.AppendJSON(nil)); err != nil {
 			t.Fatalf("re-encoded event does not decode: %v\nwire: %s", err, e.AppendJSON(nil))
 		}
 	})

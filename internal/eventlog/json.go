@@ -94,8 +94,8 @@ func appendValue(buf []byte, v any) []byte {
 	case float64:
 		return appendFloat(buf, x)
 	case json.Number:
-		// Produced by DecodeJSON; re-emit the exact wire digits so
-		// decode/encode round-trips byte-for-byte.
+		// Re-emit the exact wire digits, so a decoded event
+		// re-encodes byte-for-byte.
 		if x == "" {
 			return append(buf, '0')
 		}

@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 
 	"github.com/kfrida1/csdinf/internal/eventlog"
 	"github.com/kfrida1/csdinf/internal/incident"
+	"github.com/kfrida1/csdinf/internal/quality"
 	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
@@ -216,6 +218,40 @@ func TestQualityObjectives(t *testing.T) {
 	// be wired unconditionally.
 	var nilEval *Evaluator
 	nilEval.Quality(true, false)
+}
+
+// TestQualityScorecardFeedback wires a real detection-quality scorecard to
+// the evaluator, as csdload does: labelled verdicts observed by the
+// scorecard burn the recall and false-positive objectives.
+func TestQualityScorecardFeedback(t *testing.T) {
+	clk := newFakeClock()
+	e, err := NewEvaluator(Config{
+		Objectives: []Objective{
+			{Name: "recall", Kind: KindRecall, Target: 0.5, Window: time.Minute},
+			{Name: "fp", Kind: KindFalsePositive, Target: 0.5, Window: time.Minute},
+		},
+		Clock: clk.Now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	card, err := quality.New(quality.Config{SLO: e.Quality})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ransom := quality.WithLabel(context.Background(), quality.Label{Truth: true, Family: "LockBit"})
+	card.Observe(ransom, quality.Verdict{PID: 1, Probability: 0.9, Flagged: true})
+	benign := quality.WithLabel(context.Background(), quality.Label{Family: "benign"})
+	card.Observe(benign, quality.Verdict{PID: 2, Probability: 0.1})
+
+	if snap := card.Snapshot(); snap.Total.TP != 1 || snap.Total.TN != 1 {
+		t.Fatalf("confusion %+v, want tp=1 tn=1", snap.Total)
+	}
+	for _, o := range e.Evaluate().Objectives {
+		if o.Good != 1 || o.Bad != 0 {
+			t.Errorf("objective %s counts %d/%d, want 1/0", o.Name, o.Good, o.Bad)
+		}
+	}
 }
 
 // TestBurnAlertLifecycle drives an availability objective through a burst of

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -168,26 +170,54 @@ func (s *Span) String() string {
 // their per-stage counts ("stage_allocs").
 func (s Span) MarshalJSON() ([]byte, error) {
 	w := struct {
-		Name        string           `json:"name"`
-		ID          int64            `json:"id,omitempty"`
-		Device      string           `json:"device,omitempty"`
-		Phases      []Phase          `json:"phases"`
-		Admitted    *time.Time       `json:"admitted,omitempty"`
-		StageNS     map[string]int64 `json:"stage_ns,omitempty"`
-		StageAllocs map[string]int64 `json:"stage_allocs,omitempty"`
+		Name        string          `json:"name"`
+		ID          int64           `json:"id,omitempty"`
+		Device      string          `json:"device,omitempty"`
+		Phases      []Phase         `json:"phases"`
+		Admitted    *time.Time      `json:"admitted,omitempty"`
+		StageNS     json.RawMessage `json:"stage_ns,omitempty"`
+		StageAllocs json.RawMessage `json:"stage_allocs,omitempty"`
 	}{Name: s.Name, ID: s.ID, Device: s.Device, Phases: s.Phases}
 	if s.profiled {
-		w.Admitted, w.StageNS, w.StageAllocs = &s.admitted, map[string]int64{}, map[string]int64{}
-		for st := Stage(0); st < NumStages; st++ {
-			if s.wall[st] != 0 || s.allocs[st] != 0 {
-				w.StageNS[st.String()], w.StageAllocs[st.String()] = s.wall[st], s.allocs[st]
-			}
-		}
-		if !s.countAllocs {
-			w.StageAllocs = nil
+		w.Admitted, w.StageNS = &s.admitted, s.stageJSON(&s.wall)
+		if s.countAllocs {
+			w.StageAllocs = s.stageJSON(&s.allocs)
 		}
 	}
 	return json.Marshal(w)
+}
+
+// stagesByName orders the stages by name: the key order encoding/json
+// gives a map, which stage_ns and stage_allocs have on the wire.
+var stagesByName = func() (order [NumStages]Stage) {
+	for i := range order {
+		order[i] = Stage(i)
+	}
+	slices.SortFunc(order[:], func(a, b Stage) int { return strings.Compare(a.String(), b.String()) })
+	return order
+}()
+
+// stageJSON returns a JSON object holding vals for each stage that ran
+// (spent wall time or allocated), keyed by stage name, or nil when no stage
+// ran.
+func (s *Span) stageJSON(vals *[NumStages]int64) []byte {
+	var b []byte
+	for _, st := range stagesByName {
+		if s.wall[st] == 0 && s.allocs[st] == 0 {
+			continue
+		}
+		if b == nil {
+			b = append(b, '{')
+		} else {
+			b = append(b, ',')
+		}
+		b = append(append(append(b, '"'), st.String()...), '"', ':')
+		b = strconv.AppendInt(b, vals[st], 10)
+	}
+	if b == nil {
+		return nil
+	}
+	return append(b, '}')
 }
 
 // Profile turns on per-stage host-cost attribution for a request admitted
