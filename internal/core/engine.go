@@ -93,6 +93,12 @@ type Engine struct {
 	seqBuf   *csd.Buffer
 	initTime time.Duration
 
+	// Host staging scratch, sized at Deploy so Predict and PredictStored
+	// allocate nothing: encoded holds a live window in the on-flash format,
+	// items the window decoded from the sequence buffer.
+	encoded []byte
+	items   []int
+
 	// Simulated-time latency histograms (see DESIGN.md "Telemetry": the
 	// histograms record the calibrated device timing model, not wall time).
 	xferHist    *telemetry.Histogram
@@ -119,7 +125,8 @@ type computeStage struct {
 	loops  []trace.LoopCycles
 }
 
-// Deploy initializes the FPGA of the given CSD with the trained model.
+// Deploy initializes the FPGA of the given CSD with the trained model: it
+// compiles the model and loads the image onto dev.
 //
 // The returned engine's initTime accounts the one-time host work: shipping
 // the weight file (the text format of §III-A) over the host PCIe link into
@@ -129,44 +136,97 @@ func Deploy(dev *csd.SmartSSD, m *lstm.Model, cfg DeployConfig) (*Engine, error)
 	if dev == nil {
 		return nil, errors.New("core: nil device")
 	}
+	img, err := Compile(m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return img.Deploy(dev, cfg.TraceName)
+}
+
+// Image is a model compiled for one deployment configuration: the checked
+// design's DRC report, the quantized kernel pipeline and the serialized
+// weight file — the analogue of the paper's xclbin plus weight file. It is
+// built once and loaded onto any number of devices; every engine loaded
+// from it shares its quantized parameters. Deploy does not modify the
+// Image.
+type Image struct {
+	cfg     DeployConfig
+	pipe    *kernels.Pipeline
+	weights []byte
+	drc     *drc.Report // nil under DRCOff
+}
+
+// Compile does the per-model work of deployment once: the design-rule check
+// (with the absint overflow proof), quantization and the weight-text
+// serialization. A design with error findings under DRCEnforce is refused
+// with a *drc.RejectError, before any device exists to be touched.
+//
+// The image keeps m's weights as they are now: a model trained further
+// afterwards needs a new Compile.
+func Compile(m *lstm.Model, cfg DeployConfig) (*Image, error) {
 	if m == nil {
 		return nil, errors.New("core: nil model")
 	}
+	img := &Image{cfg: cfg}
+	// fail reports a compile failure after the check the same way a
+	// successful load does, so a refused or unbuildable design still leaves
+	// its findings on the event log.
+	fail := func(err error) (*Image, error) {
+		if img.drc != nil {
+			emitDRCFindings(cfg.Events, *img.drc)
+		}
+		return nil, err
+	}
+	kcfg := kernels.Config{Level: cfg.Level, Part: cfg.Part, SeqLen: cfg.SeqLen, Scale: cfg.Scale}
 	if cfg.DRC != DRCOff {
 		// DesignForModel (not DesignFor): with the trained weights in hand
 		// the design carries the interval analysis of internal/absint, so
 		// the checker also proves the fixed-point datapath overflow-free at
 		// the deployment's scale and window before any kernel is placed.
-		design, derr := kernels.DesignForModel(m, kernels.Config{
-			Level: cfg.Level, Part: cfg.Part, SeqLen: cfg.SeqLen, Scale: cfg.Scale,
-		})
+		design, derr := kernels.DesignForModel(m, kcfg)
 		if derr != nil {
 			return nil, fmt.Errorf("core: design check: %w", derr)
 		}
 		rep := drc.Check(design)
-		emitDRCFindings(cfg.Events, rep)
+		img.drc = &rep
 		if !rep.OK() && cfg.DRC == DRCEnforce {
-			return nil, &drc.RejectError{Report: rep}
+			return fail(&drc.RejectError{Report: rep})
 		}
 	}
-	pipe, err := kernels.New(m, kernels.Config{
-		Level: cfg.Level, Part: cfg.Part, SeqLen: cfg.SeqLen, Scale: cfg.Scale,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: build pipeline: %w", err)
+	var err error
+	if img.pipe, err = kernels.New(m, kcfg); err != nil {
+		return fail(fmt.Errorf("core: build pipeline: %w", err))
 	}
-
-	// Host initialization: serialize weights exactly as the offline trainer
-	// exports them and push them to FPGA DRAM bank 0.
+	// Host initialization ships the weights exactly as the offline trainer
+	// exports them.
 	var wbuf bytes.Buffer
 	if err := m.WriteText(&wbuf); err != nil {
-		return nil, fmt.Errorf("core: serialize weights: %w", err)
+		return fail(fmt.Errorf("core: serialize weights: %w", err))
 	}
-	weightBuf, err := dev.Alloc(int64(wbuf.Len()), 0)
+	img.weights = wbuf.Bytes()
+	return img, nil
+}
+
+// Deploy loads the image onto dev: it pushes the weight file to FPGA DRAM
+// bank 0, allocates the sequence buffer and wires the image's telemetry,
+// trace and event sinks under traceName (empty means "csd0"). Each load
+// re-emits the image's DRC findings, so every device's event stream reads
+// as if it had been checked on its own.
+func (img *Image) Deploy(dev *csd.SmartSSD, traceName string) (*Engine, error) {
+	if dev == nil {
+		return nil, errors.New("core: nil device")
+	}
+	cfg := img.cfg
+	if img.drc != nil {
+		emitDRCFindings(cfg.Events, *img.drc)
+	}
+	pipe := img.pipe.Clone()
+
+	weightBuf, err := dev.Alloc(int64(len(img.weights)), 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: allocate weight buffer: %w", err)
 	}
-	initTime, err := dev.WriteBuffer(weightBuf, wbuf.Bytes())
+	initTime, err := dev.WriteBuffer(weightBuf, img.weights)
 	if err != nil {
 		return nil, fmt.Errorf("core: load weights: %w", err)
 	}
@@ -185,6 +245,8 @@ func Deploy(dev *csd.SmartSSD, m *lstm.Model, cfg DeployConfig) (*Engine, error)
 	reg := cfg.Telemetry
 	e := &Engine{
 		dev: dev, pipe: pipe, seqBuf: seqBuf, initTime: initTime,
+		encoded: make([]byte, 0, seqBuf.Size),
+		items:   make([]int, 0, pipe.SeqLen()),
 		xferHist: reg.Histogram("engine_transfer_seconds",
 			"Simulated SSD-to-FPGA data movement time per classification.", telemetry.Buckets{}),
 		computeHist: reg.Histogram("engine_compute_seconds",
@@ -192,7 +254,7 @@ func Deploy(dev *csd.SmartSSD, m *lstm.Model, cfg DeployConfig) (*Engine, error)
 		predictions: reg.Counter("engine_predictions_total",
 			"Classifications completed by deployed engines."),
 	}
-	group := cfg.TraceName
+	group := traceName
 	if group == "" {
 		group = "csd0"
 	}
@@ -208,7 +270,7 @@ func Deploy(dev *csd.SmartSSD, m *lstm.Model, cfg DeployConfig) (*Engine, error)
 			eventlog.F("device", group),
 			eventlog.F("seq_len", pipe.SeqLen()),
 			eventlog.F("gate_cus", pipe.GateCUs()),
-			eventlog.F("weight_bytes", wbuf.Len()),
+			eventlog.F("weight_bytes", len(img.weights)),
 			eventlog.F("init_ns", initTime))
 	}
 	return e, nil
@@ -335,11 +397,12 @@ func (e *Engine) Predict(ctx context.Context, seq []int) (kernels.Result, Timing
 	}
 	rec := telemetry.SpanFrom(ctx)
 	st := rec.Begin(telemetry.StageEncode)
-	data, err := csd.EncodeItems(seq)
+	data, err := csd.AppendItems(e.encoded[:0], seq)
 	st.End()
 	if err != nil {
 		return kernels.Result{}, Timing{}, fmt.Errorf("core: encode sequence: %w", err)
 	}
+	e.encoded = data
 	e.stampJob(rec)
 	st = rec.Begin(telemetry.StageTransfer)
 	xfer, err := e.dev.WriteBuffer(e.seqBuf, data)
@@ -354,10 +417,11 @@ func (e *Engine) Predict(ctx context.Context, seq []int) (kernels.Result, Timing
 // request record (nil when the request carries none).
 func (e *Engine) classifyBuffer(rec *telemetry.Span, t Timing) (kernels.Result, Timing, error) {
 	st := rec.Begin(telemetry.StageCompute)
-	seq, err := csd.DecodeItems(e.seqBuf.Bytes())
+	seq, err := csd.AppendDecodedItems(e.items[:0], e.seqBuf.Bytes())
 	if err != nil {
 		return kernels.Result{}, Timing{}, fmt.Errorf("core: decode sequence: %w", err)
 	}
+	e.items = seq
 	res, cycles, err := e.pipe.Classify(seq)
 	if err != nil {
 		return kernels.Result{}, Timing{}, fmt.Errorf("core: classify: %w", err)

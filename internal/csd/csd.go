@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -385,25 +386,68 @@ const ItemBytes = 4
 // EncodeItems serializes API-call IDs in the on-flash format.
 func EncodeItems(items []int) ([]byte, error) {
 	out := make([]byte, len(items)*ItemBytes)
+	if err := putItems(out, items); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// AppendItems appends the on-flash encoding of items to dst and returns the
+// extended slice; it allocates only when dst lacks the capacity. On error
+// it returns dst unchanged.
+func AppendItems(dst []byte, items []int) ([]byte, error) {
+	n := len(dst)
+	out := slices.Grow(dst, len(items)*ItemBytes)[:n+len(items)*ItemBytes]
+	if err := putItems(out[n:], items); err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
+// putItems encodes items into out, which holds exactly len(items) items.
+func putItems(out []byte, items []int) error {
 	for i, it := range items {
 		if it < 0 || it > int(^uint32(0)>>1) {
-			return nil, fmt.Errorf("csd: item %d at %d not encodable as uint32", it, i)
+			return fmt.Errorf("csd: item %d at %d not encodable as uint32", it, i)
 		}
 		binary.LittleEndian.PutUint32(out[i*ItemBytes:], uint32(it))
 	}
-	return out, nil
+	return nil
 }
 
 // DecodeItems parses the on-flash format back into item IDs.
 func DecodeItems(data []byte) ([]int, error) {
 	if len(data)%ItemBytes != 0 {
-		return nil, fmt.Errorf("csd: %d bytes is not a whole number of items", len(data))
+		return nil, errPartialItem(len(data))
 	}
 	out := make([]int, len(data)/ItemBytes)
+	getItems(out, data)
+	return out, nil
+}
+
+// AppendDecodedItems parses the on-flash format, appends the item IDs to
+// dst and returns the extended slice; it allocates only when dst lacks the
+// capacity. On error it returns dst unchanged.
+func AppendDecodedItems(dst []int, data []byte) ([]int, error) {
+	if len(data)%ItemBytes != 0 {
+		return dst, errPartialItem(len(data))
+	}
+	n := len(dst)
+	out := slices.Grow(dst, len(data)/ItemBytes)[:n+len(data)/ItemBytes]
+	getItems(out[n:], data)
+	return out, nil
+}
+
+// getItems decodes data into out, which holds exactly len(data)/ItemBytes
+// items.
+func getItems(out []int, data []byte) {
 	for i := range out {
 		out[i] = int(binary.LittleEndian.Uint32(data[i*ItemBytes:]))
 	}
-	return out, nil
+}
+
+func errPartialItem(n int) error {
+	return fmt.Errorf("csd: %d bytes is not a whole number of items", n)
 }
 
 // StoreSequence writes an item sequence to the SSD at the given offset,

@@ -92,8 +92,9 @@ type Config struct {
 	ClassOf func(tenant string) string
 	// CSD configures each node's drive (zero value = SmartSSD defaults).
 	CSD csd.Config
-	// Deploy configures each engine (zero value = paper defaults). The
-	// per-device TraceName is derived from the registry ID.
+	// Deploy configures the engines (zero value = paper defaults). The
+	// model is compiled once with it; the per-device TraceName is derived
+	// from the registry ID.
 	Deploy core.DeployConfig
 	// Registry, when non-nil, is the shared device registry; nil builds a
 	// private one. Each node registers one device ("csd-000", ...).
@@ -182,16 +183,14 @@ type Fleet struct {
 var _ infer.Inferencer = (*Fleet)(nil)
 
 // New builds a fleet: cfg.Nodes fresh simulated CSDs, each with the model
-// deployed and fronted by its own bounded-queue scheduler.
+// deployed and fronted by its own bounded-queue scheduler. The model is
+// compiled once (core.Compile) and the image loaded onto every node, so the
+// engines share one set of quantized parameters.
 func New(m *lstm.Model, cfg Config) (*Fleet, error) {
 	if m == nil {
 		return nil, errors.New("fleet: nil model")
 	}
 	if err := cfg.defaults(); err != nil {
-		return nil, err
-	}
-	f, err := newFleet(&cfg)
-	if err != nil {
 		return nil, err
 	}
 	deploy := cfg.Deploy
@@ -204,15 +203,24 @@ func New(m *lstm.Model, cfg Config) (*Fleet, error) {
 	if deploy.Events == nil {
 		deploy.Events = cfg.Events
 	}
+	// Every node serves the same model: compile it (DRC, overflow proof,
+	// quantization, weight file) once, before any device is registered,
+	// and load the one image onto each node.
+	img, err := core.Compile(m, deploy)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: compile model: %w", err)
+	}
+	f, err := newFleet(&cfg)
+	if err != nil {
+		return nil, err
+	}
 	for i := 0; i < cfg.Nodes; i++ {
 		h := f.registry.Register()
 		dev, err := csd.New(cfg.CSD)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: device %s: %w", h.ID(), err)
 		}
-		devDeploy := deploy
-		devDeploy.TraceName = string(h.ID())
-		eng, err := core.Deploy(dev, m, devDeploy)
+		eng, err := img.Deploy(dev, string(h.ID()))
 		if err != nil {
 			return nil, fmt.Errorf("fleet: deploy to device %s: %w", h.ID(), err)
 		}

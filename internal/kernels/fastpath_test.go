@@ -15,12 +15,15 @@ var fuzzScales = []int64{fixed.DefaultScale, 1 << 12, 10_000}
 
 // FuzzFixedFastMatchesShadow is the differential oracle for the
 // LevelFixedPoint hot path. The shadow datapath (stepFixedProbed with a no-op
-// probe) computes row by row on the checked ops that internal/absint proves
-// sound; the fast path computes through gate-major MatVec, the
-// constant-scale rescale and preallocated scratch. After every item the two
-// must agree bit for bit on the Result, the simulated cycles and the
-// recurrent state, including when amplified weights wrap the int64
-// accumulators.
+// probe) computes row by row from qEmbed, qWx and qB on the checked ops that
+// internal/absint proves sound, and never reads the input-projection table:
+// it runs on parameters with the table removed, so a read would panic
+// (TestProbedPathIgnoresXProj pins the same on the paper model). The fast
+// side is a Clone, so it reads the shared, bias-folded table and computes
+// Wh·h through gate-major MatVec, the constant-scale rescale and its own
+// scratch. After every item the two must agree bit for bit on the Result,
+// the simulated cycles and the recurrent state, including when amplified
+// weights wrap the int64 accumulators.
 func FuzzFixedFastMatchesShadow(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(32), uint8(100), uint8(0), uint8(0), []byte{1, 2, 3, 250, 7, 9})
 	f.Add(int64(2), uint8(3), uint8(5), uint8(7), uint8(1), uint8(4), []byte{0, 0, 0, 255})
@@ -56,14 +59,12 @@ func FuzzFixedFastMatchesShadow(f *testing.F) {
 		}
 
 		pc := Config{Level: LevelFixedPoint, SeqLen: 1 + int(seqLen)%110, Scale: fuzzScales[int(scaleIdx)%len(fuzzScales)]}
-		fast, err := New(m, pc)
+		base, err := New(m, pc)
 		if err != nil {
 			t.Skipf("deploy: %v", err)
 		}
-		shadow, err := New(m, pc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fast := base.Clone()
+		shadow := withoutXProj(base)
 		shadow.SetNumericProbe(func(string, fixed.Value, error) {})
 
 		for k, b := range items {

@@ -86,7 +86,8 @@ const GateCUs = 4
 // float) weights, FPGA placement, and per-item recurrent state.
 //
 // A Pipeline is not safe for concurrent use; its recurrent state advances
-// with every ProcessItem call.
+// with every ProcessItem call. Clone gives each concurrent user its own
+// state over the same parameters.
 type Pipeline struct {
 	cfg   lstm.Config
 	level OptLevel
@@ -101,24 +102,13 @@ type Pipeline struct {
 	gateCUs int
 	probe   NumericProbe
 
-	// Quantized parameters (LevelFixedPoint only), row-major and
-	// gate-major: row g·H+r of qWx and qWh is row r of gate g, so one
-	// MatVec computes all four gate CUs' products.
-	qEmbed []fixed.Value // M rows of O values
-	qWx    []fixed.Value // 4H rows of O values
-	qWh    []fixed.Value // 4H rows of H values
-	qB     []fixed.Value // 4H biases, also used by LevelMixed
-	qFCW   []fixed.Value
-	qFCB   fixed.Value
+	// par is the quantized model (nil at the float levels). New builds it,
+	// nothing writes it afterwards, and every Clone shares it.
+	par *params
 
-	// Narrow-scale parameters (LevelMixed only; see mixed.go), laid out
-	// like their wide counterparts.
-	nEmbed []fixed.Value
-	nWx    []fixed.Value
-	nWh    []fixed.Value
-
-	// Per-item scratch, allocated once in New so a step allocates nothing.
-	gx, gh  []fixed.Value    // 4H input and recurrent gate products
+	// Per-item scratch, allocated once per pipeline so a step allocates
+	// nothing.
+	gx, gh  []fixed.Value    // 4H input and recurrent gate products (LevelMixed)
 	gate    []fixed.Value    // 4H pre-activations, activated in place
 	hNarrow []fixed.Value    // H: h(t-1) requantized for LevelMixed
 	xF      tensor.Vector    // O: float embedding (Vanilla / II)
@@ -228,17 +218,59 @@ func New(m *lstm.Model, cfg Config) (*Pipeline, error) {
 		p.placed[spec.Name] = pk
 	}
 
-	h := p.cfg.HiddenSize
 	switch cfg.Level {
 	case LevelFixedPoint:
-		p.quantize()
+		p.par = quantize(arith, m)
 	case LevelMixed:
-		p.quantizeNarrow()
-		p.hNarrow = make([]fixed.Value, h)
+		p.par = quantizeNarrow(arith, narrow, m)
 	default:
 		if p.cellAct, err = p.cfg.CellActivation.Func(); err != nil {
 			return nil, fmt.Errorf("kernels: %w", err)
 		}
+	}
+	p.allocState()
+	return p, nil
+}
+
+// Clone returns a pipeline with p's level, configuration and placement that
+// shares p's quantized parameters, input-projection table included, but
+// owns its scratch and recurrent state, freshly reset. Clones of one
+// pipeline may classify concurrently with each other and with p: the
+// shared parameters, placement and FPGA device are only read after New.
+// The numeric probe is not carried over.
+func (p *Pipeline) Clone() *Pipeline {
+	c := &Pipeline{
+		cfg:     p.cfg,
+		level:   p.level,
+		model:   p.model,
+		dev:     p.dev,
+		placed:  p.placed,
+		arith:   p.arith,
+		narrow:  p.narrow,
+		fact:    p.fact,
+		gateCUs: p.gateCUs,
+		par:     p.par,
+		cellAct: p.cellAct,
+		seqLen:  p.seqLen,
+	}
+	c.allocState()
+	return c
+}
+
+// allocState allocates the per-item scratch and the recurrent state of p's
+// level and resets them. New and Clone both call it, so no two pipelines
+// share anything a step writes.
+func (p *Pipeline) allocState() {
+	h := p.cfg.HiddenSize
+	switch p.level {
+	case LevelFixedPoint, LevelMixed:
+		p.gate = make([]fixed.Value, 4*h)
+		p.hQ, p.cQ = make([]fixed.Value, h), make([]fixed.Value, h)
+		if p.level == LevelMixed {
+			p.gx, p.gh = make([]fixed.Value, 4*h), make([]fixed.Value, 4*h)
+			p.hNarrow = make([]fixed.Value, h)
+		}
+	default:
 		p.xF = tensor.NewVector(p.cfg.EmbedDim)
 		p.tmpF = tensor.NewVector(h)
 		for g := range p.gateF {
@@ -246,27 +278,60 @@ func New(m *lstm.Model, cfg Config) (*Pipeline, error) {
 		}
 		p.hF, p.cF = tensor.NewVector(h), tensor.NewVector(h)
 	}
-	if cfg.Level >= LevelFixedPoint {
-		p.gx = make([]fixed.Value, 4*h)
-		p.gh = make([]fixed.Value, 4*h)
-		p.gate = make([]fixed.Value, 4*h)
-		p.hQ, p.cQ = make([]fixed.Value, h), make([]fixed.Value, h)
-	}
 	p.Reset()
-	return p, nil
 }
 
-// quantize converts all model parameters to fixed point, the host-side
-// scaling step of §III-D ("we multiply the floating-point values of weights,
-// biases, and embeddings by this factor before the host initialization").
-func (p *Pipeline) quantize() {
-	m := p.model
-	p.qEmbed = p.arith.QuantizeSlice(m.Embedding.Data)
-	p.qWx = gateMajor(p.arith, m, func(g lstm.Gate) []float64 { return g.Wx.Data })
-	p.qWh = gateMajor(p.arith, m, func(g lstm.Gate) []float64 { return g.Wh.Data })
-	p.qB = gateMajor(p.arith, m, func(g lstm.Gate) []float64 { return g.B })
-	p.qFCW = p.arith.QuantizeSlice(m.FCW)
-	p.qFCB = p.arith.FromFloat(m.FCB)
+// params is a pipeline's quantized model. quantize (or quantizeNarrow)
+// builds it once, nothing writes it afterwards, and every Clone of the
+// pipeline holds the same pointer, so a fleet's engines keep one copy
+// between them. The weight matrices are row-major and gate-major: row g·H+r
+// of qWx and qWh is row r of gate g, so one MatVec computes all four gate
+// CUs' products.
+type params struct {
+	qEmbed []fixed.Value // M rows of O values
+	qWx    []fixed.Value // 4H rows of O values
+	qWh    []fixed.Value // 4H rows of H values
+	qB     []fixed.Value // 4H biases, also used by LevelMixed
+	qFCW   []fixed.Value
+	qFCB   fixed.Value
+
+	// xProj is the bias-folded input projection (LevelFixedPoint only):
+	// VocabSize rows of 4H values, row v holding qWx·qEmbed[v] + qB. The
+	// product depends only on the token, so stepFixed looks it up instead
+	// of computing it. The probed shadow datapath never reads it.
+	xProj []fixed.Value
+
+	// Narrow-scale parameters (LevelMixed only; see mixed.go), laid out
+	// like their wide counterparts.
+	nEmbed []fixed.Value
+	nWx    []fixed.Value
+	nWh    []fixed.Value
+}
+
+// quantize converts all model parameters to fixed point at arith a, the
+// host-side scaling step of §III-D ("we multiply the floating-point values
+// of weights, biases, and embeddings by this factor before the host
+// initialization"), and builds the input-projection table from them.
+func quantize(a fixed.Arith, m *lstm.Model) *params {
+	q := &params{
+		qEmbed: a.QuantizeSlice(m.Embedding.Data),
+		qWx:    gateMajor(a, m, func(g lstm.Gate) []float64 { return g.Wx.Data }),
+		qWh:    gateMajor(a, m, func(g lstm.Gate) []float64 { return g.Wh.Data }),
+		qB:     gateMajor(a, m, func(g lstm.Gate) []float64 { return g.B }),
+		qFCW:   a.QuantizeSlice(m.FCW),
+		qFCB:   a.FromFloat(m.FCB),
+	}
+	cfg := m.Config()
+	rows := len(q.qB)
+	q.xProj = make([]fixed.Value, cfg.VocabSize*rows)
+	for v := 0; v < cfg.VocabSize; v++ {
+		proj := row(q.xProj, v, rows)
+		a.MatVec(proj, q.qWx, row(q.qEmbed, v, cfg.EmbedDim))
+		for j, b := range q.qB {
+			proj[j] = a.Add(proj[j], b)
+		}
+	}
+	return q
 }
 
 // gateMajor quantizes one parameter of the four gates at arith a and stacks
@@ -305,6 +370,18 @@ func (p *Pipeline) Device() *fpga.Device { return p.dev }
 // Placed returns the placed kernel by name (nil if not placed), giving
 // profilers access to the loop schedules behind the latency figures.
 func (p *Pipeline) Placed(name string) *fpga.PlacedKernel { return p.placed[name] }
+
+// InputProjection returns the bias-folded input-projection table that
+// LevelFixedPoint reads (nil at the other levels): VocabSize rows of 4H
+// values, row v holding Wx·embed(v) + b for all four gates in gate-major
+// order. Every Clone returns the same backing array. The table is shared and
+// must not be modified.
+func (p *Pipeline) InputProjection() []fixed.Value {
+	if p.par == nil {
+		return nil
+	}
+	return p.par.xProj
+}
 
 // GateCUs returns the number of kernel_gates compute units in this
 // deployment (4 in the paper's configuration; fewer under the gate-CU
@@ -424,17 +501,19 @@ func (p *Pipeline) stepFloat(item int) (Result, bool, error) {
 
 // stepFixed executes one item entirely in scale-10⁶ fixed point — the
 // arithmetic the FPGA DSP slices perform at LevelFixedPoint. Each gate
-// pre-activation is Dot(Wx row, x) + Dot(Wh row, h) + b, computed for all
-// four gates by two gate-major MatVecs into preallocated scratch.
+// pre-activation is Dot(Wx row, x) + Dot(Wh row, h) + b. The first and last
+// terms depend only on the item, so they come from the item's row of the
+// input-projection table; one gate-major MatVec computes Wh·h for all four
+// gates into preallocated scratch. Add is wrapping int64 addition, so
+// (Wx·x + b) + Wh·h is bit-identical to (Wx·x + Wh·h) + b even when a sum
+// wraps.
 func (p *Pipeline) stepFixed(item int) (Result, bool) {
 	if p.probe != nil {
 		return p.stepFixedProbed(item)
 	}
-	x := row(p.qEmbed, item, p.cfg.EmbedDim)
-	p.arith.MatVec(p.gx, p.qWx, x)
-	p.arith.MatVec(p.gh, p.qWh, p.hQ)
-	for j, wx := range p.gx {
-		p.gate[j] = p.arith.Add(p.arith.Add(wx, p.gh[j]), p.qB[j])
+	p.arith.MatVec(p.gate, p.par.qWh, p.hQ)
+	for j, x := range row(p.par.xProj, item, len(p.gate)) {
+		p.gate[j] = p.arith.Add(x, p.gate[j])
 	}
 	return p.hiddenStateFixed()
 }
@@ -464,7 +543,7 @@ func (p *Pipeline) hiddenStateFixed() (Result, bool) {
 	if p.counter < p.seqLen {
 		return Result{}, false
 	}
-	logit := p.arith.Add(p.arith.Dot(p.qFCW, p.hQ), p.qFCB)
+	logit := p.arith.Add(p.arith.Dot(p.par.qFCW, p.hQ), p.par.qFCB)
 	fl := p.arith.ToFloat(logit)
 	return Result{Ransomware: logit >= 0, Probability: activation.SigmoidF(fl), Logit: fl}, true
 }

@@ -19,6 +19,7 @@ package kernels
 // cost against the DSP savings.
 
 import (
+	"github.com/kfrida1/csdinf/internal/fixed"
 	"github.com/kfrida1/csdinf/internal/fpga"
 	"github.com/kfrida1/csdinf/internal/hls"
 	"github.com/kfrida1/csdinf/internal/lstm"
@@ -31,21 +32,23 @@ const NarrowScale = 100
 // DSPPackFactor is how many narrow multiplies one DSP slice executes.
 const DSPPackFactor = 4
 
-// quantizeNarrow fills the pipeline's narrow-scale parameter copies.
-func (p *Pipeline) quantizeNarrow() {
-	m := p.model
-	p.nEmbed = p.narrow.QuantizeSlice(m.Embedding.Data)
-	p.nWx = gateMajor(p.narrow, m, func(g lstm.Gate) []float64 { return g.Wx.Data })
-	p.nWh = gateMajor(p.narrow, m, func(g lstm.Gate) []float64 { return g.Wh.Data })
-	// Biases join after the MAC array; keep them wide.
-	p.qB = gateMajor(p.arith, m, func(g lstm.Gate) []float64 { return g.B })
-	p.qFCW = p.arith.QuantizeSlice(m.FCW)
-	p.qFCB = p.arith.FromFloat(m.FCB)
+// quantizeNarrow builds LevelMixed's parameters: the gate inputs at the
+// narrow scale, the biases and the FC head at the wide one.
+func quantizeNarrow(wide, narrow fixed.Arith, m *lstm.Model) *params {
+	return &params{
+		nEmbed: narrow.QuantizeSlice(m.Embedding.Data),
+		nWx:    gateMajor(narrow, m, func(g lstm.Gate) []float64 { return g.Wx.Data }),
+		nWh:    gateMajor(narrow, m, func(g lstm.Gate) []float64 { return g.Wh.Data }),
+		// Biases join after the MAC array; keep them wide.
+		qB:   gateMajor(wide, m, func(g lstm.Gate) []float64 { return g.B }),
+		qFCW: wide.QuantizeSlice(m.FCW),
+		qFCB: wide.FromFloat(m.FCB),
+	}
 }
 
 // stepMixed executes one item with narrow gate MACs and a wide cell path.
 func (p *Pipeline) stepMixed(item int) (Result, bool) {
-	x := row(p.nEmbed, item, p.cfg.EmbedDim)
+	x := row(p.par.nEmbed, item, p.cfg.EmbedDim)
 
 	// h(t-1) is stored wide; requantize the copy handed to the gate CUs,
 	// as the hardware's width converter does on the h_copy path.
@@ -53,15 +56,15 @@ func (p *Pipeline) stepMixed(item int) (Result, bool) {
 		p.hNarrow[k] = p.narrow.FromFloat(p.arith.ToFloat(v))
 	}
 
-	p.narrow.MatVec(p.gx, p.nWx, x)
-	p.narrow.MatVec(p.gh, p.nWh, p.hNarrow)
+	p.narrow.MatVec(p.gx, p.par.nWx, x)
+	p.narrow.MatVec(p.gh, p.par.nWh, p.hNarrow)
 	for j := range p.gate {
 		pre := p.narrow.Add(p.gx[j], p.gh[j])
 		// Widen the narrow-scale pre-activation to the wide scale. The wide
 		// scale is an exact multiple of NarrowScale, so Rescale is the exact
 		// widening multiply — but routed through the sanctioned conversion
 		// rather than a raw scale-ratio product.
-		p.gate[j] = p.arith.Add(p.arith.Rescale(pre, p.narrow), p.qB[j])
+		p.gate[j] = p.arith.Add(p.arith.Rescale(pre, p.narrow), p.par.qB[j])
 	}
 	return p.hiddenStateFixed()
 }

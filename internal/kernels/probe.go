@@ -38,14 +38,17 @@ func (p *Pipeline) SetNumericProbe(probe NumericProbe) { p.probe = probe }
 // arithmetic is intentionally identical — Dot is DotRaw + FromRaw, Mul is
 // MulRaw + FromRaw, Add is AddChecked's wrapped sum — so the Result returned
 // here always equals the fast path's (TestProbedPathMatchesFast pins this).
-// It is also written independently of the fast path: one row at a time, with
-// no MatVec, no shared scratch and no shared cell loop, which is what lets
+// It is also written independently of the fast path: one row at a time from
+// qEmbed, qWx and qB, with no MatVec, no input-projection table, no shared
+// scratch and no shared cell loop, which is what lets
 // FuzzFixedFastMatchesShadow use it as the fast path's oracle.
+// TestProbedPathIgnoresXProj pins that it never reads xProj.
 func (p *Pipeline) stepFixedProbed(item int) (Result, bool) {
 	cfg := p.cfg
 	probe := p.probe
+	par := p.par
 	nx, nh := cfg.EmbedDim, cfg.HiddenSize
-	x := row(p.qEmbed, item, nx)
+	x := row(par.qEmbed, item, nx)
 	for _, v := range x {
 		probe(absint.StageEmbed, v, nil)
 	}
@@ -56,12 +59,12 @@ func (p *Pipeline) stepFixedProbed(item int) (Result, bool) {
 		out := make([]fixed.Value, cfg.HiddenSize)
 		for r := 0; r < cfg.HiddenSize; r++ {
 			gr := g*nh + r // gate-major row
-			wxRaw, wxErr := p.arith.DotRaw(row(p.qWx, gr, nx), x)
+			wxRaw, wxErr := p.arith.DotRaw(row(par.qWx, gr, nx), x)
 			probe(absint.GateStage(name, absint.StageWxAcc), wxRaw, wxErr)
-			whRaw, whErr := p.arith.DotRaw(row(p.qWh, gr, nh), p.hQ)
+			whRaw, whErr := p.arith.DotRaw(row(par.qWh, gr, nh), p.hQ)
 			probe(absint.GateStage(name, absint.StageWhAcc), whRaw, whErr)
 			pre, preErr := p.arith.AddChecked(p.arith.FromRaw(wxRaw), p.arith.FromRaw(whRaw))
-			pre, bErr := p.arith.AddChecked(pre, p.qB[gr])
+			pre, bErr := p.arith.AddChecked(pre, par.qB[gr])
 			if preErr == nil {
 				preErr = bErr
 			}
@@ -96,9 +99,9 @@ func (p *Pipeline) stepFixedProbed(item int) (Result, bool) {
 	if p.counter < p.seqLen {
 		return Result{}, false
 	}
-	fcAcc, accErr := p.arith.DotRaw(p.qFCW, p.hQ)
+	fcAcc, accErr := p.arith.DotRaw(par.qFCW, p.hQ)
 	probe(absint.StageFCAcc, fcAcc, accErr)
-	logit, logitErr := p.arith.AddChecked(p.arith.FromRaw(fcAcc), p.qFCB)
+	logit, logitErr := p.arith.AddChecked(p.arith.FromRaw(fcAcc), par.qFCB)
 	probe(absint.StageLogit, logit, logitErr)
 	fl := p.arith.ToFloat(logit)
 	return Result{Ransomware: logit >= 0, Probability: activation.SigmoidF(fl), Logit: fl}, true

@@ -80,6 +80,40 @@ func TestProbedPathMatchesFast(t *testing.T) {
 	}
 }
 
+// TestProbedPathIgnoresXProj keeps the shadow datapath an independent
+// oracle for the fast path: it must compute the gate pre-activations from
+// qEmbed, qWx and qB row by row and never read the input-projection table.
+// Its pipeline here shares every parameter with the fast one except the
+// table, which it lacks, so a read would panic, and a lookup that stood in
+// for the row-by-row path could not match.
+func TestProbedPathIgnoresXProj(t *testing.T) {
+	m, err := lstm.NewModel(lstm.PaperConfig(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, err := New(m, Config{Level: LevelFixedPoint, SeqLen: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow := withoutXProj(fast)
+	shadow.SetNumericProbe(func(string, fixed.Value, error) {})
+	seq := make([]int, fast.SeqLen())
+	for i := range seq {
+		seq[i] = (i*53 + 9) % m.Config().VocabSize
+	}
+	rf, cf, err := fast.Classify(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, cs, err := shadow.Classify(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rf != rs || cf != cs {
+		t.Fatalf("shadow without the table (%+v, %d cycles), fast (%+v, %d cycles)", rs, cs, rf, cf)
+	}
+}
+
 // TestDesignForModelAttachesNumeric checks the weight-aware design carries
 // the interval analysis exactly at the fixed-point level, and that the
 // attached report survives a full drc.Check of the paper model.
