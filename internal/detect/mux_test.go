@@ -3,7 +3,12 @@ package detect
 import (
 	"context"
 	"errors"
+	"fmt"
+	"hash/fnv"
+	"slices"
 	"testing"
+
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 func TestNewMuxValidation(t *testing.T) {
@@ -151,5 +156,52 @@ func TestMuxEvictionUnderChurn(t *testing.T) {
 	}
 	if _, ok := stats[1000+rounds-1]; !ok {
 		t.Fatal("newest stranger evicted despite being most recent")
+	}
+}
+
+// TestMuxEvictionVictimSequence replays a seeded churn schedule over 160
+// PIDs against the default process cap (64) and pins the exact order of
+// eviction victims: each must be the least recently seen process, as an
+// independent LRU model says, OnEvict must fire once per eviction, and the
+// whole sequence must hash to the pinned value.
+func TestMuxEvictionVictimSequence(t *testing.T) {
+	const muxCap = 64
+	reg := telemetry.NewRegistry()
+	var victims []int
+	m, err := NewMux(&fakePredictor{window: 4, marker: 7}, MuxConfig{
+		Detector: Config{Stride: 1, Threshold: 0.99, Telemetry: reg},
+		OnEvict:  func(pid int) { victims = append(victims, pid) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lru, want []int // lru: resident PIDs, least recently seen first
+	x := uint32(1)
+	for i := 0; i < 3000; i++ {
+		x = x*1664525 + 1013904223
+		pid := 1 + int(x>>8)%160
+		if _, err := m.Observe(context.Background(), pid, 1); err != nil {
+			t.Fatal(err)
+		}
+		if j := slices.Index(lru, pid); j >= 0 {
+			lru = slices.Delete(lru, j, j+1)
+		} else if len(lru) == muxCap {
+			want = append(want, lru[0])
+			lru = lru[1:]
+		}
+		lru = append(lru, pid)
+	}
+	if !slices.Equal(victims, want) {
+		t.Fatalf("eviction victims diverge from the LRU model:\n got %v\nwant %v", victims, want)
+	}
+	if got := counterValue(t, reg, "mux_evictions_total"); got != int64(len(victims)) {
+		t.Fatalf("mux_evictions_total = %d, OnEvict calls = %d", got, len(victims))
+	}
+	h := fnv.New64a()
+	for _, pid := range victims {
+		fmt.Fprintf(h, "%d,", pid)
+	}
+	if n, sum := len(victims), h.Sum64(); n != 1713 || sum != 0xc70c43cb8157f40f {
+		t.Fatalf("victim sequence: %d evictions, fnv64a %#x; want 1713, 0xc70c43cb8157f40f", n, sum)
 	}
 }
