@@ -220,7 +220,7 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("event log: %w", err)
 		}
-		events.Attach("file", sink, 0)
+		events.Attach("file", sink)
 	}
 
 	var tracer *trace.Tracer

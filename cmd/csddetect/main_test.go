@@ -110,7 +110,7 @@ func TestForensicsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events.Attach("file", sink, 0)
+	events.Attach("file", sink)
 
 	p, err := buildPipeline(pipelineConfig{
 		model: model, threshold: 0.5,

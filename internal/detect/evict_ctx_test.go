@@ -14,22 +14,19 @@ import (
 func TestEvictionEventKeepsCallerJob(t *testing.T) {
 	p := &fakePredictor{window: 4, marker: 7}
 	log := eventlog.New(eventlog.Config{MinLevel: eventlog.LevelDebug})
-	m, err := NewMux(p, MuxConfig{
-		MaxProcesses: 2,
-		Detector:     Config{Stride: 1, Events: log},
-	})
+	m, err := NewMux(p, MuxConfig{Detector: Config{Stride: 1, Events: log}})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx := telemetry.WithSpan(t.Context(), &telemetry.Span{ID: 4242})
-	for pid := 1; pid <= 3; pid++ {
+	for pid := 1; pid <= MaxProcesses+1; pid++ {
 		if _, err := m.Observe(ctx, pid, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if m.Processes() != 2 {
-		t.Fatalf("tracked processes = %d, want cap of 2", m.Processes())
+	if m.Processes() != MaxProcesses {
+		t.Fatalf("tracked processes = %d, want cap of %d", m.Processes(), MaxProcesses)
 	}
 
 	var evict *eventlog.Event

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/kfrida1/csdinf/internal/eventlog"
 	"github.com/kfrida1/csdinf/internal/infer"
 	"github.com/kfrida1/csdinf/internal/telemetry"
 )
+
+// MaxProcesses bounds the processes a Mux tracks; past it, the least
+// recently seen process's state is evicted.
+const MaxProcesses = 64
 
 // Mux demultiplexes a system-wide API-call stream into per-process
 // detectors. Cuckoo-style monitoring reports calls per process, and
@@ -25,11 +28,9 @@ type Mux struct {
 	pred Predictor
 	cfg  Config
 
-	detectors map[int]*Detector
-	// maxProcesses bounds tracked processes; oldest-idle are evicted.
-	maxProcesses int
-	lastSeen     map[int]int64
-	clock        int64
+	// procs holds each tracked process's record, at most MaxProcesses.
+	procs map[int]*process
+	clock int64
 
 	blockedPID int
 	blocked    bool
@@ -41,17 +42,21 @@ type Mux struct {
 	processesG *telemetry.Gauge
 }
 
+// process is the mux's record of one tracked process: its detector and
+// the mux clock at its latest call, which is unique per process.
+type process struct {
+	det      *Detector
+	lastSeen int64
+}
+
 // MuxConfig controls the demultiplexer.
 type MuxConfig struct {
 	// Detector is the per-process detector configuration. Its OnWindow
 	// observer and Events logger are inherited by every per-process child,
 	// with samples and events carrying the child's PID.
 	Detector Config
-	// MaxProcesses bounds concurrently tracked processes; 0 defaults to
-	// 64. When exceeded, the longest-idle process's state is evicted.
-	MaxProcesses int
 	// OnEvict, when non-nil, is invoked with the PID whose detector state
-	// was just evicted under the process cap — wire
+	// was just evicted under the MaxProcesses cap — wire
 	// incident.Recorder.Evict here so an open incident for the process is
 	// closed rather than silently merged with a later reappearance.
 	OnEvict func(pid int)
@@ -62,25 +67,17 @@ func NewMux(pred Predictor, cfg MuxConfig) (*Mux, error) {
 	if pred == nil {
 		return nil, errors.New("detect: nil predictor")
 	}
-	if cfg.MaxProcesses == 0 {
-		cfg.MaxProcesses = 64
-	}
-	if cfg.MaxProcesses < 0 {
-		return nil, fmt.Errorf("detect: MaxProcesses %d must be positive", cfg.MaxProcesses)
-	}
 	// Validate the detector configuration eagerly with a probe detector.
 	if _, err := New(pred, cfg.Detector); err != nil {
 		return nil, err
 	}
 	reg := cfg.Detector.Telemetry
 	return &Mux{
-		pred:         pred,
-		cfg:          cfg.Detector,
-		detectors:    make(map[int]*Detector),
-		maxProcesses: cfg.MaxProcesses,
-		lastSeen:     make(map[int]int64),
-		onEvict:      cfg.OnEvict,
-		events:       cfg.Detector.Events,
+		pred:    pred,
+		cfg:     cfg.Detector,
+		procs:   make(map[int]*process),
+		onEvict: cfg.OnEvict,
+		events:  cfg.Detector.Events,
 		evictionsC: reg.Counter("mux_evictions_total",
 			"Per-process detector states evicted under the process cap."),
 		processesG: reg.Gauge("mux_processes",
@@ -102,23 +99,23 @@ func (m *Mux) Observe(ctx context.Context, pid, apiCallID int) (*ProcessEvent, e
 		return nil, ErrBlocked
 	}
 	m.clock++
-	det, ok := m.detectors[pid]
+	p, ok := m.procs[pid]
 	if !ok {
-		if len(m.detectors) >= m.maxProcesses {
+		if len(m.procs) >= MaxProcesses {
 			m.evictIdlest(ctx)
 		}
-		var err error
-		det, err = New(m.pred, m.cfg)
+		det, err := New(m.pred, m.cfg)
 		if err != nil {
 			return nil, fmt.Errorf("detect: process %d: %w", pid, err)
 		}
 		det.pid = pid
-		m.detectors[pid] = det
-		m.processesG.Set(int64(len(m.detectors)))
+		p = &process{det: det}
+		m.procs[pid] = p
+		m.processesG.Set(int64(len(m.procs)))
 		m.events.LogPID(ctx, eventlog.LevelDebug, "detect", "process.track", pid,
-			eventlog.F("tracked", len(m.detectors)))
+			eventlog.F("tracked", len(m.procs)))
 	}
-	m.lastSeen[pid] = m.clock
+	p.lastSeen = m.clock
 
 	// Each monitored process is a placement tenant: the fleet layer pins a
 	// tenant's windows to one device, keeping a process's classification
@@ -126,7 +123,7 @@ func (m *Mux) Observe(ctx context.Context, pid, apiCallID int) (*ProcessEvent, e
 	if infer.TenantFrom(ctx) == "" {
 		ctx = infer.WithTenant(ctx, fmt.Sprintf("pid-%d", pid))
 	}
-	ev, err := det.Observe(ctx, apiCallID)
+	ev, err := p.det.Observe(ctx, apiCallID)
 	if err != nil {
 		return nil, fmt.Errorf("detect: process %d: %w", pid, err)
 	}
@@ -141,23 +138,22 @@ func (m *Mux) Observe(ctx context.Context, pid, apiCallID int) (*ProcessEvent, e
 	return out, nil
 }
 
-// evictIdlest drops the longest-idle process. The caller's ctx is threaded
-// through so the eviction event keeps the trace job ID of the API call that
-// forced it — that correlation is what lets incident forensics explain why
-// a process's history was truncated.
+// evictIdlest drops the least recently seen process, found in one scan.
+// The caller's ctx is threaded through so the eviction event keeps the
+// trace job ID of the API call that forced it — that correlation is what
+// lets incident forensics explain why a process's history was truncated.
 func (m *Mux) evictIdlest(ctx context.Context) {
-	var pids []int
-	for pid := range m.detectors {
-		pids = append(pids, pid)
+	victim, oldest := 0, m.clock
+	for pid, p := range m.procs {
+		if p.lastSeen < oldest {
+			victim, oldest = pid, p.lastSeen
+		}
 	}
-	sort.Slice(pids, func(i, j int) bool { return m.lastSeen[pids[i]] < m.lastSeen[pids[j]] })
-	victim := pids[0]
-	delete(m.detectors, victim)
-	delete(m.lastSeen, victim)
+	delete(m.procs, victim)
 	m.evictionsC.Inc()
-	m.processesG.Set(int64(len(m.detectors)))
+	m.processesG.Set(int64(len(m.procs)))
 	m.events.LogPID(ctx, eventlog.LevelInfo, "detect", "process.evict", victim,
-		eventlog.F("tracked", len(m.detectors)))
+		eventlog.F("tracked", len(m.procs)))
 	if m.onEvict != nil {
 		m.onEvict(victim)
 	}
@@ -167,13 +163,13 @@ func (m *Mux) evictIdlest(ctx context.Context) {
 func (m *Mux) Blocked() (bool, int) { return m.blocked, m.blockedPID }
 
 // Processes returns the number of currently tracked processes.
-func (m *Mux) Processes() int { return len(m.detectors) }
+func (m *Mux) Processes() int { return len(m.procs) }
 
 // ProcessStats returns the per-process detector statistics.
 func (m *Mux) ProcessStats() map[int]Stats {
-	out := make(map[int]Stats, len(m.detectors))
-	for pid, det := range m.detectors {
-		out[pid] = det.Stats()
+	out := make(map[int]Stats, len(m.procs))
+	for pid, p := range m.procs {
+		out[pid] = p.det.Stats()
 	}
 	return out
 }

@@ -16,9 +16,6 @@ func TestNewMuxValidation(t *testing.T) {
 	if _, err := NewMux(nil, MuxConfig{}); err == nil {
 		t.Error("nil predictor: expected error")
 	}
-	if _, err := NewMux(p, MuxConfig{MaxProcesses: -1}); err == nil {
-		t.Error("negative max processes: expected error")
-	}
 	if _, err := NewMux(p, MuxConfig{Detector: Config{Threshold: 2}}); err == nil {
 		t.Error("bad detector config: expected error")
 	}
@@ -66,26 +63,23 @@ func TestMuxIsolatesProcesses(t *testing.T) {
 
 func TestMuxEviction(t *testing.T) {
 	p := &fakePredictor{window: 4, marker: 7}
-	m, err := NewMux(p, MuxConfig{
-		Detector:     Config{Stride: 1, Threshold: 0.99},
-		MaxProcesses: 3,
-	})
+	m, err := NewMux(p, MuxConfig{Detector: Config{Stride: 1, Threshold: 0.99}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pid := 1; pid <= 5; pid++ {
+	for pid := 1; pid <= MaxProcesses+2; pid++ {
 		if _, err := m.Observe(context.Background(), pid, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := m.Processes(); got != 3 {
-		t.Fatalf("tracked processes = %d, want 3 (evicted down)", got)
+	if got := m.Processes(); got != MaxProcesses {
+		t.Fatalf("tracked processes = %d, want %d (evicted down)", got, MaxProcesses)
 	}
 	// The longest-idle (pid 1, 2) must be gone; recent pids remain.
 	stats := m.ProcessStats()
-	for _, pid := range []int{3, 4, 5} {
-		if _, ok := stats[pid]; !ok {
-			t.Fatalf("recent pid %d evicted", pid)
+	for pid := 1; pid <= MaxProcesses+2; pid++ {
+		if _, ok := stats[pid]; ok != (pid > 2) {
+			t.Fatalf("pid %d tracked = %v after two evictions", pid, ok)
 		}
 	}
 }
@@ -109,19 +103,19 @@ func TestMuxStats(t *testing.T) {
 
 func TestMuxEvictionUnderChurn(t *testing.T) {
 	p := &fakePredictor{window: 4, marker: 7}
-	m, err := NewMux(p, MuxConfig{
-		Detector:     Config{Stride: 1, Threshold: 0.99},
-		MaxProcesses: 4,
-	})
+	m, err := NewMux(p, MuxConfig{Detector: Config{Stride: 1, Threshold: 0.99}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// A small hot set keeps streaming while a churn of one-shot PIDs
-	// arrives. The hot set must survive every eviction round with its
-	// accumulated state intact; the one-shot strangers are the idlest and
-	// must be the ones evicted.
-	hot := []int{100, 101, 102}
+	// A hot set one short of the cap keeps streaming while a churn of
+	// one-shot PIDs arrives. The hot set must survive every eviction round
+	// with its accumulated state intact; the one-shot strangers are the
+	// idlest and must be the ones evicted.
+	var hot []int
+	for pid := 100; pid < 100+MaxProcesses-1; pid++ {
+		hot = append(hot, pid)
+	}
 	const rounds = 20
 	for r := 0; r < rounds; r++ {
 		for _, pid := range hot {
@@ -134,8 +128,8 @@ func TestMuxEvictionUnderChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := m.Processes(); got != 4 {
-		t.Fatalf("tracked processes = %d, want 4 (bounded)", got)
+	if got := m.Processes(); got != MaxProcesses {
+		t.Fatalf("tracked processes = %d, want %d (bounded)", got, MaxProcesses)
 	}
 	stats := m.ProcessStats()
 	for _, pid := range hot {
@@ -160,12 +154,11 @@ func TestMuxEvictionUnderChurn(t *testing.T) {
 }
 
 // TestMuxEvictionVictimSequence replays a seeded churn schedule over 160
-// PIDs against the default process cap (64) and pins the exact order of
+// PIDs against the MaxProcesses cap and pins the exact order of
 // eviction victims: each must be the least recently seen process, as an
 // independent LRU model says, OnEvict must fire once per eviction, and the
 // whole sequence must hash to the pinned value.
 func TestMuxEvictionVictimSequence(t *testing.T) {
-	const muxCap = 64
 	reg := telemetry.NewRegistry()
 	var victims []int
 	m, err := NewMux(&fakePredictor{window: 4, marker: 7}, MuxConfig{
@@ -185,7 +178,7 @@ func TestMuxEvictionVictimSequence(t *testing.T) {
 		}
 		if j := slices.Index(lru, pid); j >= 0 {
 			lru = slices.Delete(lru, j, j+1)
-		} else if len(lru) == muxCap {
+		} else if len(lru) == MaxProcesses {
 			want = append(want, lru[0])
 			lru = lru[1:]
 		}

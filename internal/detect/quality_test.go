@@ -71,7 +71,7 @@ func TestQualityLabelStamping(t *testing.T) {
 	if q.WindowsToFlag.P50 != 2 {
 		t.Errorf("windows-to-flag p50 %v, want 2", q.WindowsToFlag.P50)
 	}
-	if want := float64(3 * quality.DefaultBytesPerWindow); q.BytesAtRisk.P50 != want {
+	if want := float64(3 * quality.BytesPerWindow); q.BytesAtRisk.P50 != want {
 		t.Errorf("bytes-at-risk p50 %v, want %v (3 windows)", q.BytesAtRisk.P50, want)
 	}
 }

@@ -134,15 +134,12 @@ func TestDetectorHonorsCallerSpan(t *testing.T) {
 func TestMuxEvictionTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	p := &fakePredictor{window: 4, marker: 7}
-	m, err := NewMux(p, MuxConfig{
-		Detector:     Config{Stride: 2, Telemetry: reg},
-		MaxProcesses: 2,
-	})
+	m, err := NewMux(p, MuxConfig{Detector: Config{Stride: 2, Telemetry: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three distinct PIDs against a cap of two forces one eviction.
-	for _, pid := range []int{100, 200, 300} {
+	// One PID past the cap forces one eviction.
+	for pid := 100; pid <= 100+MaxProcesses; pid++ {
 		if _, err := m.Observe(context.Background(), pid, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -150,10 +147,10 @@ func TestMuxEvictionTelemetry(t *testing.T) {
 	if got := counterValue(t, reg, "mux_evictions_total"); got != 1 {
 		t.Fatalf("mux_evictions_total = %d, want 1", got)
 	}
-	if got := counterValue(t, reg, "mux_processes"); got != 2 {
-		t.Fatalf("mux_processes = %d, want 2", got)
+	if got := counterValue(t, reg, "mux_processes"); got != MaxProcesses {
+		t.Fatalf("mux_processes = %d, want %d", got, MaxProcesses)
 	}
-	if m.Processes() != 2 {
+	if m.Processes() != MaxProcesses {
 		t.Fatalf("Processes() = %d", m.Processes())
 	}
 }

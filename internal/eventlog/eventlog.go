@@ -122,33 +122,23 @@ type Event struct {
 	Fields []Field
 }
 
+// Retention bounds.
+const (
+	// ringSize bounds the in-memory ring of recent events /events.json
+	// serves.
+	ringSize = 512
+	// sinkQueue bounds each attached sink's queue. When a sink's queue is
+	// full the event is dropped for that sink (and counted), never
+	// blocking the emitting goroutine.
+	sinkQueue = 1024
+)
+
 // Config controls a Logger.
 type Config struct {
 	// MinLevel is the lowest severity recorded; 0 defaults to LevelInfo.
 	MinLevel Level
-	// Ring bounds the in-memory ring of recent events; 0 defaults to 512.
-	Ring int
-	// SinkBuffer bounds each attached sink's queue; 0 defaults to 1024.
-	// When a sink's queue is full the event is dropped for that sink (and
-	// counted), never blocking the emitting goroutine.
-	SinkBuffer int
 	// Clock overrides the timestamp source (tests); nil uses time.Now.
 	Clock func() time.Time
-}
-
-func (c *Config) defaults() {
-	if c.MinLevel == 0 {
-		c.MinLevel = LevelInfo
-	}
-	if c.Ring <= 0 {
-		c.Ring = 512
-	}
-	if c.SinkBuffer <= 0 {
-		c.SinkBuffer = 1024
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
-	}
 }
 
 // Logger is a concurrency-safe structured event logger. All methods are
@@ -161,8 +151,7 @@ type Logger struct {
 	total atomic.Int64 // events past the level filter
 
 	mu   sync.Mutex
-	ring []Event
-	next int
+	ring telemetry.Ring[Event]
 
 	sinkMu sync.Mutex
 	sinks  []*attachedSink
@@ -174,8 +163,13 @@ type Logger struct {
 
 // New builds a logger from the configuration.
 func New(cfg Config) *Logger {
-	cfg.defaults()
-	l := &Logger{cfg: cfg, ring: make([]Event, 0, cfg.Ring)}
+	if cfg.MinLevel == 0 {
+		cfg.MinLevel = LevelInfo
+	}
+	if cfg.Clock == nil {
+		cfg.Clock = time.Now
+	}
+	l := &Logger{cfg: cfg, ring: telemetry.NewRing[Event](ringSize)}
 	l.min.Store(int32(cfg.MinLevel))
 	return l
 }
@@ -257,12 +251,7 @@ func (l *Logger) emit(ctx context.Context, lvl Level, component, name string, pi
 	l.total.Add(1)
 
 	l.mu.Lock()
-	if len(l.ring) < cap(l.ring) {
-		l.ring = append(l.ring, ev)
-	} else {
-		l.ring[l.next] = ev
-		l.next = (l.next + 1) % len(l.ring)
-	}
+	l.ring.Put(ev)
 	l.mu.Unlock()
 
 	l.sinkMu.Lock()
@@ -284,10 +273,7 @@ func (l *Logger) Recent() []Event {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, 0, len(l.ring))
-	out = append(out, l.ring[l.next:]...)
-	out = append(out, l.ring[:l.next]...)
-	return out
+	return l.ring.Values()
 }
 
 // Total counts all events recorded past the level filter, including those
@@ -300,23 +286,19 @@ func (l *Logger) Total() int64 {
 }
 
 // Attach registers a sink under the given name and starts its delivery
-// goroutine. buffer bounds the sink's private queue (<=0 takes
-// Config.SinkBuffer); when full, events are dropped for this sink only.
-// Events already emitted are not replayed. Attaching to a nil or closed
-// logger is a no-op.
-func (l *Logger) Attach(name string, s Sink, buffer int) {
+// goroutine. The sink's private queue holds 1024 events; when full,
+// events are dropped for this sink only. Events already emitted are not
+// replayed. Attaching to a nil or closed logger is a no-op.
+func (l *Logger) Attach(name string, s Sink) {
 	if l == nil || s == nil {
 		return
-	}
-	if buffer <= 0 {
-		buffer = l.cfg.SinkBuffer
 	}
 	l.sinkMu.Lock()
 	defer l.sinkMu.Unlock()
 	if l.closed {
 		return
 	}
-	as := &attachedSink{name: name, sink: s, queue: make(chan Event, buffer)}
+	as := &attachedSink{name: name, sink: s, queue: make(chan Event, sinkQueue)}
 	as.done.Add(1)
 	go as.run()
 	l.sinks = append(l.sinks, as)

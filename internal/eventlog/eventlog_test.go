@@ -93,21 +93,22 @@ func TestLevelsAndFiltering(t *testing.T) {
 }
 
 func TestRingEviction(t *testing.T) {
-	l := New(Config{Ring: 4, Clock: fixedClock()})
-	for i := 0; i < 10; i++ {
+	l := New(Config{Clock: fixedClock()})
+	const n = ringSize + 6
+	for i := 0; i < n; i++ {
 		l.Info(context.Background(), "c", fmt.Sprintf("e%d", i))
 	}
 	rec := l.Recent()
-	if len(rec) != 4 {
-		t.Fatalf("retained %d, want 4", len(rec))
+	if len(rec) != ringSize {
+		t.Fatalf("retained %d, want %d", len(rec), ringSize)
 	}
 	for i, ev := range rec {
 		if want := fmt.Sprintf("e%d", 6+i); ev.Name != want {
-			t.Errorf("ring[%d] = %s, want %s", i, ev.Name, want)
+			t.Fatalf("ring[%d] = %s, want %s", i, ev.Name, want)
 		}
 	}
-	if l.Total() != 10 {
-		t.Errorf("Total = %d, want 10", l.Total())
+	if l.Total() != n {
+		t.Errorf("Total = %d, want %d", l.Total(), n)
 	}
 }
 
@@ -142,7 +143,7 @@ func TestFileSinkJSONLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := New(Config{Clock: fixedClock()})
-	l.Attach("file", sink, 0)
+	l.Attach("file", sink)
 	for i := 0; i < 5; i++ {
 		l.Info(context.Background(), "c", "tick", F("i", i))
 	}
@@ -194,20 +195,28 @@ func (b *blockingSink) WriteEvent(ev Event) error {
 func TestSlowSinkDropsWithoutBlocking(t *testing.T) {
 	blocked := &blockingSink{release: make(chan struct{})}
 	l := New(Config{Clock: fixedClock()})
-	l.Attach("slow", blocked, 1)
+	l.Attach("slow", blocked)
 	capture := &CaptureSink{}
-	l.Attach("fast", capture, 128)
+	l.Attach("fast", capture)
 
+	// Emit past the slow sink's queue in bursts of 64, letting the healthy
+	// sink drain between bursts so only the stalled one overflows.
+	const n = sinkQueue + 128
 	done := make(chan struct{})
 	go func() {
-		for i := 0; i < 64; i++ {
+		defer close(done)
+		for i := 0; i < n; i++ {
 			l.Info(context.Background(), "c", "burst", F("i", i))
+			if (i+1)%64 == 0 {
+				for len(capture.Events()) < i+1 {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
 		}
-		close(done)
 	}()
 	select {
 	case <-done:
-	case <-time.After(5 * time.Second):
+	case <-time.After(10 * time.Second):
 		t.Fatal("emission blocked on a slow sink")
 	}
 	close(blocked.release)
@@ -215,16 +224,21 @@ func TestSlowSinkDropsWithoutBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The stalled sink got a full queue (plus the one event it was
+	// holding) and dropped the rest, counting every drop.
 	blocked.mu.Lock()
 	delivered := len(blocked.got)
 	blocked.mu.Unlock()
-	dropped := 64 - delivered
-	if dropped < 32 {
-		t.Errorf("slow sink dropped %d of 64, expected most of the burst dropped", dropped)
+	if delivered < sinkQueue || delivered > sinkQueue+1 {
+		t.Errorf("slow sink delivered %d of %d, want its queue of %d (+1 in flight)", delivered, n, sinkQueue)
+	}
+	stats := l.SinkStats()
+	if stats[0].Name != "slow" || stats[0].Dropped != int64(n-delivered) {
+		t.Errorf("slow sink stats %+v, want %d dropped", stats[0], n-delivered)
 	}
 	// The healthy sink saw everything despite its sibling stalling.
-	if got := len(capture.Events()); got != 64 {
-		t.Errorf("fast sink received %d of 64", got)
+	if got := len(capture.Events()); got != n || stats[1].Dropped != 0 {
+		t.Errorf("fast sink received %d of %d (stats %+v)", got, n, stats[1])
 	}
 }
 
@@ -235,7 +249,7 @@ func (failingSink) WriteEvent(Event) error { return errors.New("disk full") }
 
 func TestSinkErrorsCounted(t *testing.T) {
 	l := New(Config{Clock: fixedClock()})
-	l.Attach("bad", failingSink{}, 0)
+	l.Attach("bad", failingSink{})
 	l.Info(context.Background(), "c", "x")
 	l.Info(context.Background(), "c", "y")
 	// Wait for delivery before reading stats.
@@ -259,7 +273,7 @@ func TestSinkErrorsCounted(t *testing.T) {
 }
 
 func TestHTTPHandler(t *testing.T) {
-	l := New(Config{MinLevel: LevelDebug, Ring: 64, Clock: fixedClock()})
+	l := New(Config{MinLevel: LevelDebug, Clock: fixedClock()})
 	ctx := context.Background()
 	l.Debug(ctx, "csd", "transfer.p2p", F("bytes", 400))
 	l.Info(ctx, "serve", "dispatch", F("device", "0"))
@@ -333,9 +347,9 @@ func TestHTTPHandler(t *testing.T) {
 // TestConcurrentEmission pins concurrency safety: many writers, a reader,
 // a sink, and the HTTP handler all running under -race.
 func TestConcurrentEmission(t *testing.T) {
-	l := New(Config{Ring: 128})
+	l := New(Config{})
 	capture := &CaptureSink{}
-	l.Attach("cap", capture, 0)
+	l.Attach("cap", capture)
 	srv := httptest.NewServer(l.HTTPHandler())
 	defer srv.Close()
 

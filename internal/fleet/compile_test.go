@@ -30,21 +30,31 @@ func paperModel(tb testing.TB) *lstm.Model {
 	return m
 }
 
-// newEventLog records every level, with room for all of a 4-node fleet's
-// deploy and design-rule events.
-func newEventLog() *eventlog.Logger {
-	return eventlog.New(eventlog.Config{
+// newEventLog records every level into a capture sink, which, unlike the
+// logger's bounded ring, keeps all of a 4-node fleet's deploy and
+// design-rule events.
+func newEventLog() (*eventlog.Logger, *eventlog.CaptureSink) {
+	log := eventlog.New(eventlog.Config{
 		MinLevel: eventlog.LevelDebug,
-		Ring:     4096,
 		Clock:    func() time.Time { return time.Time{} },
 	})
+	sink := &eventlog.CaptureSink{}
+	log.Attach("capture", sink)
+	return log, sink
 }
 
-// coreEvents returns the events the engine layer emitted, without the
-// logger-assigned sequence numbers.
-func coreEvents(log *eventlog.Logger) []eventlog.Event {
+// coreEvents closes the logger, flushing its sink, and returns the events
+// the engine layer emitted, without the logger-assigned sequence numbers.
+func coreEvents(tb testing.TB, log *eventlog.Logger, sink *eventlog.CaptureSink) []eventlog.Event {
+	tb.Helper()
+	if err := log.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	if st := log.SinkStats(); st[0].Dropped != 0 {
+		tb.Fatalf("capture sink dropped %d events", st[0].Dropped)
+	}
 	var out []eventlog.Event
-	for _, ev := range log.Recent() {
+	for _, ev := range sink.Events() {
 		if ev.Component == "core" {
 			ev.Seq = 0
 			out = append(out, ev)
@@ -62,7 +72,7 @@ func TestFleetNewMatchesSeparateDeploys(t *testing.T) {
 	for _, level := range []kernels.OptLevel{kernels.LevelFixedPoint, kernels.LevelVanilla} {
 		t.Run(level.String(), func(t *testing.T) {
 			deploy := core.DeployConfig{Level: level}
-			want := newEventLog()
+			want, wantSink := newEventLog()
 			for i := 0; i < 4; i++ {
 				dev, err := csd.New(csd.Config{})
 				if err != nil {
@@ -75,7 +85,7 @@ func TestFleetNewMatchesSeparateDeploys(t *testing.T) {
 				}
 			}
 
-			got := newEventLog()
+			got, gotSink := newEventLog()
 			f, err := New(m, Config{
 				Nodes: 4, Deploy: deploy, Events: got,
 				Telemetry: telemetry.NewRegistry(), Spans: telemetry.NewSpanLog(8), Trace: trace.New(),
@@ -85,7 +95,7 @@ func TestFleetNewMatchesSeparateDeploys(t *testing.T) {
 			}
 			defer f.Close()
 
-			wantEv, gotEv := coreEvents(want), coreEvents(got)
+			wantEv, gotEv := coreEvents(t, want, wantSink), coreEvents(t, got, gotSink)
 			if !reflect.DeepEqual(gotEv, wantEv) {
 				t.Fatalf("fleet engine events differ from separate deploys\nfleet:    %+v\nseparate: %+v", gotEv, wantEv)
 			}

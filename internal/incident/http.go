@@ -1,8 +1,9 @@
 package incident
 
 import (
-	"encoding/json"
 	"net/http"
+
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 // HTTPHandler serves the incident history as JSON — the /incidents.json
@@ -11,9 +12,11 @@ import (
 //	{"total": N, "open": n, "incidents": [...]}
 //
 // where total counts incidents ever opened (including ones dropped from the
-// bounded closed ring) and incidents is Snapshot's order: closed first,
-// then open. Query parameter ?state=open or ?state=closed filters. A nil
-// recorder serves a valid empty document.
+// bounded closed ring), open counts the open incidents, and incidents is
+// Snapshot's order: closed first, then open. All three come from one
+// locked read of the recorder. Query parameter ?state=open or ?state=closed
+// filters the list (not the counts). A nil recorder serves a valid empty
+// document.
 func (r *Recorder) HTTPHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		state := req.URL.Query().Get("state")
@@ -21,27 +24,27 @@ func (r *Recorder) HTTPHandler() http.Handler {
 			http.Error(w, "state must be open or closed", http.StatusBadRequest)
 			return
 		}
-		incidents := r.Snapshot()
-		if state != "" {
-			kept := incidents[:0]
-			for _, inc := range incidents {
-				if inc.State == state {
-					kept = append(kept, inc)
-				}
+		var total int64
+		var incidents []Incident
+		if r != nil {
+			r.mu.Lock()
+			total, incidents = r.opened, r.snapshotLocked()
+			r.mu.Unlock()
+		}
+		open := 0
+		kept := []Incident{}
+		for _, inc := range incidents {
+			if inc.State == "open" {
+				open++
 			}
-			incidents = kept
+			if state == "" || inc.State == state {
+				kept = append(kept, inc)
+			}
 		}
-		if incidents == nil {
-			incidents = []Incident{}
-		}
-		doc := struct {
+		telemetry.ServeJSON(w, http.StatusOK, struct {
 			Total     int64      `json:"total"`
 			Open      int        `json:"open"`
 			Incidents []Incident `json:"incidents"`
-		}{Total: r.Total(), Open: r.Open(), Incidents: incidents}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(doc)
+		}{Total: total, Open: open, Incidents: kept})
 	})
 }

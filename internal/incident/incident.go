@@ -27,7 +27,7 @@ package incident
 import (
 	"context"
 	"errors"
-	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -110,7 +110,7 @@ type Incident struct {
 	// MaxProbability is the highest ransomware probability observed.
 	MaxProbability float64 `json:"max_probability"`
 	// Trajectory is the confidence trajectory: the most recent windows, in
-	// order, bounded by Config.MaxTrajectory.
+	// order, bounded by maxTrajectory.
 	Trajectory []Window `json:"trajectory"`
 	// TrajectoryDropped counts windows evicted from the bounded Trajectory.
 	TrajectoryDropped int `json:"trajectory_dropped,omitempty"`
@@ -134,17 +134,21 @@ type Incident struct {
 	Family string `json:"family,omitempty"`
 }
 
+// Retention bounds.
+const (
+	// maxTrajectory bounds each incident's retained window trajectory (and
+	// its job list). Older windows are dropped (and counted) first.
+	maxTrajectory = 256
+	// maxClosed bounds retained closed incidents. Oldest are dropped first
+	// (WriteReports written before then are unaffected).
+	maxClosed = 64
+)
+
 // Config controls the recorder.
 type Config struct {
 	// Generation, when non-nil, supplies the live model generation stamped
 	// on incidents at flag time — wire cti.HotSwapEngine.Generation here.
 	Generation func() int64
-	// MaxTrajectory bounds each incident's retained window trajectory;
-	// 0 defaults to 256. Older windows are dropped (and counted) first.
-	MaxTrajectory int
-	// MaxClosed bounds retained closed incidents; 0 defaults to 64. Oldest
-	// are dropped first (WriteReports written before then are unaffected).
-	MaxClosed int
 	// Events, when non-nil, receives an incident lifecycle event per
 	// transition: warn incident.open when a process is flagged, and
 	// incident.close on closure (error level when mitigation blocked the
@@ -168,7 +172,7 @@ type Recorder struct {
 	// tracked holds the per-PID state of the current epoch: a candidate
 	// (flagged=false) or an open incident.
 	tracked map[int]*state
-	closed  []Incident
+	closed  telemetry.Ring[Incident]
 	nextID  int64
 	opened  int64
 }
@@ -178,24 +182,17 @@ type state struct {
 	inc     Incident
 }
 
-// NewRecorder builds a recorder.
+// NewRecorder builds a recorder. The closed-incident ring is allocated
+// up front.
 func NewRecorder(cfg Config) (*Recorder, error) {
-	if cfg.MaxTrajectory == 0 {
-		cfg.MaxTrajectory = 256
-	}
-	if cfg.MaxTrajectory < 0 {
-		return nil, fmt.Errorf("incident: MaxTrajectory must be positive, got %d", cfg.MaxTrajectory)
-	}
-	if cfg.MaxClosed == 0 {
-		cfg.MaxClosed = 64
-	}
-	if cfg.MaxClosed < 0 {
-		return nil, fmt.Errorf("incident: MaxClosed must be positive, got %d", cfg.MaxClosed)
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	return &Recorder{cfg: cfg, tracked: make(map[int]*state)}, nil
+	return &Recorder{
+		cfg:     cfg,
+		tracked: make(map[int]*state),
+		closed:  telemetry.NewRing[Incident](maxClosed),
+	}, nil
 }
 
 // Window folds one classified window into the process's incident state.
@@ -237,16 +234,15 @@ func (r *Recorder) Window(s detect.WindowSample) {
 	inc.QueueWaitTotal += s.QueueWait
 	inc.TransferTotal += s.Transfer
 	inc.ComputeTotal += s.Compute
-	if len(inc.Trajectory) >= r.cfg.MaxTrajectory {
-		drop := len(inc.Trajectory) - r.cfg.MaxTrajectory + 1
-		inc.Trajectory = append(inc.Trajectory[:0], inc.Trajectory[drop:]...)
-		inc.TrajectoryDropped += drop
+	if len(inc.Trajectory) == maxTrajectory {
+		inc.Trajectory = append(inc.Trajectory[:0], inc.Trajectory[1:]...)
+		inc.TrajectoryDropped++
 	}
 	inc.Trajectory = append(inc.Trajectory, w)
-	if w.Job != 0 && !containsJob(inc.Jobs, w.Job) && len(inc.Jobs) < r.cfg.MaxTrajectory {
+	if w.Job != 0 && !slices.Contains(inc.Jobs, w.Job) && len(inc.Jobs) < maxTrajectory {
 		inc.Jobs = append(inc.Jobs, w.Job)
 	}
-	if w.Device != "" && !containsDevice(inc.Devices, w.Device) {
+	if w.Device != "" && !slices.Contains(inc.Devices, w.Device) {
 		inc.Devices = append(inc.Devices, w.Device)
 	}
 
@@ -306,32 +302,14 @@ func (r *Recorder) DeviceFailure(deviceID, reason string) Incident {
 	if r == nil {
 		return Incident{}
 	}
-	r.mu.Lock()
-	now := r.cfg.Clock()
-	r.nextID++
-	r.opened++
-	inc := Incident{
-		ID: r.nextID, Kind: "device", State: "closed",
-		CloseReason: "device-failed", FailureReason: reason,
-		FirstSeen: now, FlaggedAt: now, ClosedAt: now,
+	inc := r.recordClosed(Incident{
+		Kind: "device", CloseReason: "device-failed", FailureReason: reason,
 		Devices: []string{deviceID},
-	}
-	if r.cfg.Generation != nil {
-		inc.ModelGeneration = r.cfg.Generation()
-	}
-	if len(r.closed) >= r.cfg.MaxClosed {
-		drop := len(r.closed) - r.cfg.MaxClosed + 1
-		r.closed = append(r.closed[:0], r.closed[drop:]...)
-	}
-	r.closed = append(r.closed, inc)
-	r.mu.Unlock()
+	})
 	r.cfg.Events.LogDevice(context.Background(), eventlog.LevelError, "incident", "incident.device_failure", deviceID,
 		eventlog.F("incident_id", inc.ID),
 		eventlog.F("reason", reason))
-	if r.cfg.OnOpen != nil {
-		r.cfg.OnOpen(cloneIncident(inc))
-	}
-	return cloneIncident(inc)
+	return r.announce(inc)
 }
 
 // SLOBreach records a service-level-objective breach: one closed Incident
@@ -343,30 +321,39 @@ func (r *Recorder) SLOBreach(objective, rule, reason string) Incident {
 	if r == nil {
 		return Incident{}
 	}
-	r.mu.Lock()
-	now := r.cfg.Clock()
-	r.nextID++
-	r.opened++
-	inc := Incident{
-		ID: r.nextID, Kind: "slo", State: "closed",
-		CloseReason: "slo-breach", FailureReason: reason,
+	inc := r.recordClosed(Incident{
+		Kind: "slo", CloseReason: "slo-breach", FailureReason: reason,
 		Objective: objective,
-		FirstSeen: now, FlaggedAt: now, ClosedAt: now,
-	}
-	if r.cfg.Generation != nil {
-		inc.ModelGeneration = r.cfg.Generation()
-	}
-	if len(r.closed) >= r.cfg.MaxClosed {
-		drop := len(r.closed) - r.cfg.MaxClosed + 1
-		r.closed = append(r.closed[:0], r.closed[drop:]...)
-	}
-	r.closed = append(r.closed, inc)
-	r.mu.Unlock()
+	})
 	r.cfg.Events.Error(context.Background(), "incident", "incident.slo_breach",
 		eventlog.F("incident_id", inc.ID),
 		eventlog.F("objective", objective),
 		eventlog.F("rule", rule),
 		eventlog.F("reason", reason))
+	return r.announce(inc)
+}
+
+// recordClosed numbers an incident that opens and closes at once (a device
+// failure or an SLO breach), stamps it with the clock and the live model
+// generation, and adds it to the closed ring.
+func (r *Recorder) recordClosed(inc Incident) Incident {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	now := r.cfg.Clock()
+	r.nextID++
+	r.opened++
+	inc.ID, inc.State = r.nextID, "closed"
+	inc.FirstSeen, inc.FlaggedAt, inc.ClosedAt = now, now, now
+	if r.cfg.Generation != nil {
+		inc.ModelGeneration = r.cfg.Generation()
+	}
+	r.closed.Put(inc)
+	return inc
+}
+
+// announce hands a deep copy of a newly opened incident to Config.OnOpen
+// and returns another.
+func (r *Recorder) announce(inc Incident) Incident {
 	if r.cfg.OnOpen != nil {
 		r.cfg.OnOpen(cloneIncident(inc))
 	}
@@ -442,11 +429,7 @@ func (r *Recorder) closeLocked(pid int, st *state, reason string, at time.Time) 
 	st.inc.CloseReason = reason
 	st.inc.ClosedAt = at
 	delete(r.tracked, pid)
-	if len(r.closed) >= r.cfg.MaxClosed {
-		drop := len(r.closed) - r.cfg.MaxClosed + 1
-		r.closed = append(r.closed[:0], r.closed[drop:]...)
-	}
-	r.closed = append(r.closed, st.inc)
+	r.closed.Put(st.inc)
 }
 
 // Snapshot returns the incident history — closed incidents in close order,
@@ -461,9 +444,9 @@ func (r *Recorder) Snapshot() []Incident {
 }
 
 func (r *Recorder) snapshotLocked() []Incident {
-	out := make([]Incident, 0, len(r.closed)+len(r.tracked))
-	for _, inc := range r.closed {
-		out = append(out, cloneIncident(inc))
+	out := r.closed.Values()
+	for i := range out {
+		out[i] = cloneIncident(out[i])
 	}
 	var open []Incident
 	for _, st := range r.tracked {
@@ -517,24 +500,6 @@ func verdict(a detect.Action) string {
 	default:
 		return "none"
 	}
-}
-
-func containsJob(jobs []int64, j int64) bool {
-	for _, x := range jobs {
-		if x == j {
-			return true
-		}
-	}
-	return false
-}
-
-func containsDevice(devs []string, d string) bool {
-	for _, x := range devs {
-		if x == d {
-			return true
-		}
-	}
-	return false
 }
 
 func jobCtx(job int64) context.Context {

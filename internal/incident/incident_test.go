@@ -197,27 +197,62 @@ func TestFlushClosesOpenIncidents(t *testing.T) {
 }
 
 func TestTrajectoryBounded(t *testing.T) {
-	rec, err := NewRecorder(Config{MaxTrajectory: 4})
+	rec, err := NewRecorder(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Window(sample(5, 0, 0.9, detect.ActionAlert, 0, ""))
-	for i := int64(1); i < 10; i++ {
-		rec.Window(sample(5, i, 0.2, detect.ActionNone, 0, ""))
+	const windows = maxTrajectory + 6
+	rec.Window(sample(5, 0, 0.9, detect.ActionAlert, 1, ""))
+	for i := int64(1); i < windows; i++ {
+		rec.Window(sample(5, i, 0.2, detect.ActionNone, i+1, ""))
 	}
 	inc := rec.Snapshot()[0]
-	if len(inc.Trajectory) != 4 {
-		t.Fatalf("trajectory len = %d, want 4", len(inc.Trajectory))
+	if len(inc.Trajectory) != maxTrajectory {
+		t.Fatalf("trajectory len = %d, want %d", len(inc.Trajectory), maxTrajectory)
 	}
 	if inc.TrajectoryDropped != 6 {
 		t.Fatalf("TrajectoryDropped = %d, want 6", inc.TrajectoryDropped)
 	}
-	if inc.WindowsTotal != 10 {
-		t.Fatalf("WindowsTotal = %d, want 10", inc.WindowsTotal)
+	if inc.WindowsTotal != windows {
+		t.Fatalf("WindowsTotal = %d, want %d", inc.WindowsTotal, windows)
 	}
-	// Most recent windows retained.
-	if inc.Trajectory[len(inc.Trajectory)-1].CallIndex != 9 {
-		t.Fatalf("trajectory tail = %+v", inc.Trajectory[len(inc.Trajectory)-1])
+	// Most recent windows retained, in order.
+	if first, last := inc.Trajectory[0].CallIndex, inc.Trajectory[maxTrajectory-1].CallIndex; first != 6 || last != windows-1 {
+		t.Fatalf("trajectory spans calls %d..%d, want 6..%d", first, last, windows-1)
+	}
+	// The job list shares the bound: the first maxTrajectory jobs.
+	if len(inc.Jobs) != maxTrajectory || inc.Jobs[maxTrajectory-1] != maxTrajectory {
+		t.Fatalf("jobs: %d retained, last %d", len(inc.Jobs), inc.Jobs[len(inc.Jobs)-1])
+	}
+}
+
+// TestClosedRingBounded closes more incidents than the closed ring holds,
+// through every closing path, and checks the ring keeps the newest
+// maxClosed in close order while Total still counts them all.
+func TestClosedRingBounded(t *testing.T) {
+	rec, err := NewRecorder(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = maxClosed + 10
+	for i := 0; i < n; i++ {
+		switch pid := i + 1; i % 3 {
+		case 0:
+			rec.Window(sample(pid, 1, 0.99, detect.ActionBlock, 0, ""))
+		case 1:
+			rec.DeviceFailure("csd-000", "simulated-fault")
+		default:
+			rec.SLOBreach("availability", "fast", "burn")
+		}
+	}
+	incs := rec.Snapshot()
+	if len(incs) != maxClosed || rec.Total() != n {
+		t.Fatalf("retained %d of Total %d, want %d of %d", len(incs), rec.Total(), maxClosed, n)
+	}
+	for i, inc := range incs {
+		if want := int64(n - maxClosed + i + 1); inc.ID != want || inc.State != "closed" {
+			t.Fatalf("incident %d: id %d state %q, want id %d closed", i, inc.ID, inc.State, want)
+		}
 	}
 }
 
@@ -237,8 +272,7 @@ func TestMuxChurnEviction(t *testing.T) {
 			AlertsToBlock: 100, // keep mitigation out of the way: churn is the subject
 			OnWindow:      rec.Window,
 		},
-		MaxProcesses: 2,
-		OnEvict:      rec.Evict,
+		OnEvict: rec.Evict,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,10 +292,11 @@ func TestMuxChurnEviction(t *testing.T) {
 	if rec.Open() != 1 {
 		t.Fatalf("open = %d, want 1", rec.Open())
 	}
-	// Two benign processes churn the cap: PID 100 is now the idlest and is
-	// evicted when 102 arrives.
-	feed(101, 1, 4)
-	feed(102, 2, 4)
+	// Benign processes churn the cap: PID 100 is now the idlest and is
+	// evicted when the MaxProcesses-th of them arrives.
+	for pid := 101; pid <= 100+detect.MaxProcesses; pid++ {
+		feed(pid, 1, 4)
+	}
 	if open := rec.Open(); open != 0 {
 		t.Fatalf("eviction did not close the incident: open = %d", open)
 	}
@@ -309,7 +344,7 @@ func TestMuxChurnEviction(t *testing.T) {
 // shape of a multi-stream deployment where several Mux instances share one
 // recorder — and checks nothing is lost (run with -race).
 func TestConcurrentWindows(t *testing.T) {
-	rec, err := NewRecorder(Config{MaxTrajectory: 64})
+	rec, err := NewRecorder(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,5 +459,51 @@ func TestHTTPHandlerAndReports(t *testing.T) {
 	}
 	if _, err := empty.WriteReports(dir); err != ErrNoIncidents {
 		t.Fatalf("empty WriteReports err = %v", err)
+	}
+}
+
+// TestHTTPOpenCountMatchesListed scrapes /incidents.json while windows
+// open and block incidents concurrently, and checks every document's open
+// count equals the number of open incidents it lists — the counts and the
+// list come from one locked read.
+func TestHTTPOpenCountMatchesListed(t *testing.T) {
+	rec, err := NewRecorder(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers = 4
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(pid int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				pid += writers
+				rec.Window(sample(pid, 1, 0.9, detect.ActionAlert, 0, ""))
+				rec.Window(sample(pid, 2, 0.99, detect.ActionBlock, 0, ""))
+			}
+		}(g + 1)
+	}
+	defer func() { close(stop); wg.Wait() }()
+	h := rec.HTTPHandler()
+	for scrape := 0; scrape < 2000; scrape++ {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", "/incidents.json?state=open", nil))
+		var doc struct {
+			Open      int        `json:"open"`
+			Incidents []Incident `json:"incidents"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Open != len(doc.Incidents) {
+			t.Fatalf("scrape %d: open = %d, but %d open incidents listed", scrape, doc.Open, len(doc.Incidents))
+		}
 	}
 }

@@ -1,10 +1,11 @@
 package incident
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 // WriteReports writes one JSON report per recorded incident (closed and
@@ -22,13 +23,9 @@ func (r *Recorder) WriteReports(dir string) (int, error) {
 		return 0, fmt.Errorf("incident: create report dir: %w", err)
 	}
 	for _, inc := range incidents {
-		data, err := json.MarshalIndent(inc, "", "  ")
-		if err != nil {
-			return 0, fmt.Errorf("incident: encode incident %d: %w", inc.ID, err)
-		}
 		name := fmt.Sprintf("incident-%d-pid%d.json", inc.ID, inc.PID)
-		if err := os.WriteFile(filepath.Join(dir, name), append(data, '\n'), 0o644); err != nil {
-			return 0, fmt.Errorf("incident: write report %s: %w", name, err)
+		if err := telemetry.WriteJSONFile(filepath.Join(dir, name), inc); err != nil {
+			return 0, fmt.Errorf("incident: report %d: %w", inc.ID, err)
 		}
 	}
 	return len(incidents), nil

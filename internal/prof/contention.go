@@ -20,12 +20,12 @@ type SiteCount struct {
 	Cycles int64 `json:"cycles"`
 }
 
-// topSites extracts the n most contended sites from a runtime profile
+// topSites extracts the maxSites most contended sites from a runtime profile
 // collector (runtime.MutexProfile or runtime.BlockProfile). Records are
 // aggregated by site label and ranked by cycles descending, ties broken by
 // site label ascending — the ordering is deterministic for a given profile
 // state, so repeated snapshots of a quiesced process agree.
-func topSites(collect func([]runtime.BlockProfileRecord) (int, bool), n int) []SiteCount {
+func topSites(collect func([]runtime.BlockProfileRecord) (int, bool)) []SiteCount {
 	sz, _ := collect(nil)
 	if sz == 0 {
 		return nil
@@ -61,8 +61,8 @@ func topSites(collect func([]runtime.BlockProfileRecord) (int, bool), n int) []S
 		}
 		return out[i].Site < out[j].Site
 	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
+	if len(out) > maxSites {
+		out = out[:maxSites]
 	}
 	return out
 }

@@ -28,7 +28,6 @@ func TestContentionStress(t *testing.T) {
 		SampleEvery:   -1, // sampled explicitly below
 		MutexFraction: 1,  // sample every contention event
 		BlockRateNS:   1,
-		TopN:          8,
 		Telemetry:     reg,
 		Events:        events,
 	})

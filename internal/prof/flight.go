@@ -56,8 +56,8 @@ func (p *Profiler) Flight(reason string, incidentID int64) FlightDump {
 }
 
 // WriteFlight dumps the flight recorder to dir/flight-<seq>.json and emits
-// the prof.flight.dump event. Wire it to incident.Config.OnOpen and
-// slo.Config.OnPage so every page ships with the runtime state that
+// the prof.flight.dump event. Wire it to incident.Config.OnOpen so every
+// incident, paged SLO breaches included, ships with the runtime state that
 // preceded it. A nil profiler writes nothing and returns "".
 func (p *Profiler) WriteFlight(dir, reason string, incidentID int64) (string, error) {
 	if p == nil {

@@ -42,6 +42,16 @@ import (
 	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
+// Retention bounds.
+const (
+	// sampleRing bounds the flight recorder's retained runtime samples:
+	// one minute at the default 250ms period.
+	sampleRing = 240
+	// maxSites bounds the contended-site lists extracted from the mutex
+	// and block profiles.
+	maxSites = 8
+)
+
 // Config controls the profiler.
 type Config struct {
 	// SampleEvery is the background runtime-sampler period; 0 defaults to
@@ -49,12 +59,6 @@ type Config struct {
 	// are then taken only by explicit Sample calls (tests, audits) and by
 	// /prof.json scrapes and flight dumps.
 	SampleEvery time.Duration
-	// Ring bounds the flight recorder's retained runtime samples; 0
-	// defaults to 240 (one minute at the default period).
-	Ring int
-	// TopN bounds the contended-site lists extracted from the mutex and
-	// block profiles; 0 defaults to 8.
-	TopN int
 	// MutexFraction is passed to runtime.SetMutexProfileFraction: 1/n of
 	// contention events are sampled. 0 defaults to 100; negative leaves the
 	// process-global runtime setting untouched (for callers that own it).
@@ -96,12 +100,6 @@ type Config struct {
 func (c *Config) defaults() {
 	if c.SampleEvery == 0 {
 		c.SampleEvery = 250 * time.Millisecond
-	}
-	if c.Ring == 0 {
-		c.Ring = 240
-	}
-	if c.TopN == 0 {
-		c.TopN = 8
 	}
 	if c.MutexFraction == 0 {
 		c.MutexFraction = 100
@@ -182,7 +180,7 @@ func New(cfg Config) (*Profiler, error) {
 	cfg.defaults()
 	p := &Profiler{
 		cfg:  cfg,
-		ring: telemetry.NewRing[Sample](cfg.Ring),
+		ring: telemetry.NewRing[Sample](sampleRing),
 		quit: make(chan struct{}),
 	}
 	reg := cfg.Telemetry
@@ -214,7 +212,7 @@ func New(cfg Config) (*Profiler, error) {
 	}
 	cfg.Events.Info(context.Background(), "prof", "prof.start",
 		eventlog.F("sample_every_ns", cfg.SampleEvery),
-		eventlog.F("ring", cfg.Ring),
+		eventlog.F("ring", sampleRing),
 		eventlog.F("mutex_fraction", cfg.MutexFraction),
 		eventlog.F("block_rate_ns", cfg.BlockRateNS))
 	if cfg.SampleEvery > 0 {
@@ -270,8 +268,8 @@ func (p *Profiler) Sample() Sample {
 		}
 	}
 	p.spare, p.prev = p.prev.Pauses, rt
-	s.TopMutex = topSites(runtime.MutexProfile, p.cfg.TopN)
-	s.TopBlock = topSites(runtime.BlockProfile, p.cfg.TopN)
+	s.TopMutex = topSites(runtime.MutexProfile)
+	s.TopBlock = topSites(runtime.BlockProfile)
 	s.CostNS = int64(time.Since(start))
 	p.samples++
 	p.ring.Put(s)

@@ -219,9 +219,10 @@ func TestCountAllocsAttributesStageAllocations(t *testing.T) {
 func TestFlightRingBoundedAndOrdered(t *testing.T) {
 	now := time.Unix(1000, 0)
 	spans := telemetry.NewSpanLog(3)
-	p := newManual(t, Config{Ring: 4, Spans: spans,
+	p := newManual(t, Config{Spans: spans,
 		Clock: func() time.Time { now = now.Add(time.Second); return now }})
-	for i := 0; i < 6; i++ {
+	// Flight takes one more sample, so the ring drops the first six.
+	for i := 0; i < sampleRing+5; i++ {
 		p.Sample()
 	}
 	for i := 0; i < 5; i++ {
@@ -233,8 +234,11 @@ func TestFlightRingBoundedAndOrdered(t *testing.T) {
 	}
 	d := p.Flight("test", 0)
 	samples, breakdowns := d.Samples, d.Requests
-	if len(samples) != 4 {
-		t.Fatalf("samples retained = %d, want 4", len(samples))
+	if len(samples) != sampleRing {
+		t.Fatalf("samples retained = %d, want %d", len(samples), sampleRing)
+	}
+	if first := samples[0].Time; !first.Equal(time.Unix(1007, 0)) {
+		t.Fatalf("oldest retained sample at %v, want the seventh (%v)", first, time.Unix(1007, 0))
 	}
 	for i := 1; i < len(samples); i++ {
 		if !samples[i].Time.After(samples[i-1].Time) {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 // ScoreBins is the number of equal-width probability bins the live score
@@ -152,9 +154,5 @@ func WriteReference(path string, r *Reference) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	raw, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
+	return telemetry.WriteJSONFile(path, r)
 }

@@ -36,8 +36,8 @@ func TestPSIGolden(t *testing.T) {
 	// All mass moved into the top bin: a catastrophic shift, far past 0.2.
 	shifted := make([]float64, ScoreBins)
 	shifted[ScoreBins-1] = 1
-	if psi := PSI(uniform, shifted); psi <= DefaultDriftThreshold {
-		t.Errorf("PSI(uniform -> point mass) = %v, want > %v", psi, DefaultDriftThreshold)
+	if psi := PSI(uniform, shifted); psi <= DriftThreshold {
+		t.Errorf("PSI(uniform -> point mass) = %v, want > %v", psi, DriftThreshold)
 	}
 
 	// A mild perturbation stays under the significance boundary.

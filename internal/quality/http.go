@@ -1,23 +1,15 @@
 package quality
 
 import (
-	"encoding/json"
 	"net/http"
+
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
-// Handler serves the scorecard snapshot as the /quality.json document.
-// Mount it via telemetry.HTTPOptions.Extra. A nil scorecard serves the
-// zeroed (never null) document, matching the zero-state convention of
-// /spans.json and /incidents.json.
+// Handler serves the scorecard snapshot as the /quality.json document on
+// GET and HEAD. Mount it via telemetry.HTTPOptions.Extra. A nil scorecard
+// serves the zeroed (never null) document, matching the zero-state
+// convention of /spans.json and /incidents.json.
 func (s *Scorecard) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(s.Snapshot())
-	})
+	return telemetry.JSONHandler(func() any { return s.Snapshot() })
 }

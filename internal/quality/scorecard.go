@@ -2,7 +2,6 @@ package quality
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -25,35 +24,36 @@ const (
 	EventDriftCleared = "quality.drift.cleared"
 )
 
-// Defaults.
+// Thresholds and retention bounds.
 const (
-	// DefaultDriftThreshold is the PSI above which the score distribution
-	// counts as drifted; 0.2 is the conventional "significant shift"
-	// boundary for population-stability monitoring.
-	DefaultDriftThreshold = 0.2
-	// DefaultMinDriftSamples guards the PSI against low-count noise: with
-	// fewer live observations than this, drift is never declared.
-	DefaultMinDriftSamples = 200
-	// DefaultBytesPerWindow is the simulated write volume behind one
+	// DriftThreshold is the PSI above which the score distribution counts
+	// as drifted; 0.2 is the conventional "significant shift" boundary for
+	// population-stability monitoring.
+	DriftThreshold = 0.2
+	// MinDriftSamples guards the PSI against low-count noise: with fewer
+	// live observations than this, drift is never declared.
+	MinDriftSamples = 200
+	// BytesPerWindow is the simulated write volume behind one
 	// classification window: a window spans Stride API calls of which a
 	// handful are file writes, modeled as 4 × 64 KiB chunks. It converts
 	// windows-until-block into the bytes-written-before-mitigation number
 	// the related work reports.
-	DefaultBytesPerWindow = 4 * 64 * 1024
-	// DefaultMaxFamilies bounds the per-family breakdown (10 emulated
-	// families + benign archetypes + unknown); extra families fold into
-	// FamilyOther.
-	DefaultMaxFamilies = 16
-	// DefaultMaxProcesses bounds the per-PID latency-tracking map; new
-	// PIDs beyond it are still scored in the confusion matrix but their
-	// windows-to-flag latency is dropped (and counted).
-	DefaultMaxProcesses = 8192
+	BytesPerWindow = 4 * 64 * 1024
+	// MaxFamilies bounds the per-family breakdown (10 emulated families +
+	// benign archetypes + unknown); extra families fold into FamilyOther.
+	MaxFamilies = 16
+	// MaxProcesses bounds the per-PID latency-tracking map; new PIDs
+	// beyond it are still scored in the confusion matrix but their
+	// windows-to-flag latency is dropped (and counted). The map is the
+	// scorecard's own, not a fold over detect.Mux's: csdload feeds the
+	// scorecard up to 2000 PIDs with no mux in front.
+	MaxProcesses = 8192
 	// maxLatencySamples bounds the raw windows-to-flag / bytes-at-risk
 	// sample slices the quantiles are computed from.
 	maxLatencySamples = 65536
 )
 
-// FamilyOther absorbs families beyond the Config.MaxFamilies bound.
+// FamilyOther absorbs families beyond the MaxFamilies bound.
 const FamilyOther = "other"
 
 // Verdict is one classified window as seen by the scorecard: the
@@ -86,21 +86,6 @@ type Config struct {
 	// Reference is the pinned score distribution drift is judged
 	// against; nil disables the drift detector.
 	Reference *Reference
-	// DriftThreshold is the PSI drift boundary; 0 defaults to
-	// DefaultDriftThreshold.
-	DriftThreshold float64
-	// MinDriftSamples is the low-count guard; 0 defaults to
-	// DefaultMinDriftSamples.
-	MinDriftSamples int
-	// BytesPerWindow converts windows-until-block to simulated
-	// bytes-written-before-block; 0 defaults to DefaultBytesPerWindow.
-	BytesPerWindow int64
-	// MaxFamilies bounds the per-family breakdown; 0 defaults to
-	// DefaultMaxFamilies.
-	MaxFamilies int
-	// MaxProcesses bounds per-PID latency tracking; 0 defaults to
-	// DefaultMaxProcesses.
-	MaxProcesses int
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
 }
@@ -152,28 +137,10 @@ type Scorecard struct {
 
 // New builds a scorecard.
 func New(cfg Config) (*Scorecard, error) {
-	if cfg.DriftThreshold < 0 {
-		return nil, fmt.Errorf("quality: negative drift threshold %v", cfg.DriftThreshold)
-	}
 	if cfg.Reference != nil {
 		if err := cfg.Reference.Validate(); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.DriftThreshold == 0 {
-		cfg.DriftThreshold = DefaultDriftThreshold
-	}
-	if cfg.MinDriftSamples == 0 {
-		cfg.MinDriftSamples = DefaultMinDriftSamples
-	}
-	if cfg.BytesPerWindow == 0 {
-		cfg.BytesPerWindow = DefaultBytesPerWindow
-	}
-	if cfg.MaxFamilies == 0 {
-		cfg.MaxFamilies = DefaultMaxFamilies
-	}
-	if cfg.MaxProcesses == 0 {
-		cfg.MaxProcesses = DefaultMaxProcesses
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -246,14 +213,14 @@ func (s *Scorecard) Observe(ctx context.Context, v Verdict) {
 			st.blocked = true
 			s.blocked++
 			if st.labeled && st.truth {
-				s.sampleLocked(&s.atRisk, float64(st.windows)*float64(s.cfg.BytesPerWindow))
+				s.sampleLocked(&s.atRisk, float64(st.windows)*BytesPerWindow)
 			}
 		}
 	}
 	samples = s.scoreN
-	if s.cfg.Reference != nil && s.scoreN >= int64(s.cfg.MinDriftSamples) {
+	if s.cfg.Reference != nil && s.scoreN >= MinDriftSamples {
 		psi = PSI(s.cfg.Reference.Bins, proportions(s.scoreBins[:], s.scoreN))
-		nowDrifted = psi > s.cfg.DriftThreshold
+		nowDrifted = psi > DriftThreshold
 		driftEdge = nowDrifted != s.drifted
 		s.drifted = nowDrifted
 	}
@@ -289,7 +256,7 @@ func (s *Scorecard) Observe(ctx context.Context, v Verdict) {
 		}
 		s.cfg.Events.Log(ctx, lvl, Component, name,
 			eventlog.F("psi", psi),
-			eventlog.F("threshold", s.cfg.DriftThreshold),
+			eventlog.F("threshold", DriftThreshold),
 			eventlog.F("reference", s.cfg.Reference.Name),
 			eventlog.F("samples", samples))
 	}
@@ -303,7 +270,7 @@ func (s *Scorecard) familyLocked(family string) *familyState {
 	}
 	st, ok := s.families[family]
 	if !ok {
-		if len(s.families) >= s.cfg.MaxFamilies {
+		if len(s.families) >= MaxFamilies {
 			family = FamilyOther
 			if st, ok = s.families[family]; ok {
 				return st
@@ -320,7 +287,7 @@ func (s *Scorecard) familyLocked(family string) *familyState {
 func (s *Scorecard) procLocked(pid int, lbl Label, labeled bool) *procState {
 	st, ok := s.procs[pid]
 	if !ok {
-		if len(s.procs) >= s.cfg.MaxProcesses {
+		if len(s.procs) >= MaxProcesses {
 			s.dropped++
 			return nil
 		}
@@ -435,7 +402,7 @@ type DriftSnapshot struct {
 	RefSamples int64 `json:"ref_samples"`
 	// PSI is the population-stability index of live vs reference.
 	PSI float64 `json:"psi"`
-	// Threshold is the configured drift boundary.
+	// Threshold is the drift boundary, DriftThreshold.
 	Threshold float64 `json:"threshold"`
 	// Drifted is true while PSI exceeds the threshold (and the low-count
 	// guard is satisfied).
@@ -517,14 +484,14 @@ func (s *Scorecard) Snapshot() Snapshot {
 			out.ScoreBins[i].Fraction = float64(n) / float64(s.scoreN)
 		}
 	}
-	out.Drift.Threshold = s.cfg.DriftThreshold
+	out.Drift.Threshold = DriftThreshold
 	if ref := s.cfg.Reference; ref != nil {
 		out.Drift.Reference = ref.Name
 		out.Drift.RefSamples = ref.Samples
-		out.Drift.LowCount = s.scoreN < int64(s.cfg.MinDriftSamples)
+		out.Drift.LowCount = s.scoreN < MinDriftSamples
 		if !out.Drift.LowCount {
 			out.Drift.PSI = PSI(ref.Bins, proportions(s.scoreBins[:], s.scoreN))
-			out.Drift.Drifted = out.Drift.PSI > s.cfg.DriftThreshold
+			out.Drift.Drifted = out.Drift.PSI > DriftThreshold
 		}
 	}
 	return out

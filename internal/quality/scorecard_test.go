@@ -67,7 +67,7 @@ func TestScorecardConfusion(t *testing.T) {
 // ransomware process flagged on its 3rd window and blocked on its 4th
 // contributes exactly those latencies.
 func TestScorecardDetectionLatency(t *testing.T) {
-	card, err := New(Config{BytesPerWindow: 1000})
+	card, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +81,8 @@ func TestScorecardDetectionLatency(t *testing.T) {
 	if q.WindowsToFlag.Count != 1 || q.WindowsToFlag.P50 != 3 {
 		t.Errorf("windows-to-flag %+v, want one sample at 3", q.WindowsToFlag)
 	}
-	if q.BytesAtRisk.Count != 1 || q.BytesAtRisk.P50 != 4000 {
-		t.Errorf("bytes-at-risk %+v, want one sample at 4 windows x 1000 bytes", q.BytesAtRisk)
+	if q.BytesAtRisk.Count != 1 || q.BytesAtRisk.P50 != 4*BytesPerWindow {
+		t.Errorf("bytes-at-risk %+v, want one sample at 4 windows x %d bytes", q.BytesAtRisk, BytesPerWindow)
 	}
 	if q.Processes.Tracked != 1 || q.Processes.Flagged != 1 || q.Processes.Blocked != 1 {
 		t.Errorf("processes %+v, want 1/1/1", q.Processes)
@@ -123,16 +123,17 @@ func TestScorecardSLOHook(t *testing.T) {
 // TestScorecardFamilyFold pins the cardinality bound: families beyond
 // MaxFamilies fold into FamilyOther instead of growing the map.
 func TestScorecardFamilyFold(t *testing.T) {
-	card, err := New(Config{MaxFamilies: 3})
+	card, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < MaxFamilies+3; i++ {
 		card.Observe(ransomCtx(fmt.Sprintf("fam%d", i)), Verdict{PID: i, Probability: 0.9, Flagged: true})
 	}
 	q := card.Snapshot()
-	// 3 distinct families, then the map is full: the 4th insert folds to
-	// "other" (which itself takes the last slot via the fold path).
+	// MaxFamilies distinct families, then the map is full: every later
+	// family folds to "other" (which itself takes one slot past the bound
+	// via the fold path).
 	var other *FamilySnapshot
 	for i := range q.Families {
 		if q.Families[i].Family == FamilyOther {
@@ -145,8 +146,8 @@ func TestScorecardFamilyFold(t *testing.T) {
 	if other.TP != 3 {
 		t.Errorf("other bucket tp=%d, want the 3 folded families", other.TP)
 	}
-	if len(q.Families) > 4 {
-		t.Errorf("%d family buckets, want bounded at 4 (3 + other)", len(q.Families))
+	if len(q.Families) != MaxFamilies+1 {
+		t.Errorf("%d family buckets, want %d (%d + other)", len(q.Families), MaxFamilies+1, MaxFamilies)
 	}
 }
 
@@ -154,22 +155,23 @@ func TestScorecardFamilyFold(t *testing.T) {
 // MaxProcesses still score into the confusion matrix but their latency
 // tracking is dropped and counted.
 func TestScorecardProcessCap(t *testing.T) {
-	card, err := New(Config{MaxProcesses: 2})
+	card, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pid := 1; pid <= 5; pid++ {
+	const pids = MaxProcesses + 3
+	for pid := 1; pid <= pids; pid++ {
 		card.Observe(ransomCtx("virlock"), Verdict{PID: pid, Probability: 0.9, Flagged: true})
 	}
 	q := card.Snapshot()
-	if q.Total.TP != 5 {
-		t.Errorf("tp=%d, want all 5 windows scored despite the PID cap", q.Total.TP)
+	if q.Total.TP != pids {
+		t.Errorf("tp=%d, want all %d windows scored despite the PID cap", q.Total.TP, pids)
 	}
-	if q.Processes.Tracked != 2 || q.Processes.Dropped != 3 {
-		t.Errorf("processes %+v, want 2 tracked / 3 dropped", q.Processes)
+	if q.Processes.Tracked != MaxProcesses || q.Processes.Dropped != 3 {
+		t.Errorf("processes %+v, want %d tracked / 3 dropped", q.Processes, MaxProcesses)
 	}
-	if q.WindowsToFlag.Count != 2 {
-		t.Errorf("windows-to-flag count %d, want only the 2 tracked PIDs", q.WindowsToFlag.Count)
+	if q.WindowsToFlag.Count != MaxProcesses {
+		t.Errorf("windows-to-flag count %d, want only the %d tracked PIDs", q.WindowsToFlag.Count, MaxProcesses)
 	}
 }
 
@@ -219,16 +221,16 @@ func TestScorecardDriftEvents(t *testing.T) {
 	low[1] = 1 // reference: all scores near 0.15
 	events := eventlog.New(eventlog.Config{})
 	card, err := New(Config{
-		Events:          events,
-		Reference:       &Reference{Name: "low", Samples: 100, Bins: low},
-		MinDriftSamples: 10,
+		Events:    events,
+		Reference: &Reference{Name: "low", Samples: 100, Bins: low},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := benignCtx()
-	// Phase 1: live matches the reference — no drift.
-	for i := 0; i < 20; i++ {
+	// Phase 1: live matches the reference past the low-count guard — no
+	// drift.
+	for i := 0; i < MinDriftSamples; i++ {
 		card.Observe(ctx, Verdict{PID: 1, Probability: 0.15})
 	}
 	if q := card.Snapshot(); q.Drift.Drifted || q.Drift.LowCount {
@@ -258,19 +260,20 @@ func TestScorecardDriftEvents(t *testing.T) {
 func TestScorecardLowCountGuard(t *testing.T) {
 	low := make([]float64, ScoreBins)
 	low[0] = 1
-	card, err := New(Config{
-		Reference:       &Reference{Name: "low", Samples: 100, Bins: low},
-		MinDriftSamples: 50,
-	})
+	card, err := New(Config{Reference: &Reference{Name: "low", Samples: 100, Bins: low}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 49; i++ {
+	for i := 0; i < MinDriftSamples-1; i++ {
 		card.Observe(benignCtx(), Verdict{PID: 1, Probability: 0.99, Flagged: true})
 	}
 	q := card.Snapshot()
 	if !q.Drift.LowCount || q.Drift.Drifted {
-		t.Errorf("drift %+v at 49/50 samples, want low-count guard holding", q.Drift)
+		t.Errorf("drift %+v one sample short of %d, want low-count guard holding", q.Drift, MinDriftSamples)
+	}
+	card.Observe(benignCtx(), Verdict{PID: 1, Probability: 0.99, Flagged: true})
+	if q = card.Snapshot(); q.Drift.LowCount || !q.Drift.Drifted {
+		t.Errorf("drift %+v at %d samples, want the guard lifted and drift declared", q.Drift, MinDriftSamples)
 	}
 }
 
@@ -364,11 +367,10 @@ func TestScorecardConcurrent(t *testing.T) {
 	low := make([]float64, ScoreBins)
 	low[1] = 1
 	card, err := New(Config{
-		Telemetry:       reg,
-		Events:          events,
-		Reference:       &Reference{Name: "low", Samples: 100, Bins: low},
-		MinDriftSamples: 10,
-		SLO:             func(truth, flagged bool) {},
+		Telemetry: reg,
+		Events:    events,
+		Reference: &Reference{Name: "low", Samples: 100, Bins: low},
+		SLO:       func(truth, flagged bool) {},
 	})
 	if err != nil {
 		t.Fatal(err)

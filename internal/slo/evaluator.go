@@ -28,6 +28,9 @@ const (
 	EventBudgetRecovered = "slo.budget.recovered"
 )
 
+// maxAlerts bounds the retained alert transition log.
+const maxAlerts = 256
+
 // Config controls an Evaluator.
 type Config struct {
 	// Objectives are the SLOs to track; at least one is required.
@@ -35,12 +38,8 @@ type Config struct {
 	// Rules are the burn-rate alert rules applied to every objective; nil
 	// defaults to DefaultRules scaled to each objective's window. Long
 	// windows are clamped to the objective window, short windows to the
-	// bucket resolution.
+	// bucket resolution: window/360 per objective, clamped to [1ms, 10s].
 	Rules []Rule
-	// Resolution is the bucket width of the rolling rings; 0 derives
-	// window/360 per objective, clamped to [1ms, 10s]. Burn windows
-	// shorter than the resolution are evaluated at resolution granularity.
-	Resolution time.Duration
 	// Telemetry, when non-nil, receives slo_good_total / slo_bad_total /
 	// slo_budget_remaining_permille / slo_alerts_total, labeled by
 	// objective (and rule, for alerts).
@@ -48,19 +47,10 @@ type Config struct {
 	// Events, when non-nil, receives the slo.* event stream.
 	Events *eventlog.Logger
 	// Incidents, when non-nil, receives one SLO-breach incident per firing
-	// of a paging rule.
+	// of a paging rule; its incident.Config.OnOpen hook serves each page.
 	Incidents *incident.Recorder
-	// OnPage, when non-nil, is invoked (outside the evaluator's lock) every
-	// time a paging burn-rate rule starts firing, with the objective, the
-	// rule name, and the incident ID recorded for the page (0 when no
-	// incident recorder is wired). Callers that already wire
-	// incident.Config.OnOpen for flight-recorder dumps should not also dump
-	// here, or every page produces two dumps.
-	OnPage func(objective, rule string, incidentID int64)
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
-	// MaxAlerts bounds the retained alert transition log; 0 defaults to 256.
-	MaxAlerts int
 }
 
 // bucket is one resolution slice of an objective's rolling window.
@@ -120,7 +110,7 @@ type Evaluator struct {
 
 	mu     sync.Mutex
 	objs   []*objState
-	log    []AlertTransition
+	log    telemetry.Ring[AlertTransition]
 	opened int64
 }
 
@@ -132,13 +122,7 @@ func NewEvaluator(cfg Config) (*Evaluator, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	if cfg.MaxAlerts == 0 {
-		cfg.MaxAlerts = 256
-	}
-	if cfg.MaxAlerts < 0 {
-		return nil, fmt.Errorf("slo: MaxAlerts must be positive, got %d", cfg.MaxAlerts)
-	}
-	e := &Evaluator{cfg: cfg}
+	e := &Evaluator{cfg: cfg, log: telemetry.NewRing[AlertTransition](maxAlerts)}
 	now := cfg.Clock()
 	seen := make(map[string]bool, len(cfg.Objectives))
 	for i := range cfg.Objectives {
@@ -150,16 +134,7 @@ func NewEvaluator(cfg Config) (*Evaluator, error) {
 			return nil, fmt.Errorf("slo: duplicate objective %q", obj.Name)
 		}
 		seen[obj.Name] = true
-		res := cfg.Resolution
-		if res <= 0 {
-			res = obj.Window / 360
-			if res < time.Millisecond {
-				res = time.Millisecond
-			}
-			if res > 10*time.Second {
-				res = 10 * time.Second
-			}
-		}
+		res := min(max(obj.Window/360, time.Millisecond), 10*time.Second)
 		n := int(obj.Window / res)
 		if n < 1 {
 			n = 1
@@ -497,9 +472,6 @@ func (e *Evaluator) Evaluate() Status {
 				e.opened++
 				e.mu.Unlock()
 			}
-			if f.rule.Page && e.cfg.OnPage != nil {
-				e.cfg.OnPage(f.objective, f.rule.Name, tr.IncidentID)
-			}
 		} else {
 			tr.State = "resolved"
 			e.cfg.Events.Info(ctx, "slo", EventBurnResolve,
@@ -512,16 +484,12 @@ func (e *Evaluator) Evaluate() Status {
 			telemetry.L("objective", f.objective),
 			telemetry.L("rule", tr.Rule)).Inc()
 		e.mu.Lock()
-		if len(e.log) >= e.cfg.MaxAlerts {
-			drop := len(e.log) - e.cfg.MaxAlerts + 1
-			e.log = append(e.log[:0], e.log[drop:]...)
-		}
-		e.log = append(e.log, tr)
+		e.log.Put(tr)
 		e.mu.Unlock()
 	}
 
 	e.mu.Lock()
-	st.Alerts = append([]AlertTransition(nil), e.log...)
+	st.Alerts = e.log.Values()
 	st.IncidentsOpened = e.opened
 	e.mu.Unlock()
 	return st

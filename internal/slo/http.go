@@ -1,28 +1,16 @@
 package slo
 
 import (
-	"encoding/json"
 	"net/http"
+
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
-// HTTPHandler serves the evaluator's current judgment as JSON — mount it at
-// /slo.json beside /metrics and /incidents.json. Each request runs a full
-// Evaluate pass, so alert edges are detected even when no load-generator
-// tick is driving evaluation; the edge-triggered transition logic makes the
-// extra passes idempotent.
+// HTTPHandler serves the evaluator's current judgment as JSON on GET and
+// HEAD — mount it at /slo.json beside /metrics and /incidents.json. Each
+// request runs a full Evaluate pass, so alert edges are detected even when
+// no load-generator tick is driving evaluation; the edge-triggered
+// transition logic makes the extra passes idempotent.
 func (e *Evaluator) HTTPHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		st := e.Evaluate()
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(st); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+	return telemetry.JSONHandler(func() any { return e.Evaluate() })
 }

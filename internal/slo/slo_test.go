@@ -417,57 +417,72 @@ func TestBurnAlertLifecycle(t *testing.T) {
 	}
 }
 
-// TestOnPageHook pins the paging callback: OnPage fires once per paging-rule
-// firing edge (not on re-evaluation, not for non-paging rules) and carries
-// the incident ID recorded for the page.
-func TestOnPageHook(t *testing.T) {
+// TestPageRecordsOneIncident pins paging: each firing edge of a paging
+// rule records exactly one SLO-breach incident for the objective (not on
+// re-evaluation, not for non-paging rules), the transition carries its ID,
+// and the recorder's OnOpen hook, which serves the page, sees it once.
+func TestPageRecordsOneIncident(t *testing.T) {
 	clk := newFakeClock()
-	incidents, err := incident.NewRecorder(incident.Config{Clock: clk.Now})
+	var pages []incident.Incident
+	incidents, err := incident.NewRecorder(incident.Config{
+		Clock:  clk.Now,
+		OnOpen: func(inc incident.Incident) { pages = append(pages, inc) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	type page struct {
-		objective, rule string
-		incidentID      int64
-	}
-	var pages []page
 	e, err := NewEvaluator(Config{
 		Objectives: []Objective{{
 			Name: "availability", Kind: KindAvailability,
 			Target: 0.99, Window: time.Hour,
 		}},
 		Incidents: incidents,
-		OnPage: func(objective, rule string, incidentID int64) {
-			pages = append(pages, page{objective, rule, incidentID})
-		},
-		Clock: clk.Now,
+		Clock:     clk.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 80; i++ {
-		e.Outcome(true)
+	burst := func() Status {
+		for i := 0; i < 80; i++ {
+			e.Outcome(true)
+		}
+		for i := 0; i < 20; i++ {
+			e.Outcome(false)
+		}
+		e.Evaluate()
+		return e.Evaluate() // edge-triggered: no duplicate page
 	}
-	for i := 0; i < 20; i++ {
-		e.Outcome(false)
-	}
-	e.Evaluate()
-	e.Evaluate() // edge-triggered: no duplicate page
+	st := burst()
 	if len(pages) != 1 {
-		t.Fatalf("OnPage fired %d times, want 1 (only the paging rule, only the edge)", len(pages))
+		t.Fatalf("%d incidents paged, want 1 (only the paging rule, only the edge)", len(pages))
 	}
-	if pages[0].objective != "availability" || pages[0].rule != "fast" {
-		t.Fatalf("page = %+v", pages[0])
+	if inc := pages[0]; inc.Kind != "slo" || inc.Objective != "availability" || inc.CloseReason != "slo-breach" {
+		t.Fatalf("paged incident = %+v", inc)
 	}
-	if pages[0].incidentID == 0 {
-		t.Fatal("page carries no incident ID despite a wired recorder")
+	for _, a := range st.Alerts {
+		want := int64(0) // only the paging rule records an incident
+		if a.Rule == "fast" {
+			want = pages[0].ID
+		}
+		if a.IncidentID != want {
+			t.Errorf("%s transition carries incident %d, want %d", a.Rule, a.IncidentID, want)
+		}
 	}
-	incs := incidents.Snapshot()
-	if len(incs) != 1 || incs[0].ID != pages[0].incidentID {
-		t.Fatalf("incident/page mismatch: pages=%+v incidents=%+v", pages, incs)
+
+	// Resolve, then page again: the second edge records a second incident.
+	clk.Advance(time.Hour + time.Minute)
+	e.Evaluate()
+	burst()
+	if len(pages) != 2 || pages[1].ID == pages[0].ID {
+		t.Fatalf("second paging edge: incidents %+v", pages)
+	}
+	if incs := incidents.Snapshot(); len(incs) != 2 || incs[1].ID != pages[1].ID {
+		t.Fatalf("recorder holds %+v, want the two paged incidents", incs)
 	}
 }
 
+// TestAlertLogBounded drives more transitions than the alert log holds and
+// checks it keeps the newest maxAlerts, oldest first.
 func TestAlertLogBounded(t *testing.T) {
 	clk := newFakeClock()
 	e, err := NewEvaluator(Config{
@@ -475,25 +490,32 @@ func TestAlertLogBounded(t *testing.T) {
 			Name: "availability", Kind: KindAvailability,
 			Target: 0.99, Window: time.Hour,
 		}},
-		Rules:     []Rule{{Name: "fast", Burn: 14.4, Long: time.Minute, Short: 10 * time.Second}},
-		Clock:     clk.Now,
-		MaxAlerts: 4,
+		Rules: []Rule{{Name: "fast", Burn: 14.4, Long: time.Minute, Short: 10 * time.Second}},
+		Clock: clk.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Alternate bursts and quiet periods to generate many transitions.
-	for cycle := 0; cycle < 5; cycle++ {
+	// Alternate bursts and quiet periods: each cycle fires and resolves.
+	const cycles = maxAlerts/2 + 2
+	var thirdFiring time.Time
+	for cycle := 0; cycle < cycles; cycle++ {
 		for i := 0; i < 10; i++ {
 			e.Outcome(false)
+		}
+		if cycle == 2 {
+			thirdFiring = clk.now
 		}
 		e.Evaluate() // firing
 		clk.Advance(2 * time.Minute)
 		e.Evaluate() // resolved
 	}
 	st := e.Evaluate()
-	if len(st.Alerts) != 4 {
-		t.Errorf("alert log has %d entries, want the 4 most recent", len(st.Alerts))
+	if len(st.Alerts) != maxAlerts {
+		t.Fatalf("alert log has %d entries, want the %d most recent", len(st.Alerts), maxAlerts)
+	}
+	if first, last := st.Alerts[0], st.Alerts[maxAlerts-1]; first.State != "firing" || !first.Time.Equal(thirdFiring) || last.State != "resolved" {
+		t.Fatalf("alert log spans %+v .. %+v, want the third cycle's firing first", first, last)
 	}
 }
 

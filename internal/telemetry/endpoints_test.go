@@ -5,10 +5,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,7 +40,7 @@ func observabilityHandler(t *testing.T) http.Handler {
 	clk := &stepClock{now: time.Date(2024, 6, 24, 12, 0, 0, 0, time.UTC)}
 	reg := telemetry.NewRegistry()
 	events := eventlog.New(eventlog.Config{Clock: clk.Now})
-	events.Attach("capture", &eventlog.CaptureSink{}, 0)
+	events.Attach("capture", &eventlog.CaptureSink{})
 	incidents, err := incident.NewRecorder(incident.Config{
 		Events: events, Clock: clk.Now,
 		Generation: func() int64 { return 3 },
@@ -162,5 +164,54 @@ func TestEndpointGoldens(t *testing.T) {
 		if !bytes.Equal(rec.Body.Bytes(), want) {
 			t.Errorf("GET %s body differs from %s\n--- got ---\n%s--- want ---\n%s", tc.target, path, rec.Body, want)
 		}
+	}
+}
+
+// TestJSONEndpoints checks the serving contract every JSON endpoint
+// shares: Content-Type application/json; GET and HEAD on the read-only
+// documents and 405 with an Allow header on anything else; and a document
+// ServeJSON cannot encode answers 500 with no partial body.
+func TestJSONEndpoints(t *testing.T) {
+	h := observabilityHandler(t)
+	for _, tc := range []struct {
+		method, target string
+		want           int
+	}{
+		{http.MethodGet, "/quality.json", http.StatusOK},
+		{http.MethodHead, "/quality.json", http.StatusOK},
+		{http.MethodPost, "/quality.json", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/slo.json", http.StatusOK},
+		{http.MethodHead, "/slo.json", http.StatusOK},
+		{http.MethodPost, "/slo.json", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/incidents.json", http.StatusOK},
+		{http.MethodGet, "/events.json", http.StatusOK},
+		{http.MethodGet, "/spans.json", http.StatusOK},
+		{http.MethodGet, "/metrics.json", http.StatusOK},
+		{http.MethodGet, "/healthz", http.StatusOK},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.target, nil))
+		if rec.Code != tc.want {
+			t.Errorf("%s %s = %d, want %d", tc.method, tc.target, rec.Code, tc.want)
+			continue
+		}
+		if tc.want == http.StatusMethodNotAllowed {
+			if allow := rec.Header().Get("Allow"); allow != "GET, HEAD" {
+				t.Errorf("%s %s: Allow %q, want \"GET, HEAD\"", tc.method, tc.target, allow)
+			}
+			continue
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s %s: Content-Type %q, want application/json", tc.method, tc.target, ct)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	telemetry.ServeJSON(rec, http.StatusOK, map[string]float64{"psi": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("NaN document served %d, want 500", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct == "application/json" || strings.Contains(rec.Body.String(), "{") {
+		t.Fatalf("NaN document leaked a partial JSON body (%s): %q", ct, rec.Body)
 	}
 }

@@ -115,13 +115,21 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 }
 
 // WriteJSONFile writes doc to path as an indented JSON artifact (flight
-// dumps, prof.json, csdload's reports): the bytes ServeJSON would serve.
+// dumps, prof.json, incident reports, csdload's reports): the bytes
+// ServeJSON would serve.
 func WriteJSONFile(path string, doc any) error {
-	data, err := json.MarshalIndent(doc, "", "  ")
+	data, err := marshalJSON(doc)
 	if err != nil {
 		return fmt.Errorf("write %s: %w", path, err)
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o666)
+	return os.WriteFile(path, data, 0o666)
+}
+
+// marshalJSON encodes doc the one way the stack serves and stores JSON:
+// two-space indented, newline-terminated.
+func marshalJSON(doc any) ([]byte, error) {
+	data, err := json.MarshalIndent(doc, "", "  ")
+	return append(data, '\n'), err
 }
 
 // WriteSummary writes a human-readable two-part table: scalar metrics, then

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime/debug"
@@ -43,13 +42,31 @@ func readBuildInfo() buildInfo {
 }
 
 // ServeJSON answers with doc as an indented JSON document, the form every
-// JSON endpoint of the stack serves.
+// JSON endpoint of the stack serves. The document is encoded before any
+// header is written, so a document that cannot be encoded (a NaN, say)
+// answers 500 with the error instead of a truncated body.
 func ServeJSON(w http.ResponseWriter, status int, doc any) {
+	data, err := marshalJSON(doc)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(doc)
+	_, _ = w.Write(data)
+}
+
+// JSONHandler serves the document doc builds on every GET or HEAD request
+// through ServeJSON, and answers any other method 405.
+func JSONHandler(doc func() any) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.Method != http.MethodGet && req.Method != http.MethodHead {
+			w.Header().Set("Allow", "GET, HEAD")
+			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			return
+		}
+		ServeJSON(w, http.StatusOK, doc())
+	})
 }
 
 // HTTPOptions configures NewHTTPHandler.
