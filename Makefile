@@ -144,6 +144,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzIntervalSoundness -fuzztime=$(FUZZTIME) ./internal/absint/
 	$(GO) test -run=^$$ -fuzz=FuzzFixedFastMatchesShadow -fuzztime=$(FUZZTIME) ./internal/kernels/
 	$(GO) test -run=^$$ -fuzz=FuzzMatVecKernelsAgree -fuzztime=$(FUZZTIME) ./internal/fixed/
+	$(GO) test -run=^$$ -fuzz=FuzzActivationsMatchReference -fuzztime=$(FUZZTIME) ./internal/activation/
 
 # verify is the pre-merge gate: static checks (vet + both lint fronts), a
 # full build, and the whole test suite under the race detector (the serving

@@ -111,25 +111,23 @@ type Fixed struct {
 
 // planConsts holds the PLAN sigmoid's breakpoints and segment coefficients
 // quantized once at the evaluator's scale, so Sigmoid itself does no float
-// conversion.
+// conversion. Segment k covers the |x| that pass k of the breakpoints
+// 1, 2.375 and 5; segment 3 has slope 0 and intercept One, so it yields One
+// exactly (Mul(0, |x|) is 0).
 type planConsts struct {
-	five, b2375        fixed.Value // segment breakpoints (|x| >= 1 is One)
-	slope3, intercept3 fixed.Value // 2.375 <= |x| < 5
-	slope2, intercept2 fixed.Value // 1 <= |x| < 2.375
-	slope1, intercept1 fixed.Value // 0 <= |x| < 1
+	b2375, five fixed.Value // breakpoints above One
+	slope       [4]fixed.Value
+	intercept   [4]fixed.Value
 }
 
 // NewFixed returns a fixed-point activation evaluator over arith a.
 func NewFixed(a fixed.Arith) Fixed {
+	q := a.FromFloat
 	return Fixed{a: a, plan: &planConsts{
-		five:       a.FromInt(5),
-		b2375:      a.FromFloat(2.375),
-		slope3:     a.FromFloat(0.03125),
-		intercept3: a.FromFloat(0.84375),
-		slope2:     a.FromFloat(0.125),
-		intercept2: a.FromFloat(0.625),
-		slope1:     a.FromFloat(0.25),
-		intercept1: a.FromFloat(0.5),
+		b2375:     q(2.375),
+		five:      a.FromInt(5),
+		slope:     [4]fixed.Value{q(0.25), q(0.125), q(0.03125), 0},
+		intercept: [4]fixed.Value{q(0.5), q(0.625), q(0.84375), a.One()},
 	}}
 }
 
@@ -137,15 +135,19 @@ func NewFixed(a fixed.Arith) Fixed {
 // (x*S) / (|x| + S) with rounding, where S is the scale. No approximation is
 // involved; this is why the paper prefers softsign on hardware.
 func (f Fixed) Softsign(x fixed.Value) fixed.Value {
-	den := f.a.Add(f.a.Abs(x), f.a.One())
-	// den >= S > 0, so Div cannot fail; compute directly to stay in the
-	// single-rounding regime.
-	v, err := f.a.Div(x, den)
-	if err != nil {
-		// Unreachable: den >= One() > 0.
-		panic("activation: softsign denominator zero")
+	v := [1]fixed.Value{x}
+	f.SoftsignSlice(v[:])
+	return v[0]
+}
+
+// SoftsignSlice replaces every v[j] with Softsign(v[j]). The denominator
+// |x| + S is never 0 for any int64 x (|x| wraps only at MinInt64, to
+// MinInt64), so Div never fails here.
+func (f Fixed) SoftsignSlice(v []fixed.Value) {
+	one := f.a.One()
+	for j, x := range v {
+		v[j], _ = f.a.Div(x, f.a.Add(f.a.Abs(x), one))
 	}
-	return v
 }
 
 // Sigmoid computes the PLAN (Piecewise Linear Approximation of a Nonlinear
@@ -160,25 +162,34 @@ func (f Fixed) Softsign(x fixed.Value) fixed.Value {
 // which is immaterial next to the gate saturation behaviour the LSTM relies
 // on.
 func (f Fixed) Sigmoid(x fixed.Value) fixed.Value {
-	neg := x < 0
-	ax := f.a.Abs(x)
+	v := [1]fixed.Value{x}
+	f.SigmoidSlice(v[:])
+	return v[0]
+}
+
+// SigmoidSlice replaces every v[j] with Sigmoid(v[j]) without a
+// data-dependent branch. The segment is an index, the count of breakpoints
+// |x| passes (|x| wraps on MinInt64 to MinInt64, which lands in segment 0).
+// With s the sign mask of x (0 or -1), the result is y for s = 0 and
+// One - y for s = -1: (One & s) + ((y^s) - s).
+func (f Fixed) SigmoidSlice(v []fixed.Value) {
 	one := f.a.One()
 	c := f.plan
-	var y fixed.Value
-	switch {
-	case ax >= c.five:
-		y = one
-	case ax >= c.b2375:
-		y = f.a.Add(f.a.Mul(c.slope3, ax), c.intercept3)
-	case ax >= one:
-		y = f.a.Add(f.a.Mul(c.slope2, ax), c.intercept2)
-	default:
-		y = f.a.Add(f.a.Mul(c.slope1, ax), c.intercept1)
+	for j, x := range v {
+		s := x >> 63
+		ax := f.a.Abs(x)
+		k := b2i(ax >= one) + b2i(ax >= c.b2375) + b2i(ax >= c.five)
+		y := f.a.Add(f.a.Mul(c.slope[k&3], ax), c.intercept[k&3])
+		v[j] = f.a.Add(one&s, f.a.Sub(y^s, s))
 	}
-	if neg {
-		return f.a.Sub(one, y)
+}
+
+// b2i is 1 for true and 0 for false; it compiles to a SETcc, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	return y
+	return 0
 }
 
 // Tanh approximates tanh via the identity tanh(x) = 2*sigmoid(2x) - 1 on top

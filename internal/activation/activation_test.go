@@ -2,6 +2,7 @@ package activation
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -219,20 +220,37 @@ func TestPropFixedSoftsignBounded(t *testing.T) {
 	}
 }
 
-func BenchmarkFixedSigmoid(b *testing.B) {
-	fa := NewFixed(fixed.Default)
-	x := fixed.Default.FromFloat(1.3)
-	for i := 0; i < b.N; i++ {
-		_ = fa.Sigmoid(x)
+// benchGates returns a seeded vector of 4H gate pre-activations for the
+// paper's H = 32, spread over [-6, 6] so it spans all four PLAN segments and
+// both signs in an order the branch predictor cannot learn.
+func benchGates() []fixed.Value {
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]fixed.Value, 4*32)
+	for i := range xs {
+		xs[i] = fixed.Default.FromFloat(rng.Float64()*12 - 6)
 	}
+	return xs
 }
 
-func BenchmarkFixedSoftsign(b *testing.B) {
-	fa := NewFixed(fixed.Default)
-	x := fixed.Default.FromFloat(-0.7)
+// benchSlice times act over benchGates, restoring the input before each
+// pass, and reports ns per element.
+func benchSlice(b *testing.B, act func([]fixed.Value)) {
+	in := benchGates()
+	v := make([]fixed.Value, len(in))
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = fa.Softsign(x)
+		copy(v, in)
+		act(v)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(in)), "ns/elem")
+}
+
+func BenchmarkFixedSigmoidSlice(b *testing.B) {
+	benchSlice(b, NewFixed(fixed.Default).SigmoidSlice)
+}
+
+func BenchmarkFixedSoftsignSlice(b *testing.B) {
+	benchSlice(b, NewFixed(fixed.Default).SoftsignSlice)
 }
 
 func BenchmarkFloatTanh(b *testing.B) {

@@ -123,12 +123,11 @@ func (a Arith) Div(x, y Value) (Value, error) {
 // Neg returns -x.
 func (a Arith) Neg(x Value) Value { return -x }
 
-// Abs returns |x|.
+// Abs returns |x| without a branch: with the sign mask s = x >> 63 (0 or
+// -1), |x| is (x ^ s) - s. Like -x, it wraps on MinInt64 to MinInt64.
 func (a Arith) Abs(x Value) Value {
-	if x < 0 {
-		return -x
-	}
-	return x
+	s := x >> 63
+	return (x ^ s) - s
 }
 
 // Dot returns the fixed-point dot product of x and y, accumulating raw
@@ -237,23 +236,22 @@ func dot4(r0, r1, r2, r3, x []Value) (s0, s1, s2, s3 int64) {
 }
 
 // rescale divides a raw scale-S^2 value by S, rounding half away from zero:
-// the correction Mul, Dot and FromRaw share. It returns exactly
-// roundedDiv(raw, a.scale), wrapped bias included. At DefaultScale the
-// divisor is a compile-time constant, so the division compiles to a multiply
-// and shifts, and the ±S/2 bias is selected from the sign bit without a
-// branch: s is 0 or -1, and (S/2 ^ s) - s is S/2 or -S/2.
+// the correction Mul, Dot and FromRaw share. It is roundedDiv(raw, a.scale);
+// at DefaultScale the divisor is a compile-time constant in the inlined
+// roundedDiv, so the division compiles to a multiply and shifts.
 func (a Arith) rescale(raw int64) int64 {
 	if a.scale == DefaultScale {
-		s := raw >> 63
-		return (raw + (DefaultScale/2 ^ s) - s) / DefaultScale
+		return roundedDiv(raw, DefaultScale)
 	}
 	return roundedDiv(raw, a.scale)
 }
 
-// roundedDiv divides num by den (den > 0) rounding half away from zero.
+// roundedDiv divides num by den (den != 0) rounding half away from zero:
+// (num ± den/2) / den, the bias taking num's sign. The bias comes from the
+// sign bit without a branch: s is 0 or -1, and (den/2 ^ s) - s is den/2 or
+// -(den/2) for any den, so a negative den and a wrapped bias need no
+// special case.
 func roundedDiv(num, den int64) int64 {
-	if num >= 0 {
-		return (num + den/2) / den
-	}
-	return (num - den/2) / den
+	s := num >> 63
+	return (num + (den/2 ^ s) - s) / den
 }

@@ -526,18 +526,18 @@ func (p *Pipeline) stepFixed(item int) (Result, bool) {
 // computed.
 func (p *Pipeline) hiddenStateFixed() (Result, bool) {
 	h := p.cfg.HiddenSize
-	sig, cand := p.gate[:3*h], p.gate[3*h:] // i, f, o | C' (canonical order)
-	for j, v := range sig {
-		sig[j] = p.fact.Sigmoid(v)
-	}
-	for j, v := range cand {
-		cand[j] = p.fact.Softsign(v)
-	}
+	p.fact.SigmoidSlice(p.gate[:3*h])  // i, f, o (canonical order)
+	p.fact.SoftsignSlice(p.gate[3*h:]) // C'
 
 	i, f, o, c := row(p.gate, 0, h), row(p.gate, 1, h), row(p.gate, 2, h), row(p.gate, 3, h)
 	for k := range p.cQ {
 		p.cQ[k] = p.arith.Add(p.arith.Mul(f[k], p.cQ[k]), p.arith.Mul(i[k], c[k]))
-		p.hQ[k] = p.arith.Mul(o[k], p.fact.Softsign(p.cQ[k]))
+	}
+	// C' is dead once the cell is updated, so its row holds softsign(Ct).
+	copy(c, p.cQ)
+	p.fact.SoftsignSlice(c)
+	for k := range p.hQ {
+		p.hQ[k] = p.arith.Mul(o[k], c[k])
 	}
 	p.counter++
 	if p.counter < p.seqLen {

@@ -42,7 +42,11 @@ func (p *Pipeline) SetNumericProbe(probe NumericProbe) { p.probe = probe }
 // qEmbed, qWx and qB, with no MatVec, no input-projection table, no shared
 // scratch and no shared cell loop, which is what lets
 // FuzzFixedFastMatchesShadow use it as the fast path's oracle.
-// TestProbedPathIgnoresXProj pins that it never reads xProj.
+// TestProbedPathIgnoresXProj pins that it never reads xProj. It calls the
+// same activation.Fixed code as the fast path, so that fuzz cannot see an
+// activation bug: TestActivationsMatchReference and
+// FuzzActivationsMatchReference in internal/activation carry activation
+// bit-identity against the branchy reference forms.
 func (p *Pipeline) stepFixedProbed(item int) (Result, bool) {
 	cfg := p.cfg
 	probe := p.probe

@@ -98,20 +98,17 @@ func escapeHelp(v string) string {
 	return v
 }
 
-// WriteJSON writes the snapshot as an indented JSON document — the
-// machine-readable twin of WritePrometheus, served at /metrics.json. An
-// empty registry writes "metrics": [], never null, like every JSON
-// endpoint in the stack.
-func (r *Registry) WriteJSON(w io.Writer) error {
+// jsonDoc is the snapshot as /metrics.json serves it — the
+// machine-readable twin of WritePrometheus. An empty registry serves
+// "metrics": [], never null, like every JSON endpoint in the stack.
+func (r *Registry) jsonDoc() any {
 	metrics := r.Snapshot()
 	if metrics == nil {
 		metrics = []Metric{}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
+	return struct {
 		Metrics []Metric `json:"metrics"`
-	}{Metrics: metrics})
+	}{Metrics: metrics}
 }
 
 // WriteJSONFile writes doc to path as an indented JSON artifact (flight

@@ -110,8 +110,7 @@ func NewHTTPHandler(r *Registry, opts HTTPOptions) http.Handler {
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		ReadRuntime(r, nil)
-		w.Header().Set("Content-Type", "application/json")
-		_ = r.WriteJSON(w)
+		ServeJSON(w, http.StatusOK, r.jsonDoc())
 	})
 	mux.HandleFunc("/spans.json", func(w http.ResponseWriter, _ *http.Request) {
 		snap := spans.Snapshot()

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -99,14 +101,14 @@ func TestRegistryBadNamePanics(t *testing.T) {
 }
 
 func TestRegistryJSONSnapshot(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenRegistry().WriteJSON(&buf); err != nil {
+	body, err := marshalJSON(goldenRegistry().jsonDoc())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
 		Metrics []Metric `json:"metrics"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatalf("snapshot is not valid JSON: %v", err)
 	}
 	if len(doc.Metrics) != 5 {
@@ -125,6 +127,29 @@ func TestRegistryJSONSnapshot(t *testing.T) {
 	}
 	if wait.Histogram.Count != 2 || wait.Histogram.Unit != "seconds" {
 		t.Errorf("wait_seconds snapshot = %+v", wait.Histogram)
+	}
+}
+
+// TestMetricsJSONMatchesEncoder pins the /metrics.json body served through
+// ServeJSON to the bytes the endpoint wrote before it marshalled first: a
+// json.Encoder with two-space indent, which ends the document with a
+// newline as ServeJSON does.
+func TestMetricsJSONMatchesEncoder(t *testing.T) {
+	for name, r := range map[string]*Registry{"golden": goldenRegistry(), "empty": NewRegistry()} {
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(r.jsonDoc()); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		ServeJSON(rec, http.StatusOK, r.jsonDoc())
+		if got := rec.Body.String(); got != want.String() {
+			t.Errorf("%s registry: served body differs from the encoder output\ngot:\n%s\nwant:\n%s", name, got, want.String())
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s registry: Content-Type %q", name, ct)
+		}
 	}
 }
 
