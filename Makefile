@@ -149,13 +149,15 @@ fuzz:
 # verify is the pre-merge gate: static checks (vet + both lint fronts), a
 # full build, and the whole test suite under the race detector (the serving
 # layer is concurrent). The arm64 vet and build keep the non-amd64 MatVec
-# fallback compiling, and the verbose kernel test logs which MatVec path
-# this machine takes (simd or generic) and whether the simd leg ran.
+# fallback compiling, and the verbose kernel tests log which MatVec kernels
+# this machine has (narrow and simd, or generic), whether their legs ran, and
+# which kernel the paper model's Wh·h takes.
 verify: lint
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/fixed/ ./internal/kernels/ && GOARCH=arm64 $(GO) build ./...
 	$(GO) build ./...
 	$(GO) test -v -run '^TestMatVecKernelsAgree$$' ./internal/fixed/
+	$(GO) test -v -run '^TestPaperModelMatVecKernel$$' ./internal/kernels/
 	$(GO) test -race ./...
 
 fmt:

@@ -10,19 +10,28 @@
 //
 // The package is deliberately tiny and allocation-free: every kernel operation
 // in internal/kernels runs on these primitives, and the gate matrix-vector
-// products run through MatVec, which writes into a caller-owned destination.
-// On amd64 CPUs with AVX512F, AVX512DQ and OS-enabled ZMM state (checked
-// once, at package init, with CPUID and XGETBV), MatVec sums its rows in
-// Go assembly with 8-lane VPMULLQ/VPADDQ; everywhere else it runs the scalar
-// four-row kernel. Both return bit-identical results: VPMULLQ keeps the low
-// 64 bits of each product, as Go's int64 multiply does, and wrapping int64
-// sums do not depend on their order.
+// products run through MatVec, which reads a Matrix and writes into a
+// caller-owned destination. MatVec picks one of three row-sum kernels per
+// call, all bit-identical to one Dot per row:
+//   - KernelNarrow, on amd64 CPUs with AVX512F, AVX512DQ and OS-enabled ZMM
+//     state (checked once, at package init, with CPUID and XGETBV), when every
+//     weight and every x is within ±(2^31−1) and the row sums stay within
+//     2^52 − S. It multiplies with 8-lane VPMULDQ, exact for such operands,
+//     and rescales in float64 in the vector unit, exact below that bound.
+//   - KernelSIMD, on the same CPUs for every other operand: 8-lane VPMULLQ,
+//     which keeps the low 64 bits of each product as Go's int64 multiply
+//     does, and the scalar rescale.
+//   - KernelGeneric everywhere else: the scalar four-row loop.
+//
+// Wrapping int64 sums do not depend on their order, so the two 64-bit
+// kernels agree for any operands.
 package fixed
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // DefaultScale is the scaling factor used by the paper: 10^6. It emphasizes
@@ -149,38 +158,151 @@ func (a Arith) Dot(x, y []Value) Value {
 	return a.rescale(acc)
 }
 
-// MatVec sets dst[j] = Dot(w[j*n:(j+1)*n], x) for every row j, where w is a
-// row-major len(dst)×n matrix and n = len(x). It computes the raw sums of four
-// rows per pass over x, so each x[i] is loaded once for four multiplies: on
-// AVX-512 CPUs with rowSums4AVX512, elsewhere with rowSums4Generic. Every row
-// keeps its own accumulator and its own final rescale, so dst[j] is
-// bit-identical to the per-row Dot: int64 addition is associative modulo 2^64,
-// so even a wrapped accumulator ends on the same value.
-//
-// MatVec panics on a shape mismatch, like Dot.
-func (a Arith) MatVec(dst, w, x []Value) {
-	if hasAVX512 {
-		a.matVec(rowSums4AVX512, dst, w, x)
-		return
-	}
-	a.matVec(rowSums4Generic, dst, w, x)
+// Matrix is a row-major matrix of fixed-point values for MatVec, carrying
+// the two operand bounds MatVec picks its kernel by. NewMatrix computes them
+// once, so the data must not be modified afterwards. The zero value is an
+// empty matrix.
+type Matrix struct {
+	data     []Value
+	cols     int
+	fits32   bool   // every |entry| ≤ MaxInt32
+	maxRowL1 uint64 // the largest Σ|entry| over a row, saturating at MaxUint64
 }
 
-// matVec is MatVec with the four-row kernel passed in, so tests and
-// benchmarks can run either kernel through the same rescale and tail rows.
-func (a Arith) matVec(rowSums4 func(dst, w, x []Value), dst, w, x []Value) {
-	n := len(x)
-	if len(w) != len(dst)*n {
-		panic(fmt.Sprintf("fixed: matvec shape mismatch: %d weights for %d rows of %d", len(w), len(dst), n))
+// NewMatrix wraps data as a matrix of rows cols wide. It panics when data
+// does not split into whole rows: cols must be positive, or 0 with no data.
+func NewMatrix(data []Value, cols int) Matrix {
+	if cols < 0 || (cols == 0 && len(data) != 0) || (cols > 0 && len(data)%cols != 0) {
+		panic(fmt.Sprintf("fixed: %d values do not form rows of %d", len(data), cols))
 	}
-	rowSums4(dst, w, x)
+	m := Matrix{data: data, cols: cols, fits32: true}
+	for r := 0; r < len(data); r += cols {
+		var l1 uint64
+		for _, v := range data[r : r+cols] {
+			u := magnitude(v)
+			m.fits32 = m.fits32 && u <= math.MaxInt32
+			if l1 += u; l1 < u {
+				l1 = math.MaxUint64
+			}
+		}
+		m.maxRowL1 = max(m.maxRowL1, l1)
+	}
+	return m
+}
+
+// Row returns row r of m.
+func (m Matrix) Row(r int) []Value { return m.data[r*m.cols : (r+1)*m.cols] }
+
+// Kernel names the row-sum kernel a MatVec call runs.
+type Kernel string
+
+const (
+	// KernelNarrow multiplies with AVX-512 VPMULDQ (32×32→64 bits) and
+	// rescales in the vector unit. MatVec picks it only where that is
+	// provably bit-identical to Dot; see narrowExact.
+	KernelNarrow Kernel = "narrow"
+	// KernelSIMD multiplies with AVX-512 VPMULLQ (the low 64 bits of a
+	// 64×64 product) and rescales one row at a time in Go.
+	KernelSIMD Kernel = "simd"
+	// KernelGeneric is the scalar dot4 loop, the only kernel off AVX-512.
+	KernelGeneric Kernel = "generic"
+)
+
+// MatVec sets dst[j] = Dot(w.Row(j), x) for every row j of the len(dst)×n
+// matrix w, where n = len(x). It computes the raw sums of four rows per pass
+// over x, so each x[i] is loaded once for four multiplies, with the kernel
+// MatVecKernel names. Every row keeps its own accumulator and its own final
+// rescale, so dst[j] is bit-identical to the per-row Dot: int64 addition is
+// associative modulo 2^64, so even a wrapped accumulator ends on the same
+// value, and KernelNarrow runs only where its products and rescale are exact.
+// Rows past the last full block of four go through Dot.
+//
+// MatVec panics on a shape mismatch, like Dot.
+func (a Arith) MatVec(dst []Value, w Matrix, x []Value) {
+	n := len(x)
+	if w.cols != n || len(w.data) != len(dst)*n {
+		panic(fmt.Sprintf("fixed: matvec shape mismatch: %d weights in rows of %d for %d rows of %d", len(w.data), w.cols, len(dst), n))
+	}
+	a.matVec(a.MatVecKernel(w, x), dst, w.data, x)
+}
+
+// MatVecKernel returns the kernel MatVec runs for w and x on this CPU:
+// KernelNarrow where the CPU has AVX-512 and narrowExact holds, KernelSIMD
+// elsewhere on AVX-512, and KernelGeneric everywhere else.
+func (a Arith) MatVecKernel(w Matrix, x []Value) Kernel {
+	switch {
+	case !hasAVX512:
+		return KernelGeneric
+	case a.narrowExact(w, x):
+		return KernelNarrow
+	default:
+		return KernelSIMD
+	}
+}
+
+// narrowExact reports whether KernelNarrow computes MatVec(dst, w, x) bit
+// for bit. That holds when
+//   - every |weight| ≤ 2^31−1 (w.fits32, checked once by NewMatrix),
+//   - every |x| ≤ 2^31−1 (checked here, one pass over x per call), so
+//     VPMULDQ's signed 32×32→64 product of the low dwords is the int64
+//     product, and
+//   - maxRowL1·max|x| ≤ narrowBound, which bounds every partial and final
+//     row sum, so no sum wraps and the float rescale equals roundedDiv.
+func (a Arith) narrowExact(w Matrix, x []Value) bool {
+	if !w.fits32 {
+		return false
+	}
+	var mx uint64
+	for _, v := range x {
+		mx = max(mx, magnitude(v))
+	}
+	hi, lo := bits.Mul64(w.maxRowL1, mx)
+	return mx <= math.MaxInt32 && hi == 0 && lo <= a.narrowBound()
+}
+
+// narrowBound is B = 2^52 − S, the largest |row sum| for which KernelNarrow's
+// float64 rescale equals roundedDiv(sum, S). DESIGN.md "Fixed-point hot path"
+// derives it: below B, float64(sum) is exact, and the correctly rounded
+// quotient sum/S lands on the same side of every k + 1/2 as the exact one.
+// For S ≥ 2^52 it is 0, which admits only all-zero sums.
+func (a Arith) narrowBound() uint64 {
+	return uint64(max(1<<52-a.scale, 0))
+}
+
+// matVec is MatVec on the kernel k, whatever this CPU would pick, so tests
+// and benchmarks can run each kernel through the same tail rows. Callers
+// check the shape.
+func (a Arith) matVec(k Kernel, dst, w, x []Value) {
+	n := len(x)
 	full := len(dst) &^ 3
-	for j, raw := range dst[:full] {
-		dst[j] = a.rescale(raw)
+	switch k {
+	case KernelNarrow:
+		rowSums4NarrowAVX512(dst, w, x)
+		rescaleAVX512(dst[:full], float64(a.scale))
+	case KernelSIMD:
+		rowSums4AVX512(dst, w, x)
+		a.rescaleSlice(dst[:full])
+	default:
+		rowSums4Generic(dst, w, x)
+		a.rescaleSlice(dst[:full])
 	}
 	for j := full; j < len(dst); j++ {
 		dst[j] = a.Dot(w[j*n:(j+1)*n], x)
 	}
+}
+
+// rescaleSlice rescales every raw sum in v in place.
+func (a Arith) rescaleSlice(v []Value) {
+	for j, raw := range v {
+		v[j] = a.rescale(raw)
+	}
+}
+
+// magnitude returns |v| as a uint64, exact for every int64 (2^63 for
+// MinInt64).
+func magnitude(v Value) uint64 {
+	s := v >> 63
+	return uint64((v ^ s) - s)
 }
 
 // rowSums4Generic sets dst[j] to the raw accumulator of row j against x for

@@ -1,6 +1,7 @@
 package fixed
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -317,7 +318,7 @@ func TestMatVecMatchesDot(t *testing.T) {
 				x[i] = val()
 			}
 			dst := make([]Value, rows)
-			a.MatVec(dst, w, x)
+			a.MatVec(dst, NewMatrix(w, n), x)
 			for j := range dst {
 				if want := a.Dot(w[j*n:(j+1)*n], x); dst[j] != want {
 					t.Fatalf("scale %d, %dx%d row %d: MatVec %d, Dot %d", scale, rows, n, j, dst[j], want)
@@ -327,19 +328,32 @@ func TestMatVecMatchesDot(t *testing.T) {
 	}
 }
 
+// TestMatVecShapeMismatchPanics checks that NewMatrix panics on data that
+// does not split into whole rows, and MatVec on a matrix whose shape does not
+// match dst and x.
 func TestMatVecShapeMismatchPanics(t *testing.T) {
-	for _, tc := range []struct{ rows, w, n int }{
-		{rows: 2, w: 5, n: 3},
-		{rows: 4, w: 16, n: 3},
-		{rows: 0, w: 1, n: 0},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("MatVec(%d rows, %d weights, %d wide) did not panic", tc.rows, tc.w, tc.n)
-				}
-			}()
-			Default.MatVec(make([]Value, tc.rows), make([]Value, tc.w), make([]Value, tc.n))
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
 		}()
+		f()
+	}
+	for _, tc := range []struct{ w, cols int }{{5, 3}, {16, 3}, {1, 0}, {0, -1}} {
+		mustPanic(fmt.Sprintf("NewMatrix(%d values, %d cols)", tc.w, tc.cols), func() {
+			NewMatrix(make([]Value, tc.w), tc.cols)
+		})
+	}
+	for _, tc := range []struct{ rows, w, cols, n int }{
+		{rows: 2, w: 6, cols: 3, n: 2},
+		{rows: 4, w: 15, cols: 3, n: 3},
+		{rows: 0, w: 3, cols: 3, n: 3},
+		{rows: 1, w: 0, cols: 0, n: 1},
+	} {
+		mustPanic(fmt.Sprintf("MatVec(%d rows, %d weights in rows of %d, %d wide)", tc.rows, tc.w, tc.cols, tc.n), func() {
+			Default.MatVec(make([]Value, tc.rows), NewMatrix(make([]Value, tc.w), tc.cols), make([]Value, tc.n))
+		})
 	}
 }

@@ -1,16 +1,32 @@
 package fixed
 
-// hasAVX512 reports whether MatVec runs its row sums on rowSums4AVX512. It is
-// decided once, at package init, from CPUID and XGETBV.
+// hasAVX512 reports whether MatVec runs its row sums on the AVX-512 kernels,
+// rowSums4NarrowAVX512 or rowSums4AVX512. It is decided once, at package
+// init, from CPUID and XGETBV.
 var hasAVX512 = cpuHasAVX512DQ()
 
 // rowSums4AVX512 is rowSums4Generic on AVX-512: four rows per pass over x,
 // eight int64 lanes per VPMULLQ/VPADDQ, the n%8 tail under a zeroing mask.
 // Callers guarantee len(w) == len(dst)*len(x). It requires AVX512F, AVX512DQ
-// (for VPMULLQ) and OS-enabled ZMM state; see cpuHasAVX512DQ.
+// (for VPMULLQ) and OS-enabled ZMM state; see cpuHasAVX512DQ. The two kernels
+// below need the same.
 //
 //go:noescape
 func rowSums4AVX512(dst, w, x []Value)
+
+// rowSums4NarrowAVX512 is rowSums4AVX512 with VPMULDQ for VPMULLQ. Its sums
+// equal rowSums4AVX512's only when every weight and every x fits int32,
+// which narrowExact checks before MatVec calls it.
+//
+//go:noescape
+func rowSums4NarrowAVX512(dst, w, x []Value)
+
+// rescaleAVX512 sets each v[i] to v[i]/scale rounded half away from zero in
+// float64, eight lanes at a time. It equals roundedDiv(v[i], scale) for
+// |v[i]| ≤ 2^52 − scale, the bound narrowExact keeps MatVec's sums within.
+//
+//go:noescape
+func rescaleAVX512(v []Value, scale float64)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -49,8 +49,8 @@ func TestCloneSharesParameters(t *testing.T) {
 	for name, pair := range map[string][2][]fixed.Value{
 		"xProj":  {p.par.xProj, c.par.xProj},
 		"qEmbed": {p.par.qEmbed, c.par.qEmbed},
-		"qWx":    {p.par.qWx, c.par.qWx},
-		"qWh":    {p.par.qWh, c.par.qWh},
+		"qWx":    {p.par.qWx.Row(0), c.par.qWx.Row(0)},
+		"qWh":    {p.par.qWh.Row(0), c.par.qWh.Row(0)},
 		"qB":     {p.par.qB, c.par.qB},
 		"qFCW":   {p.par.qFCW, c.par.qFCW},
 	} {
@@ -99,7 +99,7 @@ func TestInputProjectionRows(t *testing.T) {
 	for v := 0; v < cfg.VocabSize; v++ {
 		x := row(p.par.qEmbed, v, o)
 		for j := 0; j < rows; j++ {
-			want := p.arith.Add(p.arith.Dot(row(p.par.qWx, j, o), x), p.par.qB[j])
+			want := p.arith.Add(p.arith.Dot(p.par.qWx.Row(j), x), p.par.qB[j])
 			if got := p.InputProjection()[v*rows+j]; got != want {
 				t.Fatalf("xProj[%d][%d] = %d, want %d", v, j, got, want)
 			}

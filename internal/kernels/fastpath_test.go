@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"github.com/kfrida1/csdinf/internal/activation"
+	"github.com/kfrida1/csdinf/internal/dataset"
 	"github.com/kfrida1/csdinf/internal/fixed"
 	"github.com/kfrida1/csdinf/internal/lstm"
+	"github.com/kfrida1/csdinf/internal/train"
 )
 
 // fuzzScales covers the paper's scale, which takes the constant-divisor
@@ -130,5 +132,79 @@ func TestClassifyAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: Classify allocates %.1f times per window, want 0", level, allocs)
 		}
+	}
+}
+
+// TestPaperModelMatVecKernel pins the MatVec kernel the host hot path's speed
+// rests on. On paper-shape models, one seeded and one quick-trained, every
+// row of the input-projection build, every Wh·h step of a window and both
+// LevelMixed products take fixed.KernelNarrow. Operands that outgrew the
+// narrow kernel's guards would still be exact on the wide kernel, only
+// slower; this test makes that loss visible instead of silent. make verify
+// runs it verbosely, so its log names the kernel the paper model takes.
+func TestPaperModelMatVecKernel(t *testing.T) {
+	if k := fixed.Default.MatVecKernel(fixed.Matrix{}, nil); k == fixed.KernelGeneric {
+		t.Skipf("MatVec runs %s on this CPU for every operand: no AVX-512 kernel to pick", k)
+	}
+	seeded, err := lstm.NewModel(lstm.PaperConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := dataset.Build(dataset.BuildConfig{RansomwareCount: 60, BenignCount: 60, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainDS, testDS, err := ds.Split(0.2, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := train.Train(trainDS, testDS, train.Config{Epochs: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		m    *lstm.Model
+	}{{"seeded", seeded}, {"quick-trained", res.Model}} {
+		cfg := tc.m.Config()
+		fp, err := New(tc.m, Config{Level: LevelFixedPoint, SeqLen: ds.Window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mixed, err := New(tc.m, Config{Level: LevelMixed, SeqLen: ds.Window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fixed.KernelNarrow
+		for v := 0; v < cfg.VocabSize; v++ {
+			if k := fp.arith.MatVecKernel(fp.par.qWx, row(fp.par.qEmbed, v, cfg.EmbedDim)); k != want {
+				t.Fatalf("%s: input-projection row %d takes %s, want %s", tc.name, v, k, want)
+			}
+		}
+		steps := 0
+		for _, seq := range testDS.Sequences[:8] {
+			fp.Reset()
+			mixed.Reset()
+			for i, item := range seq.Items {
+				if k := fp.arith.MatVecKernel(fp.par.qWh, fp.hQ); k != want {
+					t.Fatalf("%s: Wh·h at item %d takes %s, want %s", tc.name, i, k, want)
+				}
+				if k := mixed.narrow.MatVecKernel(mixed.par.nWx, row(mixed.par.nEmbed, item, cfg.EmbedDim)); k != want {
+					t.Fatalf("%s: mixed Wx·x at item %d takes %s, want %s", tc.name, i, k, want)
+				}
+				if _, _, err := fp.ProcessItem(item); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := mixed.ProcessItem(item); err != nil {
+					t.Fatal(err)
+				}
+				// hNarrow now holds the h(t-1) this step's Wh·h read.
+				if k := mixed.narrow.MatVecKernel(mixed.par.nWh, mixed.hNarrow); k != want {
+					t.Fatalf("%s: mixed Wh·h at item %d takes %s, want %s", tc.name, i, k, want)
+				}
+				steps++
+			}
+		}
+		t.Logf("paper model (%s): Wh·h takes MatVec kernel %s on all %d steps", tc.name, want, steps)
 	}
 }

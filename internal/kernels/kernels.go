@@ -289,8 +289,8 @@ func (p *Pipeline) allocState() {
 // CUs' products.
 type params struct {
 	qEmbed []fixed.Value // M rows of O values
-	qWx    []fixed.Value // 4H rows of O values
-	qWh    []fixed.Value // 4H rows of H values
+	qWx    fixed.Matrix  // 4H rows of O values
+	qWh    fixed.Matrix  // 4H rows of H values
 	qB     []fixed.Value // 4H biases, also used by LevelMixed
 	qFCW   []fixed.Value
 	qFCB   fixed.Value
@@ -304,8 +304,8 @@ type params struct {
 	// Narrow-scale parameters (LevelMixed only; see mixed.go), laid out
 	// like their wide counterparts.
 	nEmbed []fixed.Value
-	nWx    []fixed.Value
-	nWh    []fixed.Value
+	nWx    fixed.Matrix
+	nWh    fixed.Matrix
 }
 
 // quantize converts all model parameters to fixed point at arith a, the
@@ -313,15 +313,15 @@ type params struct {
 // of weights, biases, and embeddings by this factor before the host
 // initialization"), and builds the input-projection table from them.
 func quantize(a fixed.Arith, m *lstm.Model) *params {
+	cfg := m.Config()
 	q := &params{
 		qEmbed: a.QuantizeSlice(m.Embedding.Data),
-		qWx:    gateMajor(a, m, func(g lstm.Gate) []float64 { return g.Wx.Data }),
-		qWh:    gateMajor(a, m, func(g lstm.Gate) []float64 { return g.Wh.Data }),
+		qWx:    fixed.NewMatrix(gateMajor(a, m, func(g lstm.Gate) []float64 { return g.Wx.Data }), cfg.EmbedDim),
+		qWh:    fixed.NewMatrix(gateMajor(a, m, func(g lstm.Gate) []float64 { return g.Wh.Data }), cfg.HiddenSize),
 		qB:     gateMajor(a, m, func(g lstm.Gate) []float64 { return g.B }),
 		qFCW:   a.QuantizeSlice(m.FCW),
 		qFCB:   a.FromFloat(m.FCB),
 	}
-	cfg := m.Config()
 	rows := len(q.qB)
 	q.xProj = make([]fixed.Value, cfg.VocabSize*rows)
 	for v := 0; v < cfg.VocabSize; v++ {

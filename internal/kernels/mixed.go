@@ -35,10 +35,11 @@ const DSPPackFactor = 4
 // quantizeNarrow builds LevelMixed's parameters: the gate inputs at the
 // narrow scale, the biases and the FC head at the wide one.
 func quantizeNarrow(wide, narrow fixed.Arith, m *lstm.Model) *params {
+	cfg := m.Config()
 	return &params{
 		nEmbed: narrow.QuantizeSlice(m.Embedding.Data),
-		nWx:    gateMajor(narrow, m, func(g lstm.Gate) []float64 { return g.Wx.Data }),
-		nWh:    gateMajor(narrow, m, func(g lstm.Gate) []float64 { return g.Wh.Data }),
+		nWx:    fixed.NewMatrix(gateMajor(narrow, m, func(g lstm.Gate) []float64 { return g.Wx.Data }), cfg.EmbedDim),
+		nWh:    fixed.NewMatrix(gateMajor(narrow, m, func(g lstm.Gate) []float64 { return g.Wh.Data }), cfg.HiddenSize),
 		// Biases join after the MAC array; keep them wide.
 		qB:   gateMajor(wide, m, func(g lstm.Gate) []float64 { return g.B }),
 		qFCW: wide.QuantizeSlice(m.FCW),

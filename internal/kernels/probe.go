@@ -63,9 +63,9 @@ func (p *Pipeline) stepFixedProbed(item int) (Result, bool) {
 		out := make([]fixed.Value, cfg.HiddenSize)
 		for r := 0; r < cfg.HiddenSize; r++ {
 			gr := g*nh + r // gate-major row
-			wxRaw, wxErr := p.arith.DotRaw(row(par.qWx, gr, nx), x)
+			wxRaw, wxErr := p.arith.DotRaw(par.qWx.Row(gr), x)
 			probe(absint.GateStage(name, absint.StageWxAcc), wxRaw, wxErr)
-			whRaw, whErr := p.arith.DotRaw(row(par.qWh, gr, nh), p.hQ)
+			whRaw, whErr := p.arith.DotRaw(par.qWh.Row(gr), p.hQ)
 			probe(absint.GateStage(name, absint.StageWhAcc), whRaw, whErr)
 			pre, preErr := p.arith.AddChecked(p.arith.FromRaw(wxRaw), p.arith.FromRaw(whRaw))
 			pre, bErr := p.arith.AddChecked(pre, par.qB[gr])
