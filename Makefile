@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_JSON_DIR ?= bench-results
 
-.PHONY: build test bench bench-json bench-gate smoke load-smoke prof-smoke quality-smoke trace lint fuzz verify fmt
+.PHONY: build test bench bench-gate smoke load-smoke prof-smoke quality-smoke trace lint fuzz verify fmt
 
 build:
 	$(GO) build ./...
@@ -12,21 +12,15 @@ test:
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-# bench-json runs the fast (non-training) experiments and writes their
-# structured results to $(BENCH_JSON_DIR)/BENCH_<experiment>.json.
-bench-json:
-	$(GO) run ./cmd/csdbench -experiment fig3 -json $(BENCH_JSON_DIR)
-	$(GO) run ./cmd/csdbench -experiment table1 -measure-go=false -json $(BENCH_JSON_DIR)
-	$(GO) run ./cmd/csdbench -experiment table2 -json $(BENCH_JSON_DIR)
-	$(GO) run ./cmd/csdbench -experiment energy -json $(BENCH_JSON_DIR)
-
-# bench-gate regenerates the fig3, table1, wallclock and quality results and
-# makes one cmd/benchdiff call, which checks every row of its manifest
+# bench-gate regenerates the fig3, table1, table2, energy, wallclock and
+# quality results as $(BENCH_JSON_DIR)/BENCH_<source>.json and makes one
+# cmd/benchdiff call, which checks every row of its manifest
 # against the checked-in bench-results/baseline-<source>.json and exits
 # nonzero when any row fails. Row kinds:
 #   exact  the JSON subtree must equal the baseline's. Simulated device time
-#          (Table I rows, FPGA items/s, Fig. 3) and the seeded quality
-#          scorecard are deterministic, so any change fails, better or worse.
+#          (Table I rows, FPGA items/s, Fig. 3), the seeded Table II corpus
+#          overview, the energy comparison and the seeded quality scorecard
+#          are deterministic, so any change fails, better or worse.
 #   max    lower is better; fresh may not exceed baseline × (1 + tolerance).
 #          The wallclock self-audit's allocs/op and B/op gate at 1%.
 # Host wall time is not gated here; hostbench (bash hostbench/run.sh) owns it.
@@ -37,6 +31,8 @@ bench-json:
 bench-gate:
 	$(GO) run ./cmd/csdbench -experiment fig3 -json $(BENCH_JSON_DIR)
 	$(GO) run ./cmd/csdbench -experiment table1 -measure-go=false -json $(BENCH_JSON_DIR)
+	$(GO) run ./cmd/csdbench -experiment table2 -json $(BENCH_JSON_DIR)
+	$(GO) run ./cmd/csdbench -experiment energy -json $(BENCH_JSON_DIR)
 	$(GO) run ./cmd/csdbench -experiment wallclock -json $(BENCH_JSON_DIR)
 	$(GO) run ./cmd/csdbench -experiment quality -json $(BENCH_JSON_DIR)
 	$(GO) run ./cmd/benchdiff -fresh $(BENCH_JSON_DIR) -baselines bench-results

@@ -315,9 +315,8 @@ func BenchmarkAblation_Dataflow(b *testing.B) {
 	b.ReportMetric(float64(p.PipelinedItemCycles())/300, "sim_overlap_µs/item")
 }
 
-// Ablation (§III-D): fixed-point scale sweep — classification speed is
-// scale-independent, but TestScaleSweepAgreement (facade tests) shows the
-// accuracy cliff below 10³; this bench tracks the simulation cost.
+// Ablation (§III-D): fixed-point scale sweep — the simulation cost of
+// classifying one window at scales 10³, 10⁶ and 10⁹.
 func BenchmarkAblation_FixedPointScale(b *testing.B) {
 	m := paperModel(b)
 	for _, tc := range []struct {

@@ -6,7 +6,8 @@
 // any row fails. There are two kinds of row:
 //
 //   - exact: the subtrees must be deep-equal. Simulated device timings
-//     (Table I, Fig. 3) and the seeded detection-quality scorecard are
+//     (Table I, Fig. 3), the seeded corpus overview (Table II), the energy
+//     comparison and the seeded detection-quality scorecard are
 //     deterministic, so any change — better or worse — is either a bug or a
 //     deliberate re-pin.
 //   - max: a lower-is-better number may not exceed baseline × (1 +
@@ -65,6 +66,10 @@ var manifest = []row{
 	{"table1", "result.fpga_items_per_second", exact, 0},
 
 	{"fig3", "result", exact, 0},
+
+	{"table2", "result", exact, 0},
+
+	{"energy", "result", exact, 0},
 
 	{"quality", "result.recall", exact, 0},
 	{"quality", "result.fpr", exact, 0},

@@ -160,6 +160,32 @@ func TestCheckedInBaselineSelfComparison(t *testing.T) {
 	}
 }
 
+// TestEveryBaselineIsGated pins the manifest's sources to the checked-in
+// baseline files, both ways: a baseline-<source>.json with no manifest row
+// would sit there ungated, and a manifest source with no baseline could
+// never pass.
+func TestEveryBaselineIsGated(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "bench-results", "baseline-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, p := range paths {
+		files = append(files, strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "baseline-"), ".json"))
+	}
+	gated := sources()
+	for _, source := range files {
+		if !slices.Contains(gated, source) {
+			t.Errorf("baseline-%s.json has no manifest row", source)
+		}
+	}
+	for _, source := range gated {
+		if !slices.Contains(files, source) {
+			t.Errorf("manifest source %q has no baseline-%s.json", source, source)
+		}
+	}
+}
+
 // TestEveryRowCatchesPerturbation walks the manifest: for each row it
 // perturbs the first leaf of the row's subtree in the fresh document. An
 // exact row must fail on a one-ulp move; a max row must pass at exactly

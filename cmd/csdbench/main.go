@@ -11,14 +11,13 @@
 //	csdbench -experiment metrics              # detection accuracy/P/R/F1
 //	csdbench -experiment table2               # dataset overview
 //	csdbench -experiment energy               # energy per inference item
-//	csdbench -experiment latency              # calls-to-mitigation per family
-//	csdbench -experiment models               # LSTM vs snapshot baseline
 //	csdbench -experiment wallclock            # observability-overhead self-audit
 //	csdbench -experiment quality              # detection-quality scorecard
 //
 // With -json DIR each experiment also writes DIR/BENCH_<experiment>.json;
-// cmd/benchdiff gates the fig3, table1, wallclock and quality documents
-// against the checked-in bench-results/baseline-<experiment>.json.
+// cmd/benchdiff gates the fig3, table1, table2, energy, wallclock and
+// quality documents against the checked-in
+// bench-results/baseline-<experiment>.json.
 //
 // Pass -prof to run the continuous profiler alongside any experiment and
 // write its snapshot to <prof-dir>/prof.json on exit.
@@ -51,7 +50,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("csdbench", flag.ContinueOnError)
-	experiment := fs.String("experiment", "all", "fig3 | table1 | fig4 | metrics | table2 | energy | latency | models | window | wallclock | quality | all")
+	experiment := fs.String("experiment", "all", "fig3 | table1 | fig4 | metrics | table2 | energy | wallclock | quality | all")
 	trials := fs.Int("trials", 1000, "CPU/GPU latency samples for table1")
 	epochs := fs.Int("epochs", 40, "training epochs for fig4/metrics")
 	seed := fs.Int64("seed", 1, "seed for all randomized stages")
@@ -92,9 +91,6 @@ func run(args []string) error {
 		"metrics": func() error { return runTraining(*jsonDir, *epochs, *seed, *full, false, true) },
 		"table2":  func() error { return runTableII(*jsonDir, *seed) },
 		"energy":  func() error { return runEnergy(*jsonDir) },
-		"latency": func() error { return runLatency(*jsonDir, *epochs, *seed) },
-		"models":  func() error { return runModels(*jsonDir, *epochs, *seed) },
-		"window":  func() error { return runWindowSweep(*jsonDir, *seed) },
 		"wallclock": func() error {
 			return runWallClock(*jsonDir, *iterations, *seed)
 		},
@@ -113,7 +109,7 @@ func run(args []string) error {
 	}
 	r, ok := runs[*experiment]
 	if !ok {
-		return fmt.Errorf("unknown experiment %q (want fig3, table1, fig4, metrics, table2, energy, latency, models, window, wallclock, quality, all)", *experiment)
+		return fmt.Errorf("unknown experiment %q (want fig3, table1, fig4, metrics, table2, energy, wallclock, quality, all)", *experiment)
 	}
 	return r()
 }
@@ -262,57 +258,6 @@ func runTraining(jsonDir string, epochs int, seed int64, full, wantFig4, wantMet
 		}
 	}
 	return nil
-}
-
-func runLatency(jsonDir string, epochs int, seed int64) error {
-	fmt.Println("=== Detection latency: API calls from infection start to mitigation ===")
-	fmt.Printf("(training a detector model first, %d epochs on the 1/10-scale corpus...)\n", epochs)
-	run, err := experiments.RunTraining(experiments.TrainRunConfig{
-		Epochs: epochs, Seed: seed, TargetAccuracy: 0.97,
-	})
-	if err != nil {
-		return err
-	}
-	const traceLen = 3000
-	rows, err := experiments.DetectionLatency(experiments.LatencyConfig{
-		Model: run.Model, TraceLen: traceLen, Seed: seed,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.FormatDetectionLatency(rows, traceLen))
-	fmt.Println()
-	return writeBench(jsonDir, "latency", rows)
-}
-
-func runWindowSweep(jsonDir string, seed int64) error {
-	fmt.Println("=== Window-length sweep: accuracy vs detection latency (extension) ===")
-	fmt.Println("(training one classifier per window length on a 1/20-scale corpus...)")
-	points, err := experiments.WindowSweep(experiments.WindowSweepConfig{Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.FormatWindowSweep(points))
-	fmt.Println()
-	return writeBench(jsonDir, "window", points)
-}
-
-func runModels(jsonDir string, epochs int, seed int64) error {
-	fmt.Println("=== Model selection: LSTM vs non-sequential snapshot baseline (§III-A) ===")
-	fmt.Printf("(training the LSTM first, up to %d epochs on the 1/10-scale corpus...)\n", epochs)
-	run, err := experiments.RunTraining(experiments.TrainRunConfig{
-		Epochs: epochs, Seed: seed, TargetAccuracy: 0.985,
-	})
-	if err != nil {
-		return err
-	}
-	res, err := experiments.ModelSelection(run, nil, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.FormatModelSelection(res))
-	fmt.Println()
-	return writeBench(jsonDir, "models", res)
 }
 
 func runWallClock(jsonDir string, iterations int, seed int64) error {

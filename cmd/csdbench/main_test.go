@@ -4,11 +4,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 func TestRunFastExperiments(t *testing.T) {
-	// The training-based experiments (fig4/metrics/latency) are exercised by
+	// The training-based experiments (fig4/metrics) are exercised by
 	// internal/experiments tests; here we cover the CLI wiring of the fast
 	// paths.
 	for _, args := range [][]string{
@@ -48,8 +49,11 @@ func TestJSONOutput(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-experiment", "bogus"}); err == nil {
-		t.Fatal("unknown experiment accepted")
+	for _, exp := range []string{"bogus", "latency", "window", "models"} {
+		err := run([]string{"-experiment", exp})
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("-experiment %s: err = %v, want unknown experiment", exp, err)
+		}
 	}
 }
 

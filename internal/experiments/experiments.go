@@ -439,60 +439,3 @@ func FormatEnergy(res *EnergyResult) string {
 		res.SavingsVsCPU, res.SavingsVsGPU)
 	return b.String()
 }
-
-// ModelSelectionResult compares the LSTM against the non-sequential
-// snapshot baseline of §III-A's model-selection argument.
-type ModelSelectionResult struct {
-	LSTM      metrics.Scores
-	Histogram metrics.Scores
-	// AccuracyGap is LSTM accuracy minus histogram accuracy.
-	AccuracyGap float64
-}
-
-// ModelSelection trains both models on the same split and compares them —
-// the measurement behind the paper's claim that sequential models suit
-// this task better than static-snapshot ones.
-func ModelSelection(run *TrainRun, testDS *dataset.Dataset, seed int64) (*ModelSelectionResult, error) {
-	if run == nil || run.Model == nil {
-		return nil, fmt.Errorf("experiments: model selection needs a trained LSTM run")
-	}
-	trainDS, heldOut, err := run.Dataset.Split(0.2, seed+1)
-	if err != nil {
-		return nil, err
-	}
-	if testDS != nil {
-		heldOut = testDS
-	}
-	hist, err := baseline.NewHistogramClassifier(run.Model.Config().VocabSize)
-	if err != nil {
-		return nil, err
-	}
-	if err := hist.Train(trainDS, baseline.HistTrainConfig{Epochs: 30, Seed: seed}); err != nil {
-		return nil, err
-	}
-	histConf, err := hist.Evaluate(heldOut)
-	if err != nil {
-		return nil, err
-	}
-	lstmConf, err := train.Evaluate(run.Model, heldOut)
-	if err != nil {
-		return nil, err
-	}
-	return &ModelSelectionResult{
-		LSTM:        lstmConf.Scores(),
-		Histogram:   histConf.Scores(),
-		AccuracyGap: lstmConf.Accuracy() - histConf.Accuracy(),
-	}, nil
-}
-
-// FormatModelSelection renders the comparison.
-func FormatModelSelection(res *ModelSelectionResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %10s %10s %10s %10s\n", "Model", "Accuracy", "Precision", "Recall", "F1")
-	fmt.Fprintf(&b, "%-28s %10.4f %10.4f %10.4f %10.4f\n",
-		"LSTM (sequential)", res.LSTM.Accuracy, res.LSTM.Precision, res.LSTM.Recall, res.LSTM.F1)
-	fmt.Fprintf(&b, "%-28s %10.4f %10.4f %10.4f %10.4f\n",
-		"Histogram LR (snapshot)", res.Histogram.Accuracy, res.Histogram.Precision, res.Histogram.Recall, res.Histogram.F1)
-	fmt.Fprintf(&b, "LSTM accuracy advantage: %+.4f\n", res.AccuracyGap)
-	return b.String()
-}

@@ -202,113 +202,3 @@ func TestEnergyComparison(t *testing.T) {
 		}
 	}
 }
-
-func TestDetectionLatency(t *testing.T) {
-	// Train a quick model, then measure per-family time to mitigation.
-	run, err := RunTraining(TrainRunConfig{
-		RansomwareCount: 667, BenignCount: 783,
-		Epochs: 6, Seed: 4, TargetAccuracy: 0.95,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := DetectionLatency(LatencyConfig{
-		Model: run.Model, TraceLen: 2000, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 10 {
-		t.Fatalf("families = %d", len(rows))
-	}
-	totalVars, totalDet := 0, 0
-	for _, r := range rows {
-		totalVars += r.Variants
-		totalDet += r.Detected
-		if r.Detected > 0 && (r.MeanCalls <= 0 || r.MaxCalls <= 0) {
-			t.Fatalf("%s: detected but no latency recorded: %+v", r.Family, r)
-		}
-	}
-	if totalVars != 76 {
-		t.Fatalf("variants = %d", totalVars)
-	}
-	// The deployed detector must stop the strong majority of variants well
-	// before the 2000-call trace completes.
-	if float64(totalDet)/float64(totalVars) < 0.9 {
-		t.Fatalf("only %d/%d variants stopped", totalDet, totalVars)
-	}
-	out := FormatDetectionLatency(rows, 2000)
-	for _, want := range []string{"Ryuk", "Mean calls", "variants stopped"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("FormatDetectionLatency missing %q:\n%s", want, out)
-		}
-	}
-	if _, err := DetectionLatency(LatencyConfig{}); err == nil {
-		t.Error("nil model: expected error")
-	}
-}
-
-func TestModelSelection(t *testing.T) {
-	run, err := RunTraining(TrainRunConfig{
-		RansomwareCount: 456, BenignCount: 465,
-		Epochs: 8, Seed: 6, TargetAccuracy: 0.95,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ModelSelection(run, nil, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LSTM.Accuracy < 0.9 || res.Histogram.Accuracy < 0.8 {
-		t.Fatalf("accuracies = %v / %v", res.LSTM.Accuracy, res.Histogram.Accuracy)
-	}
-	out := FormatModelSelection(res)
-	for _, want := range []string{"LSTM", "Histogram", "advantage"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("FormatModelSelection missing %q", want)
-		}
-	}
-	if _, err := ModelSelection(nil, nil, 1); err == nil {
-		t.Error("nil run: expected error")
-	}
-}
-
-func TestWindowSweep(t *testing.T) {
-	points, err := WindowSweep(WindowSweepConfig{
-		Windows:         []int{40, 80},
-		RansomwareCount: 456,
-		BenignCount:     465,
-		Epochs:          6,
-		Seed:            11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d", len(points))
-	}
-	for _, p := range points {
-		if p.Accuracy < 0.85 {
-			t.Fatalf("window %d accuracy = %v", p.Window, p.Accuracy)
-		}
-		if p.SampledVariants != 10 {
-			t.Fatalf("window %d sampled %d variants", p.Window, p.SampledVariants)
-		}
-		if p.PerWindowMicros <= 0 {
-			t.Fatalf("window %d has no FPGA time", p.Window)
-		}
-	}
-	// Longer windows cost proportionally more FPGA time per classification.
-	if points[1].PerWindowMicros <= points[0].PerWindowMicros {
-		t.Fatalf("FPGA time not increasing with window: %v vs %v",
-			points[0].PerWindowMicros, points[1].PerWindowMicros)
-	}
-	out := FormatWindowSweep(points)
-	if !strings.Contains(out, "FPGA µs/window") {
-		t.Errorf("FormatWindowSweep output:\n%s", out)
-	}
-	if _, err := WindowSweep(WindowSweepConfig{Windows: []int{-1}}); err == nil {
-		t.Error("negative window: expected error")
-	}
-}

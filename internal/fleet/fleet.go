@@ -79,11 +79,6 @@ type Config struct {
 	// Block makes a full home-node queue block the caller instead of
 	// failing fast (per-node serve semantics).
 	Block bool
-	// BatchMax bounds per-node stored-scan coalescing; 0 defaults to 8.
-	BatchMax int
-	// VirtualNodes is the consistent-hash points per device; 0 defaults
-	// to 64.
-	VirtualNodes int
 	// Classes are the QoS admission classes; empty defaults to one
 	// uncapped "default" class (admission never rejects).
 	Classes []Class
@@ -325,7 +320,6 @@ func (f *Fleet) newServer(n *node) (*serve.Server, error) {
 	return serve.New([]infer.Inferencer{n.eng}, serve.Config{
 		QueueDepth: f.cfg.QueueDepth,
 		Block:      f.cfg.Block,
-		BatchMax:   f.cfg.BatchMax,
 		Device:     n.h,
 		Telemetry:  f.cfg.Telemetry,
 		Spans:      f.cfg.Spans,
@@ -341,7 +335,7 @@ func (f *Fleet) start() (*Fleet, error) {
 	for i, n := range f.nodes {
 		ids[i] = n.h.ID()
 	}
-	f.ring = newRing(ids, f.cfg.VirtualNodes)
+	f.ring = newRing(ids)
 	f.unwatch = f.registry.Watch(f.onChange)
 	f.cfg.Events.Info(context.Background(), "fleet", "fleet.start",
 		eventlog.F("nodes", len(f.nodes)),

@@ -26,15 +26,12 @@ type ringPoint struct {
 	id   device.ID
 }
 
-// defaultVirtualNodes balances spread against lookup cost; at 64 points
-// per device a 16-drive fleet has 1024 points, and the worst observed
-// tenant imbalance stays within a few percent.
-const defaultVirtualNodes = 64
+// virtualNodes balances spread against lookup cost; at 64 points per
+// device a 16-drive fleet has 1024 points, and the worst observed tenant
+// imbalance stays within a few percent.
+const virtualNodes = 64
 
-func newRing(ids []device.ID, virtualNodes int) *ring {
-	if virtualNodes <= 0 {
-		virtualNodes = defaultVirtualNodes
-	}
+func newRing(ids []device.ID) *ring {
 	r := &ring{points: make([]ringPoint, 0, len(ids)*virtualNodes)}
 	for _, id := range ids {
 		for v := 0; v < virtualNodes; v++ {

@@ -15,7 +15,7 @@ import (
 // caught that collapse outright.
 func TestRingBalance(t *testing.T) {
 	ids := []device.ID{"csd-000", "csd-001", "csd-002", "csd-003"}
-	r := newRing(ids, 0)
+	r := newRing(ids)
 	all := func(device.ID) bool { return true }
 
 	const tenants = 1000
@@ -36,7 +36,7 @@ func TestRingBalance(t *testing.T) {
 // one device moves only that device's tenants, everyone else stays put.
 func TestRingDrainStability(t *testing.T) {
 	ids := []device.ID{"csd-000", "csd-001", "csd-002", "csd-003"}
-	r := newRing(ids, 0)
+	r := newRing(ids)
 	all := func(device.ID) bool { return true }
 	const drained = device.ID("csd-002")
 	without := func(id device.ID) bool { return id != drained }
