@@ -140,20 +140,22 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzIntervalSoundness -fuzztime=$(FUZZTIME) ./internal/absint/
 	$(GO) test -run=^$$ -fuzz=FuzzFixedFastMatchesShadow -fuzztime=$(FUZZTIME) ./internal/kernels/
 	$(GO) test -run=^$$ -fuzz=FuzzMatVecKernelsAgree -fuzztime=$(FUZZTIME) ./internal/fixed/
+	$(GO) test -run=^$$ -fuzz=FuzzElementwiseKernelsAgree -fuzztime=$(FUZZTIME) ./internal/fixed/
 	$(GO) test -run=^$$ -fuzz=FuzzActivationsMatchReference -fuzztime=$(FUZZTIME) ./internal/activation/
 
 # verify is the pre-merge gate: static checks (vet + both lint fronts), a
 # full build, and the whole test suite under the race detector (the serving
-# layer is concurrent). The arm64 vet and build keep the non-amd64 MatVec
-# fallback compiling, and the verbose kernel tests log which MatVec kernels
-# this machine has (narrow and simd, or generic), whether their legs ran, and
-# which kernel the paper model's Wh·h takes.
+# layer is concurrent). The arm64 vet and build keep the non-amd64 MatVec and
+# elementwise fallbacks compiling, and the verbose kernel tests log which
+# MatVec kernels (narrow and simd, or generic) and elementwise kernels
+# (vector, or generic) this machine has, whether their legs ran or why they
+# skipped, and which kernels the paper model's Wh·h and hidden state take.
 verify: lint
 	$(GO) vet ./...
-	GOARCH=arm64 $(GO) vet ./internal/fixed/ ./internal/kernels/ && GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/fixed/ ./internal/activation/ ./internal/kernels/ && GOARCH=arm64 $(GO) build ./...
 	$(GO) build ./...
-	$(GO) test -v -run '^TestMatVecKernelsAgree$$' ./internal/fixed/
-	$(GO) test -v -run '^TestPaperModelMatVecKernel$$' ./internal/kernels/
+	$(GO) test -v -run '^(TestMatVecKernelsAgree|TestElementwiseKernelsAgree)$$' ./internal/fixed/
+	$(GO) test -v -run '^(TestPaperModelMatVecKernel|TestPaperModelElementwiseKernel)$$' ./internal/kernels/
 	$(GO) test -race ./...
 
 fmt:

@@ -104,51 +104,39 @@ func SoftsignF(x float64) float64 {
 
 // Fixed evaluates activations in fixed-point arithmetic. It is the form the
 // FPGA kernels execute. Fixed is immutable and safe for concurrent use.
+//
+// The arithmetic lives in internal/fixed: the one-element forms are its
+// scalar code, and the slice forms its entry points, which run an AVX-512
+// kernel where the CPU has one and its guard proves it bit-identical to the
+// scalar code, and the scalar loop otherwise.
 type Fixed struct {
 	a    fixed.Arith
-	plan *planConsts
+	plan *fixed.PLAN
 }
 
-// planConsts holds the PLAN sigmoid's breakpoints and segment coefficients
-// quantized once at the evaluator's scale, so Sigmoid itself does no float
-// conversion. Segment k covers the |x| that pass k of the breakpoints
-// 1, 2.375 and 5; segment 3 has slope 0 and intercept One, so it yields One
-// exactly (Mul(0, |x|) is 0).
-type planConsts struct {
-	b2375, five fixed.Value // breakpoints above One
-	slope       [4]fixed.Value
-	intercept   [4]fixed.Value
-}
-
-// NewFixed returns a fixed-point activation evaluator over arith a.
+// NewFixed returns a fixed-point activation evaluator over arith a. It
+// quantizes the PLAN sigmoid's breakpoints and segment coefficients once,
+// so the activations do no float conversion. Segment k covers the |x| that
+// pass k of the breakpoints 1, 2.375 and 5; segment 3 has slope 0 and
+// intercept One, so it yields One exactly (Mul(0, |x|) is 0).
 func NewFixed(a fixed.Arith) Fixed {
 	q := a.FromFloat
-	return Fixed{a: a, plan: &planConsts{
-		b2375:     q(2.375),
-		five:      a.FromInt(5),
-		slope:     [4]fixed.Value{q(0.25), q(0.125), q(0.03125), 0},
-		intercept: [4]fixed.Value{q(0.5), q(0.625), q(0.84375), a.One()},
+	return Fixed{a: a, plan: &fixed.PLAN{
+		Break:     [3]fixed.Value{a.One(), q(2.375), a.FromInt(5)},
+		Slope:     [4]fixed.Value{q(0.25), q(0.125), q(0.03125), 0},
+		Intercept: [4]fixed.Value{q(0.5), q(0.625), q(0.84375), a.One()},
 	}}
 }
 
 // Softsign computes x/(|x|+1) exactly in fixed point:
 // (x*S) / (|x| + S) with rounding, where S is the scale. No approximation is
-// involved; this is why the paper prefers softsign on hardware.
-func (f Fixed) Softsign(x fixed.Value) fixed.Value {
-	v := [1]fixed.Value{x}
-	f.SoftsignSlice(v[:])
-	return v[0]
-}
+// involved; this is why the paper prefers softsign on hardware. It is
+// always scalar.
+func (f Fixed) Softsign(x fixed.Value) fixed.Value { return f.a.Softsign(x) }
 
-// SoftsignSlice replaces every v[j] with Softsign(v[j]). The denominator
-// |x| + S is never 0 for any int64 x (|x| wraps only at MinInt64, to
-// MinInt64), so Div never fails here.
-func (f Fixed) SoftsignSlice(v []fixed.Value) {
-	one := f.a.One()
-	for j, x := range v {
-		v[j], _ = f.a.Div(x, f.a.Add(f.a.Abs(x), one))
-	}
-}
+// SoftsignSlice replaces every v[j] with Softsign(v[j]) and returns the
+// kernel that ran (fixed.Arith.SoftsignSlice).
+func (f Fixed) SoftsignSlice(v []fixed.Value) fixed.Kernel { return f.a.SoftsignSlice(v) }
 
 // Sigmoid computes the PLAN (Piecewise Linear Approximation of a Nonlinear
 // function, Amin et al.) approximation of the logistic sigmoid:
@@ -160,37 +148,13 @@ func (f Fixed) SoftsignSlice(v []fixed.Value) {
 //
 // with sigmoid(-x) = 1 - sigmoid(x). Maximum absolute error is below 0.019,
 // which is immaterial next to the gate saturation behaviour the LSTM relies
-// on.
-func (f Fixed) Sigmoid(x fixed.Value) fixed.Value {
-	v := [1]fixed.Value{x}
-	f.SigmoidSlice(v[:])
-	return v[0]
-}
+// on. It is always scalar, and has no data-dependent branch
+// (fixed.Arith.Sigmoid).
+func (f Fixed) Sigmoid(x fixed.Value) fixed.Value { return f.a.Sigmoid(x, f.plan) }
 
-// SigmoidSlice replaces every v[j] with Sigmoid(v[j]) without a
-// data-dependent branch. The segment is an index, the count of breakpoints
-// |x| passes (|x| wraps on MinInt64 to MinInt64, which lands in segment 0).
-// With s the sign mask of x (0 or -1), the result is y for s = 0 and
-// One - y for s = -1: (One & s) + ((y^s) - s).
-func (f Fixed) SigmoidSlice(v []fixed.Value) {
-	one := f.a.One()
-	c := f.plan
-	for j, x := range v {
-		s := x >> 63
-		ax := f.a.Abs(x)
-		k := b2i(ax >= one) + b2i(ax >= c.b2375) + b2i(ax >= c.five)
-		y := f.a.Add(f.a.Mul(c.slope[k&3], ax), c.intercept[k&3])
-		v[j] = f.a.Add(one&s, f.a.Sub(y^s, s))
-	}
-}
-
-// b2i is 1 for true and 0 for false; it compiles to a SETcc, not a branch.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
+// SigmoidSlice replaces every v[j] with Sigmoid(v[j]) and returns the
+// kernel that ran (fixed.Arith.SigmoidSlice).
+func (f Fixed) SigmoidSlice(v []fixed.Value) fixed.Kernel { return f.a.SigmoidSlice(v, f.plan) }
 
 // Tanh approximates tanh via the identity tanh(x) = 2*sigmoid(2x) - 1 on top
 // of the PLAN sigmoid. It exists for the activation ablation; the production

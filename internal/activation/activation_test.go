@@ -232,25 +232,47 @@ func benchGates() []fixed.Value {
 	return xs
 }
 
-// benchSlice times act over benchGates, restoring the input before each
-// pass, and reports ns per element.
-func benchSlice(b *testing.B, act func([]fixed.Value)) {
+// benchSlice times the slice form act and the loop of one-element forms
+// one over benchGates, restoring the input before each pass, and reports
+// ns per element. The slice leg logs the kernel it ran; on this input it is
+// fixed.KernelVector wherever the CPU has AVX-512.
+func benchSlice(b *testing.B, act func([]fixed.Value) fixed.Kernel, one func(fixed.Value) fixed.Value) {
 	in := benchGates()
 	v := make([]fixed.Value, len(in))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(v, in)
-		act(v)
+	for _, leg := range []struct {
+		name string
+		run  func()
+	}{
+		{"slice", func() { act(v) }},
+		{"scalar", func() {
+			for j, x := range v {
+				v[j] = one(x)
+			}
+		}},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			if leg.name == "slice" {
+				copy(v, in)
+				b.Logf("kernel %s", act(v))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(v, in)
+				leg.run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(in)), "ns/elem")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(in)), "ns/elem")
 }
 
 func BenchmarkFixedSigmoidSlice(b *testing.B) {
-	benchSlice(b, NewFixed(fixed.Default).SigmoidSlice)
+	f := NewFixed(fixed.Default)
+	benchSlice(b, f.SigmoidSlice, f.Sigmoid)
 }
 
 func BenchmarkFixedSoftsignSlice(b *testing.B) {
-	benchSlice(b, NewFixed(fixed.Default).SoftsignSlice)
+	f := NewFixed(fixed.Default)
+	benchSlice(b, f.SoftsignSlice, f.Softsign)
 }
 
 func BenchmarkFloatTanh(b *testing.B) {

@@ -150,6 +150,10 @@ func (h *HotSwapEngine) Engine() infer.Inferencer {
 	return h.cur.Load().inf
 }
 
+// heldOutFraction is the share of the corpus each retraining holds out for
+// evaluation.
+const heldOutFraction = 0.2
+
 // Config controls the updater.
 type Config struct {
 	// Device is the CSD models are deployed to.
@@ -161,8 +165,6 @@ type Config struct {
 	// Stride is the window stride for ingested traces; 0 defaults to the
 	// dataset default.
 	Stride int
-	// TestFraction is the held-out share per retraining; 0 defaults 0.2.
-	TestFraction float64
 	// Seed drives splits and shuffles.
 	Seed int64
 	// Telemetry, when non-nil, registers the hot-swap engine's
@@ -206,9 +208,6 @@ func NewUpdater(base *dataset.Dataset, cfg Config) (*Updater, *UpdateResult, err
 	}
 	if cfg.Device == nil {
 		return nil, nil, errors.New("cti: nil device")
-	}
-	if cfg.TestFraction == 0 {
-		cfg.TestFraction = 0.2
 	}
 	if cfg.Deploy.Telemetry == nil {
 		cfg.Deploy.Telemetry = cfg.Telemetry
@@ -266,7 +265,7 @@ func (u *Updater) Ingest(reports []*report.Report) (*UpdateResult, error) {
 
 func (u *Updater) retrainAndDeploy(newSeqs int) (*UpdateResult, error) {
 	u.generation++
-	trainDS, testDS, err := u.corpus.Split(u.cfg.TestFraction, u.cfg.Seed+int64(u.generation))
+	trainDS, testDS, err := u.corpus.Split(heldOutFraction, u.cfg.Seed+int64(u.generation))
 	if err != nil {
 		return nil, fmt.Errorf("cti: split: %w", err)
 	}

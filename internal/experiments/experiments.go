@@ -228,6 +228,10 @@ func FormatTableI(res *TableIResult) string {
 	return b.String()
 }
 
+// heldOutFraction is the share of the corpus RunTraining holds out for
+// evaluation.
+const heldOutFraction = 0.2
+
 // TrainRunConfig controls the Fig. 4 / detection-metrics training run.
 type TrainRunConfig struct {
 	// RansomwareCount and BenignCount scale the synthetic corpus. Zero
@@ -237,12 +241,10 @@ type TrainRunConfig struct {
 	BenignCount     int
 	// Window and Stride control extraction; zero defaults to 100/25.
 	Window, Stride int
-	// TestFraction is the held-out share; 0 defaults to 0.2.
-	TestFraction float64
-	// Epochs, BatchSize, LR, Seed forward to the trainer (zero = defaults).
+	// Epochs, BatchSize and Seed forward to the trainer (zero = defaults);
+	// the trainer takes its default learning rate.
 	Epochs    int
 	BatchSize int
-	LR        float64
 	Seed      int64
 	// TargetAccuracy stops early; 0 = run all epochs.
 	TargetAccuracy float64
@@ -264,9 +266,6 @@ func RunTraining(cfg TrainRunConfig) (*TrainRun, error) {
 	if cfg.BenignCount == 0 {
 		cfg.BenignCount = dataset.PaperBenignCount / 10
 	}
-	if cfg.TestFraction == 0 {
-		cfg.TestFraction = 0.2
-	}
 	ds, err := dataset.Build(dataset.BuildConfig{
 		RansomwareCount: cfg.RansomwareCount,
 		BenignCount:     cfg.BenignCount,
@@ -277,14 +276,13 @@ func RunTraining(cfg TrainRunConfig) (*TrainRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: build corpus: %w", err)
 	}
-	trainDS, testDS, err := ds.Split(cfg.TestFraction, cfg.Seed+1)
+	trainDS, testDS, err := ds.Split(heldOutFraction, cfg.Seed+1)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: split: %w", err)
 	}
 	res, err := train.Train(trainDS, testDS, train.Config{
 		Epochs:         cfg.Epochs,
 		BatchSize:      cfg.BatchSize,
-		LR:             cfg.LR,
 		Seed:           cfg.Seed,
 		TargetAccuracy: cfg.TargetAccuracy,
 	})

@@ -25,6 +25,20 @@
 //
 // Wrapping int64 sums do not depend on their order, so the two 64-bit
 // kernels agree for any operands.
+//
+// The elementwise operations of the LSTM hidden state have one slice entry
+// point each, which picks its kernel per call in the same way (see
+// elementwise.go):
+//   - SigmoidSlice, the PLAN sigmoid (sigmoidAVX512);
+//   - SoftsignSlice, x·S/(|x| + S) (softsignAVX512);
+//   - MulSlice, Mul elementwise (mulAVX512);
+//   - MulAddSlice, Mul(x, y) + Mul(u, w) elementwise (mulAddAVX512).
+//
+// Each runs KernelVector, its AVX-512 kernel, on the same CPUs as the MatVec
+// kernels when the kernel's guard admits every element of the call, and
+// KernelGeneric, the scalar loop over the one-element form, otherwise. A
+// guard admits only operands for which the kernel's float64 rounding is
+// proven bit-identical to roundedDiv (DESIGN.md "Fixed-point hot path").
 package fixed
 
 import (
@@ -51,7 +65,8 @@ type Value = int64
 // The zero value is not usable; construct with New. Arith is immutable and
 // safe for concurrent use.
 type Arith struct {
-	scale int64
+	scale         int64
+	softsignBound uint64 // softsignLimit(scale), computed once by New
 }
 
 // New returns an Arith operating at the given scale (e.g. 1e6).
@@ -60,7 +75,7 @@ func New(scale int64) (Arith, error) {
 	if scale <= 0 {
 		return Arith{}, fmt.Errorf("fixed: scale must be positive, got %d", scale)
 	}
-	return Arith{scale: scale}, nil
+	return Arith{scale: scale, softsignBound: softsignLimit(scale)}, nil
 }
 
 // MustNew is like New but panics on an invalid scale. It is intended for
@@ -204,8 +219,14 @@ const (
 	// KernelSIMD multiplies with AVX-512 VPMULLQ (the low 64 bits of a
 	// 64×64 product) and rescales one row at a time in Go.
 	KernelSIMD Kernel = "simd"
-	// KernelGeneric is the scalar dot4 loop, the only kernel off AVX-512.
+	// KernelGeneric is the scalar dot4 loop, the only kernel off AVX-512,
+	// and the scalar loop of each elementwise operation.
 	KernelGeneric Kernel = "generic"
+	// KernelVector is an elementwise operation's AVX-512 kernel: eight
+	// lanes per instruction, products from VPMULLQ rounded in float64. The
+	// slice entry points pick it only where their guard proves it
+	// bit-identical to the scalar loop; see elementwise.go.
+	KernelVector Kernel = "vector"
 )
 
 // MatVec sets dst[j] = Dot(w.Row(j), x) for every row j of the len(dst)×n

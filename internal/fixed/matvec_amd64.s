@@ -1,4 +1,5 @@
 #include "textflag.h"
+#include "rescale_amd64.h"
 
 // ROWSUMS4(MUL) is the body of rowSums4AVX512 and rowSums4NarrowAVX512,
 // which differ only in the multiply MUL.
@@ -127,17 +128,6 @@ TEXT ·rowSums4AVX512(SB), NOSPLIT, $0-72
 TEXT ·rowSums4NarrowAVX512(SB), NOSPLIT, $0-72
 	ROWSUMS4(VPMULDQ)
 
-// RESCALE8 rescales the eight int64 lanes of Z0 in place: convert to
-// float64, divide by Z1 (the scale), add Z2 (0.5) carrying the quotient's
-// sign bit (Z3 masks it), and truncate. Z4 is scratch.
-#define RESCALE8 \
-	VCVTQQ2PD  Z0, Z0 \
-	VDIVPD     Z1, Z0, Z0 \
-	VPANDQ     Z3, Z0, Z4 \
-	VPORQ      Z2, Z4, Z4 \
-	VADDPD     Z4, Z0, Z0 \
-	VCVTTPD2QQ Z0, Z0
-
 // func rescaleAVX512(v []Value, scale float64)
 //
 // Sets each v[i] to the quotient v[i]/scale rounded half away from zero
@@ -146,15 +136,12 @@ TEXT ·rowSums4NarrowAVX512(SB), NOSPLIT, $0-72
 // DESIGN.md "Fixed-point hot path" has the argument.
 //
 // Registers: DI cursor, R9 full chunks left, CX tail lanes, K1 tail mask,
-// Z0-Z4 as RESCALE8 uses them.
+// Z0 the chunk, Z1-Z3 RESCALE8's constants, Z4 its scratch.
 TEXT ·rescaleAVX512(SB), NOSPLIT, $0-32
 	MOVQ         v_base+0(FP), DI
 	MOVQ         v_len+8(FP), CX
 	VBROADCASTSD scale+24(FP), Z1
-	MOVQ         $0x3fe0000000000000, AX
-	VPBROADCASTQ AX, Z2
-	MOVQ         $0x8000000000000000, AX
-	VPBROADCASTQ AX, Z3
+	ROUNDCONSTS
 	MOVQ         CX, R9
 	SHRQ         $3, R9
 	ANDQ         $7, CX
@@ -167,7 +154,7 @@ TEXT ·rescaleAVX512(SB), NOSPLIT, $0-32
 
 chunk:
 	VMOVDQU64 (DI), Z0
-	RESCALE8
+	RESCALE8(Z0, Z4)
 	VMOVDQU64 Z0, (DI)
 	ADDQ      $64, DI
 	DECQ      R9
@@ -177,7 +164,7 @@ tail:
 	TESTQ       CX, CX
 	JZ          done
 	VMOVDQU64.Z (DI), K1, Z0
-	RESCALE8
+	RESCALE8(Z0, Z4)
 	VMOVDQU64   Z0, K1, (DI)
 
 done:

@@ -1,7 +1,13 @@
 package kernels
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"github.com/kfrida1/csdinf/internal/activation"
@@ -135,6 +141,39 @@ func TestClassifyAllocFree(t *testing.T) {
 	}
 }
 
+// paperModel is a paper-shape model with the windows the kernel-selection
+// tests run it on.
+type paperModel struct {
+	name    string
+	m       *lstm.Model
+	window  int
+	windows []dataset.Sequence
+}
+
+// paperModels returns a seeded and a quick-trained paper-shape model, each
+// with 8 held-out windows of a seeded corpus. It trains once per test
+// binary.
+var paperModels = sync.OnceValues(func() ([]paperModel, error) {
+	seeded, err := lstm.NewModel(lstm.PaperConfig(), 1)
+	if err != nil {
+		return nil, err
+	}
+	ds, err := dataset.Build(dataset.BuildConfig{RansomwareCount: 60, BenignCount: 60, Seed: 5})
+	if err != nil {
+		return nil, err
+	}
+	trainDS, testDS, err := ds.Split(0.2, 6)
+	if err != nil {
+		return nil, err
+	}
+	res, err := train.Train(trainDS, testDS, train.Config{Epochs: 2, Seed: 5})
+	if err != nil {
+		return nil, err
+	}
+	windows := testDS.Sequences[:8]
+	return []paperModel{{"seeded", seeded, ds.Window, windows}, {"quick-trained", res.Model, ds.Window, windows}}, nil
+})
+
 // TestPaperModelMatVecKernel pins the MatVec kernel the host hot path's speed
 // rests on. On paper-shape models, one seeded and one quick-trained, every
 // row of the input-projection build, every Wh·h step of a window and both
@@ -146,32 +185,17 @@ func TestPaperModelMatVecKernel(t *testing.T) {
 	if k := fixed.Default.MatVecKernel(fixed.Matrix{}, nil); k == fixed.KernelGeneric {
 		t.Skipf("MatVec runs %s on this CPU for every operand: no AVX-512 kernel to pick", k)
 	}
-	seeded, err := lstm.NewModel(lstm.PaperConfig(), 1)
+	models, err := paperModels()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := dataset.Build(dataset.BuildConfig{RansomwareCount: 60, BenignCount: 60, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trainDS, testDS, err := ds.Split(0.2, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := train.Train(trainDS, testDS, train.Config{Epochs: 2, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		m    *lstm.Model
-	}{{"seeded", seeded}, {"quick-trained", res.Model}} {
+	for _, tc := range models {
 		cfg := tc.m.Config()
-		fp, err := New(tc.m, Config{Level: LevelFixedPoint, SeqLen: ds.Window})
+		fp, err := New(tc.m, Config{Level: LevelFixedPoint, SeqLen: tc.window})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mixed, err := New(tc.m, Config{Level: LevelMixed, SeqLen: ds.Window})
+		mixed, err := New(tc.m, Config{Level: LevelMixed, SeqLen: tc.window})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +206,7 @@ func TestPaperModelMatVecKernel(t *testing.T) {
 			}
 		}
 		steps := 0
-		for _, seq := range testDS.Sequences[:8] {
+		for _, seq := range tc.windows {
 			fp.Reset()
 			mixed.Reset()
 			for i, item := range seq.Items {
@@ -206,5 +230,233 @@ func TestPaperModelMatVecKernel(t *testing.T) {
 			}
 		}
 		t.Logf("paper model (%s): Wh·h takes MatVec kernel %s on all %d steps", tc.name, want, steps)
+	}
+}
+
+// scalarUpdateState is updateState on the one-element scalar forms: the
+// loops the hidden state ran before the vector kernels. It is the scalar
+// leg of BenchmarkHiddenState and the reference of
+// TestPaperModelElementwiseKernel.
+func scalarUpdateState(p *Pipeline) {
+	h := p.cfg.HiddenSize
+	for j, x := range p.gate[:3*h] {
+		p.gate[j] = p.fact.Sigmoid(x)
+	}
+	i, f, o, c := row(p.gate, 0, h), row(p.gate, 1, h), row(p.gate, 2, h), row(p.gate, 3, h)
+	for k := range c {
+		c[k] = p.fact.Softsign(c[k])
+	}
+	for k := range p.cQ {
+		p.cQ[k] = p.arith.Add(p.arith.Mul(f[k], p.cQ[k]), p.arith.Mul(i[k], c[k]))
+		p.hQ[k] = p.arith.Mul(o[k], p.fact.Softsign(p.cQ[k]))
+	}
+}
+
+// preactivate computes stepFixed's gate pre-activations for item into
+// p.gate: the input-projection row plus Wh·h.
+func preactivate(p *Pipeline, item int) {
+	p.arith.MatVec(p.gate, p.par.qWh, p.hQ)
+	for j, x := range row(p.par.xProj, item, len(p.gate)) {
+		p.gate[j] = p.arith.Add(x, p.gate[j])
+	}
+}
+
+// TestPaperModelElementwiseKernel pins the elementwise kernels the host hot
+// path's speed rests on, as TestPaperModelMatVecKernel does for MatVec. On
+// the same two paper-shape models and windows, every item's updateState
+// must run all five of its slice calls on fixed.KernelVector, and leave the
+// same state as scalarUpdateState and as the production ProcessItem.
+// Operands that outgrew a guard would still be exact on the scalar loop,
+// only slower; this test makes that loss visible instead of silent. make
+// verify runs it verbosely, so its log names the kernel the paper model
+// takes, or says why the vector leg did not run.
+func TestPaperModelElementwiseKernel(t *testing.T) {
+	// An empty call is admitted by every guard, so it names the kernel this
+	// CPU can run at all.
+	if k := fixed.Default.MulSlice(nil, nil, nil); k != fixed.KernelVector {
+		t.Skipf("the elementwise operations run %s on this CPU for every operand: no AVX-512 kernel to pick", k)
+	}
+	models, err := paperModels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range models {
+		fp, err := New(tc.m, Config{Level: LevelFixedPoint, SeqLen: tc.window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalar := fp.Clone()
+		// ref's counter never fires within a window, which would reset its
+		// state on the last item.
+		ref, err := New(tc.m, Config{Level: LevelFixedPoint, SeqLen: tc.window + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		items := 0
+		for _, seq := range tc.windows {
+			fp.Reset()
+			scalar.Reset()
+			ref.Reset()
+			for i, item := range seq.Items {
+				preactivate(fp, item)
+				preactivate(scalar, item)
+				if !fp.updateState() {
+					t.Fatalf("%s: item %d of a window falls back to the scalar loop on at least one elementwise call", tc.name, i)
+				}
+				scalarUpdateState(scalar)
+				if _, _, err := ref.ProcessItem(item); err != nil {
+					t.Fatal(err)
+				}
+				for _, other := range []*Pipeline{scalar, ref} {
+					if !slices.Equal(fp.hQ, other.hQ) || !slices.Equal(fp.cQ, other.cQ) {
+						t.Fatalf("%s: item %d: state diverged\nvector h=%v c=%v\nother  h=%v c=%v", tc.name, i, fp.hQ, fp.cQ, other.hQ, other.cQ)
+					}
+				}
+				items++
+			}
+		}
+		t.Logf("paper model (%s): the hidden state takes elementwise kernel %s on all %d items", tc.name, fixed.KernelVector, items)
+	}
+}
+
+// TestProbedPathIgnoresVectorKernels keeps the shadow datapath an
+// independent oracle for the elementwise kernels: FuzzFixedFastMatchesShadow
+// compares the fast path with it, so if stepFixedProbed reached a slice entry
+// point, the fuzz would compare the vector kernels with themselves. The
+// test walks the calls of stepFixedProbed through every function of this
+// package, internal/activation and internal/fixed it reaches, and fails on
+// any call to a slice entry point, MatVec, updateState or hiddenStateFixed.
+// A package-qualified call is followed into that package only (calls into
+// other packages are not followed); a method call is followed into every
+// function of that name in the three, which can only add edges. The scalar
+// forms the shadow does reach are checked against the branchy references
+// in internal/activation.
+func TestProbedPathIgnoresVectorKernels(t *testing.T) {
+	forbidden := map[string]bool{
+		"SigmoidSlice": true, "SoftsignSlice": true, "MulSlice": true, "MulAddSlice": true,
+		"MatVec": true, "updateState": true, "hiddenStateFixed": true,
+	}
+	const module = "github.com/kfrida1/csdinf/internal/"
+	type fn struct {
+		decl    *ast.FuncDecl
+		pkg     string            // the package's directory name
+		imports map[string]string // the file's import names → paths
+	}
+	fset := token.NewFileSet()
+	decls := map[string][]fn{}
+	for _, pkgName := range []string{"kernels", "activation", "fixed"} {
+		pkgs, err := parser.ParseDir(fset, "../"+pkgName, func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				imports := map[string]string{}
+				for _, im := range f.Imports {
+					path := strings.Trim(im.Path.Value, `"`)
+					name := path[strings.LastIndex(path, "/")+1:]
+					if im.Name != nil {
+						name = im.Name.Name
+					}
+					imports[name] = path
+				}
+				for _, d := range f.Decls {
+					if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+						decls[fd.Name.Name] = append(decls[fd.Name.Name], fn{fd, pkgName, imports})
+					}
+				}
+			}
+		}
+	}
+	if len(decls["stepFixedProbed"]) != 1 {
+		t.Fatal("stepFixedProbed not found")
+	}
+	seen := map[string]bool{}
+	var walk func(f fn, path string)
+	walk = func(f fn, path string) {
+		ast.Inspect(f.decl.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			var name, into string // into: the only package to follow into, if any
+			switch fun := call.Fun.(type) {
+			case *ast.Ident:
+				name, into = fun.Name, f.pkg
+			case *ast.SelectorExpr:
+				name = fun.Sel.Name
+				if x, ok := fun.X.(*ast.Ident); ok && f.imports[x.Name] != "" {
+					if !strings.HasPrefix(f.imports[x.Name], module) {
+						return true
+					}
+					into = strings.TrimPrefix(f.imports[x.Name], module)
+				}
+			default:
+				return true
+			}
+			if forbidden[name] {
+				t.Errorf("%s calls %s at %s", path, name, fset.Position(call.Pos()))
+			}
+			for _, g := range decls[name] {
+				key := g.pkg + "." + name
+				if (into == "" || into == g.pkg) && !seen[key] {
+					seen[key] = true
+					walk(g, path+" → "+key)
+				}
+			}
+			return true
+		})
+	}
+	walk(decls["stepFixedProbed"][0], "stepFixedProbed")
+	t.Logf("stepFixedProbed reaches %d functions, none of them a vector entry point", len(seen))
+}
+
+// BenchmarkHiddenState times the elementwise step of one item of the paper
+// model, updateState, on gate pre-activations and a recurrent state taken
+// from the middle of a window. The vector leg is updateState itself (it
+// fails unless all five calls take fixed.KernelVector, and skips on a CPU
+// without AVX-512); the scalar leg is scalarUpdateState. Each iteration
+// restores the inputs first.
+func BenchmarkHiddenState(b *testing.B) {
+	m, err := lstm.NewModel(lstm.PaperConfig(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := New(m, Config{Level: LevelFixedPoint})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range 50 {
+		preactivate(p, i%m.Config().VocabSize)
+		p.updateState()
+	}
+	preactivate(p, 7)
+	gate, h, c := slices.Clone(p.gate), slices.Clone(p.hQ), slices.Clone(p.cQ)
+	restore := func() {
+		copy(p.gate, gate)
+		copy(p.hQ, h)
+		copy(p.cQ, c)
+	}
+	for _, leg := range []struct {
+		name string
+		run  func()
+	}{
+		{"vector", func() {
+			if !p.updateState() {
+				b.Fatal("updateState fell back to the scalar loop")
+			}
+		}},
+		{"scalar", func() { scalarUpdateState(p) }},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			if leg.name == "vector" && fixed.Default.MulSlice(nil, nil, nil) != fixed.KernelVector {
+				b.Skip("no AVX-512 elementwise kernel on this CPU")
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				restore()
+				leg.run()
+			}
+		})
 	}
 }

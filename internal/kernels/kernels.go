@@ -518,27 +518,12 @@ func (p *Pipeline) stepFixed(item int) (Result, bool) {
 	return p.hiddenStateFixed()
 }
 
-// hiddenStateFixed activates the 4H gate pre-activations in p.gate in place
-// (PLAN sigmoid for i, f, o; softsign for C'), then runs kernel_hidden_state
-// at the wide scale: Ct = f⊙C(t-1) + i⊙C', h = o⊙softsign(Ct), the item
-// counter, and the FC head when the counter fires. LevelFixedPoint and
-// LevelMixed share it: they differ only in how the pre-activations are
-// computed.
+// hiddenStateFixed runs kernel_hidden_state at the wide scale on the 4H
+// gate pre-activations in p.gate: updateState, the item counter, and the FC
+// head when the counter fires. LevelFixedPoint and LevelMixed share it:
+// they differ only in how the pre-activations are computed.
 func (p *Pipeline) hiddenStateFixed() (Result, bool) {
-	h := p.cfg.HiddenSize
-	p.fact.SigmoidSlice(p.gate[:3*h])  // i, f, o (canonical order)
-	p.fact.SoftsignSlice(p.gate[3*h:]) // C'
-
-	i, f, o, c := row(p.gate, 0, h), row(p.gate, 1, h), row(p.gate, 2, h), row(p.gate, 3, h)
-	for k := range p.cQ {
-		p.cQ[k] = p.arith.Add(p.arith.Mul(f[k], p.cQ[k]), p.arith.Mul(i[k], c[k]))
-	}
-	// C' is dead once the cell is updated, so its row holds softsign(Ct).
-	copy(c, p.cQ)
-	p.fact.SoftsignSlice(c)
-	for k := range p.hQ {
-		p.hQ[k] = p.arith.Mul(o[k], c[k])
-	}
+	p.updateState()
 	p.counter++
 	if p.counter < p.seqLen {
 		return Result{}, false
@@ -546,6 +531,27 @@ func (p *Pipeline) hiddenStateFixed() (Result, bool) {
 	logit := p.arith.Add(p.arith.Dot(p.par.qFCW, p.hQ), p.par.qFCB)
 	fl := p.arith.ToFloat(logit)
 	return Result{Ransomware: logit >= 0, Probability: activation.SigmoidF(fl), Logit: fl}, true
+}
+
+// updateState activates p.gate in place (PLAN sigmoid for i, f, o;
+// softsign for C') and updates the recurrent state: Ct = f⊙C(t-1) + i⊙C',
+// h = o⊙softsign(Ct). Each step is one slice call, which runs the AVX-512
+// kernel wherever its guard admits the call and the scalar loop otherwise,
+// bit-identical either way. It reports whether all five calls ran
+// fixed.KernelVector, which TestPaperModelElementwiseKernel requires of
+// the paper model.
+func (p *Pipeline) updateState() (vector bool) {
+	const v = fixed.KernelVector
+	h := p.cfg.HiddenSize
+	vector = p.fact.SigmoidSlice(p.gate[:3*h]) == v            // i, f, o (canonical order)
+	vector = p.fact.SoftsignSlice(p.gate[3*h:]) == v && vector // C'
+
+	i, f, o, c := row(p.gate, 0, h), row(p.gate, 1, h), row(p.gate, 2, h), row(p.gate, 3, h)
+	vector = p.arith.MulAddSlice(p.cQ, f, p.cQ, i, c) == v && vector
+	// C' is dead once the cell is updated, so its row holds softsign(Ct).
+	copy(c, p.cQ)
+	vector = p.fact.SoftsignSlice(c) == v && vector
+	return p.arith.MulSlice(p.hQ, o, c) == v && vector
 }
 
 // ItemCycles returns the simulated per-item latency of each kernel and the

@@ -188,6 +188,13 @@ type Server struct {
 	quit   chan struct{}
 	closed atomic.Bool
 	wg     sync.WaitGroup
+
+	// reqs recycles requests, each with its done channel, once their
+	// callers hold the response, so a served window leaves no request or
+	// channel garbage behind.
+	reqs sync.Pool
+	// batch is the worker's dispatch scratch; only run touches it.
+	batch []*request
 }
 
 var _ infer.Inferencer = (*Server)(nil)
@@ -265,7 +272,8 @@ func (s *Server) SeqLen() int { return s.inf.SeqLen() }
 // the caller may reuse its slice (detectors slide theirs) as soon as
 // Predict returns.
 func (s *Server) Predict(ctx context.Context, seq []int) (kernels.Result, infer.Timing, error) {
-	req := &request{ctx: ctx, seq: append([]int(nil), seq...), done: make(chan response, 1)}
+	req := s.newRequest(ctx)
+	req.seq = append([]int(nil), seq...)
 	return s.submit(ctx, req)
 }
 
@@ -273,8 +281,30 @@ func (s *Server) Predict(ctx context.Context, seq []int) (kernels.Result, infer.
 // device's SSD. Adjacent queued stored requests are coalesced into one
 // device dispatch.
 func (s *Server) PredictStored(ctx context.Context, ssdOff int64) (kernels.Result, infer.Timing, error) {
-	req := &request{ctx: ctx, off: ssdOff, stored: true, done: make(chan response, 1)}
+	req := s.newRequest(ctx)
+	req.off, req.stored = ssdOff, true
 	return s.submit(ctx, req)
+}
+
+// newRequest returns a request for ctx with an empty done channel, a
+// recycled one when the pool holds one.
+func (s *Server) newRequest(ctx context.Context) *request {
+	req, _ := s.reqs.Get().(*request)
+	if req == nil {
+		req = &request{done: make(chan response, 1)}
+	}
+	req.ctx = ctx
+	return req
+}
+
+// recycle clears req and returns it to the pool. Call it only once neither
+// the queue nor the worker can reach req: after its response has been
+// received, since delivering it is the worker's last touch.
+func (s *Server) recycle(req *request) {
+	req.ctx, req.seq, req.off, req.stored = nil, nil, 0, false
+	req.enqueuedAt, req.rec, req.own = time.Time{}, nil, false
+	req.claim.Store(claimNone)
+	s.reqs.Put(req)
 }
 
 func (s *Server) submit(ctx context.Context, req *request) (kernels.Result, infer.Timing, error) {
@@ -328,16 +358,19 @@ func (s *Server) submit(ctx context.Context, req *request) (kernels.Result, infe
 	}
 	select {
 	case resp := <-req.done:
+		s.recycle(req)
 		return resp.res, resp.timing, resp.err
 	case <-ctx.Done():
 		// Abandon: the worker will observe the canceled ctx before
 		// touching the device and complete the buffered done channel.
+		// The request is not recycled; the worker still holds it.
 		return kernels.Result{}, infer.Timing{}, ctx.Err()
 	case <-s.quit:
 		if req.claim.CompareAndSwap(claimNone, claimCaller) {
 			// Still queued and unclaimed: this request never touched the
 			// device and never will — safe for the caller (or a fleet
-			// layer) to re-place elsewhere.
+			// layer) to re-place elsewhere. It stays queued until
+			// failQueued drains it, so it is not recycled.
 			s.h.DecPending()
 			return kernels.Result{}, infer.Timing{}, ErrClosed
 		}
@@ -345,6 +378,7 @@ func (s *Server) submit(ctx context.Context, req *request) (kernels.Result, infe
 		// request, so the exactly-once answer is whatever the worker
 		// delivers.
 		resp := <-req.done
+		s.recycle(req)
 		return resp.res, resp.timing, resp.err
 	}
 }
@@ -374,6 +408,9 @@ func (s *Server) run() {
 			for _, r := range batch {
 				s.execute(r)
 			}
+			// Drop the references: the callers recycle these requests.
+			clear(batch)
+			s.batch = batch[:0]
 		}
 	}
 }
@@ -395,9 +432,9 @@ func (s *Server) failQueued() {
 
 // collect coalesces adjacent queued stored-scan requests behind the first
 // into one dispatch, stopping at a live request, an empty queue, or
-// BatchMax.
+// BatchMax. The batch lives in the worker's scratch.
 func (s *Server) collect(first *request) []*request {
-	batch := []*request{first}
+	batch := append(s.batch[:0], first)
 	if !first.stored || s.cfg.BatchMax <= 1 {
 		return batch
 	}

@@ -164,6 +164,39 @@ func TestBlockingBackpressureHonorsCancel(t *testing.T) {
 	wg.Wait()
 }
 
+// TestServedRequestsAreRecycled pins that a served stored request leaves no
+// garbage: its request and done channel go back to the server's pool once
+// the caller holds the response, and the worker reuses its batch scratch.
+// A live request allocates only the copy of its window.
+func TestServedRequestsAreRecycled(t *testing.T) {
+	s, err := New([]infer.Inferencer{&fakeInf{seqLen: 8}}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	for name, tc := range map[string]struct {
+		call func() error
+		want float64
+	}{
+		"stored": {func() error { _, _, err := s.PredictStored(ctx, 0); return err }, 0},
+		"live":   {func() error { _, _, err := s.Predict(ctx, testSeq()); return err }, 1},
+	} {
+		var callErr error
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := tc.call(); err != nil {
+				callErr = err
+			}
+		})
+		if callErr != nil {
+			t.Fatalf("%s: %v", name, callErr)
+		}
+		if allocs != tc.want {
+			t.Errorf("%s: %.0f allocations per served request, want %.0f", name, allocs, tc.want)
+		}
+	}
+}
+
 func TestCanceledQueuedRequestNeverReachesDevice(t *testing.T) {
 	f := &fakeInf{seqLen: 8, started: make(chan struct{}, 8), release: make(chan struct{}, 8)}
 	s, err := New([]infer.Inferencer{f}, Config{QueueDepth: 4, BatchMax: 1})
