@@ -147,9 +147,11 @@ fuzz:
 # full build, and the whole test suite under the race detector (the serving
 # layer is concurrent). The arm64 vet and build keep the non-amd64 MatVec and
 # elementwise fallbacks compiling, and the verbose kernel tests log which
-# MatVec kernels (narrow and simd, or generic) and elementwise kernels
-# (vector, or generic) this machine has, whether their legs ran or why they
-# skipped, and which kernels the paper model's Wh·h and hidden state take.
+# MatVec kernels (narrow and generic, or generic alone) and elementwise
+# kernels (vector, or generic) this machine has, whether their legs ran or
+# why they skipped, and which kernels the paper model's Wh·h and hidden state
+# take. The hostbench module compiles against this one's internal APIs, so
+# it is vetted and its short tests run too.
 verify: lint
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/fixed/ ./internal/activation/ ./internal/kernels/ && GOARCH=arm64 $(GO) build ./...
@@ -157,6 +159,7 @@ verify: lint
 	$(GO) test -v -run '^(TestMatVecKernelsAgree|TestElementwiseKernelsAgree)$$' ./internal/fixed/
 	$(GO) test -v -run '^(TestPaperModelMatVecKernel|TestPaperModelElementwiseKernel)$$' ./internal/kernels/
 	$(GO) test -race ./...
+	cd hostbench && $(GO) vet ./... && $(GO) test -short ./...
 
 fmt:
 	gofmt -w .

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"github.com/kfrida1/csdinf/internal/baseline"
-	"github.com/kfrida1/csdinf/internal/core"
 	"github.com/kfrida1/csdinf/internal/dataset"
 	"github.com/kfrida1/csdinf/internal/eventlog"
 	"github.com/kfrida1/csdinf/internal/experiments"
@@ -443,37 +442,6 @@ func BenchmarkServe_Throughput(b *testing.B) {
 			}
 		})
 	}
-}
-
-// Background scanning (§I): classify SSD-resident sequences continuously
-// with zero host involvement; reports simulated device time per sequence.
-func BenchmarkBackgroundScan(b *testing.B) {
-	dev, err := NewSmartSSD(CSDConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := paperModel(b)
-	eng, err := Deploy(dev, m, DeployConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	offsets := make([]int64, 32)
-	for i := range offsets {
-		offsets[i] = int64(i * 4096)
-		if _, err := dev.StoreSequence(offsets[i], paperSeq()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	var last *core.ScanResult
-	for i := 0; i < b.N; i++ {
-		last, err = eng.ScanStored(context.Background(), offsets)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	perSeq := float64(last.Timing.Transfer.Microseconds()+last.Timing.Compute.Microseconds()) / float64(len(offsets))
-	b.ReportMetric(perSeq, "sim_µs/seq")
 }
 
 // BenchmarkServe_WallClock is the observability-overhead gate's benchmark

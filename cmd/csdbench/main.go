@@ -160,27 +160,14 @@ func runTableI(jsonDir string, trials int, seed int64, measureGo bool, tracePath
 	// FPGA figure so downstream dashboards need no recomputation.
 	doc := struct {
 		*experiments.TableIResult
-		FPGAItemsPerSecond float64 `json:"fpga_items_per_second"`
-		// ObservabilityOverheadPercent is a small-iteration self-audit:
-		// the host wall-clock premium the telemetry/trace/eventlog/prof
-		// stack adds per serve request (full audit: -experiment wallclock).
-		ObservabilityOverheadPercent float64                  `json:"observability_overhead_percent"`
-		TraceProfile                 *experiments.TraceResult `json:"trace_profile,omitempty"`
+		FPGAItemsPerSecond float64                  `json:"fpga_items_per_second"`
+		TraceProfile       *experiments.TraceResult `json:"trace_profile,omitempty"`
 	}{TableIResult: res}
 	for _, row := range res.Rows {
 		if row.Platform == "FPGA (CSD)" && row.MeanUS > 0 {
 			doc.FPGAItemsPerSecond = 1e6 / row.MeanUS
 		}
 	}
-	audit, err := experiments.WallClock(experiments.WallClockConfig{
-		Iterations: 300, Warmup: 50, Seed: seed,
-	})
-	if err != nil {
-		return err
-	}
-	doc.ObservabilityOverheadPercent = audit.OverheadPercent
-	fmt.Printf("observability overhead (300-request self-audit): %+.1f%% wall-clock per request\n\n",
-		audit.OverheadPercent)
 	if tracePath != "" {
 		tr, err := runTrace(tracePath, seed)
 		if err != nil {

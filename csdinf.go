@@ -244,14 +244,11 @@ func ReportFromTrace(name, family string, variant int, trace []int) (*AnalysisRe
 
 // Fleet types (the rack-scale serving layer).
 type (
-	// Fleet serves inference over N CSD nodes with tenant-aware placement,
-	// QoS admission, and device lifecycle flows.
+	// Fleet serves inference over N CSD nodes with tenant-aware placement
+	// and device lifecycle flows.
 	Fleet = fleet.Fleet
 	// FleetConfig controls a fleet.
 	FleetConfig = fleet.Config
-	// FleetClass is one QoS admission class (a named share of fleet
-	// in-flight capacity).
-	FleetClass = fleet.Class
 )
 
 // WithTenant stamps a tenant identity on a context; the fleet places all
@@ -266,11 +263,11 @@ var ErrQueueFull = serve.ErrQueueFull
 
 // NewFleet deploys the model to fleetCfg.Nodes fresh CSDs and starts the
 // serving layer: tenant-aware consistent-hash placement, least-busy
-// placement for untenanted requests, per-class QoS admission, and
-// drain/fail/rejoin lifecycle flows over the shared device registry. Each
-// CSD keeps its registry ID ("csd-000", "csd-001", ...) across every
-// layer: telemetry labels, trace track groups, incident attribution, and
-// event device fields. Close the fleet to stop its device workers.
+// placement for untenanted requests, and drain/fail/rejoin lifecycle flows
+// over the shared device registry. Each CSD keeps its registry ID
+// ("csd-000", "csd-001", ...) across every layer: telemetry labels, trace
+// track groups, incident attribution, and event device fields. Close the
+// fleet to stop its device workers.
 func NewFleet(m *Model, fleetCfg FleetConfig) (*Fleet, error) {
 	return fleet.New(m, fleetCfg)
 }

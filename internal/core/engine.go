@@ -496,63 +496,3 @@ func (e *Engine) Device() *csd.SmartSSD { return e.dev }
 
 // SeqLen returns the classification window length.
 func (e *Engine) SeqLen() int { return e.pipe.SeqLen() }
-
-// ScanResult is the outcome of a background scan over stored sequences.
-type ScanResult struct {
-	// Results are per-sequence classifications, in offset order.
-	Results []kernels.Result
-	// Flagged counts ransomware verdicts.
-	Flagged int
-	// Timing is the aggregate simulated device time (transfers + compute).
-	Timing Timing
-}
-
-// OffsetError attributes a scan failure to the SSD offset that caused it.
-type OffsetError struct {
-	// Offset is the failing SSD byte offset.
-	Offset int64
-	// Index is the offset's position in the scanned slice.
-	Index int
-	// Err is the underlying cause.
-	Err error
-}
-
-func (e *OffsetError) Error() string {
-	return fmt.Sprintf("core: scan offset %d (index %d): %v", e.Offset, e.Index, e.Err)
-}
-
-// Unwrap returns the underlying cause.
-func (e *OffsetError) Unwrap() error { return e.Err }
-
-// ScanStored classifies a batch of sequences resident on the SSD — the
-// background-scanning deployment the paper's introduction motivates ("data
-// centers can execute the classifier continuously in the background ...
-// without exhausting the CPU"). Each sequence moves over the P2P path; the
-// host never touches the data.
-//
-// On a per-offset failure the scan stops, but the classifications completed
-// so far are returned alongside an *OffsetError naming the failing offset
-// and wrapping the cause; a canceled ctx likewise returns the partial
-// results with ctx.Err().
-func (e *Engine) ScanStored(ctx context.Context, offsets []int64) (*ScanResult, error) {
-	if len(offsets) == 0 {
-		return nil, errors.New("core: no offsets to scan")
-	}
-	out := &ScanResult{Results: make([]kernels.Result, 0, len(offsets))}
-	for i, off := range offsets {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		res, timing, err := e.PredictStored(ctx, off)
-		if err != nil {
-			return out, &OffsetError{Offset: off, Index: i, Err: err}
-		}
-		out.Results = append(out.Results, res)
-		if res.Ransomware {
-			out.Flagged++
-		}
-		out.Timing.Transfer += timing.Transfer
-		out.Timing.Compute += timing.Compute
-	}
-	return out, nil
-}

@@ -204,57 +204,6 @@ func TestPerItemMicrosExposed(t *testing.T) {
 	}
 }
 
-func TestScanStored(t *testing.T) {
-	dev, eng := testSetup(t, kernels.LevelFixedPoint, 10)
-	seq := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	var offsets []int64
-	for i := 0; i < 5; i++ {
-		off := int64(i * 4096)
-		if _, err := dev.StoreSequence(off, seq); err != nil {
-			t.Fatal(err)
-		}
-		offsets = append(offsets, off)
-	}
-	res, err := eng.ScanStored(context.Background(), offsets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Results) != 5 {
-		t.Fatalf("results = %d", len(res.Results))
-	}
-	if res.Timing.Transfer <= 0 || res.Timing.Compute <= 0 {
-		t.Fatalf("timing = %+v", res.Timing)
-	}
-	// Identical sequences: all verdicts identical, Flagged is 0 or 5.
-	if res.Flagged != 0 && res.Flagged != len(offsets) {
-		t.Fatalf("inconsistent verdicts: flagged %d of %d", res.Flagged, len(offsets))
-	}
-	if _, err := eng.ScanStored(context.Background(), nil); err == nil {
-		t.Error("empty scan: expected error")
-	}
-	// A media fault mid-scan surfaces with the completed prefix intact.
-	if err := dev.SSD().InjectReadFault(offsets[2]); err != nil {
-		t.Fatal(err)
-	}
-	partial, err := eng.ScanStored(context.Background(), offsets)
-	if err == nil {
-		t.Fatal("faulty scan: expected error")
-	}
-	if !errors.Is(err, ssd.ErrMediaFault) {
-		t.Fatalf("scan error = %v, want wrapped ErrMediaFault", err)
-	}
-	var offErr *OffsetError
-	if !errors.As(err, &offErr) {
-		t.Fatalf("scan error = %T, want *OffsetError", err)
-	}
-	if offErr.Offset != offsets[2] || offErr.Index != 2 {
-		t.Fatalf("OffsetError = %+v, want offset %d index 2", offErr, offsets[2])
-	}
-	if partial == nil || len(partial.Results) != 2 {
-		t.Fatalf("partial results = %v, want the 2 completed classifications", partial)
-	}
-}
-
 func TestPredictValidatesLengthBeforeEncode(t *testing.T) {
 	_, eng := testSetup(t, kernels.LevelFixedPoint, 5)
 	// Wrong length AND an item the encoder would reject: the length check
@@ -284,12 +233,5 @@ func TestPredictHonorsCanceledContext(t *testing.T) {
 	}
 	if _, _, err := eng.PredictStoredViaHost(ctx, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("PredictStoredViaHost error = %v, want context.Canceled", err)
-	}
-	partial, err := eng.ScanStored(ctx, []int64{0})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ScanStored error = %v, want context.Canceled", err)
-	}
-	if partial == nil || len(partial.Results) != 0 {
-		t.Fatalf("canceled scan results = %v, want empty partial", partial)
 	}
 }

@@ -47,16 +47,11 @@ type Config struct {
 	// DRAMBanks is the number of DDR banks; 0 defaults to 2, the paper's
 	// conservative choice (§III-C).
 	DRAMBanks int
-	// Internal is the switch-local SSD↔FPGA link; zero value defaults to
-	// the SmartSSD's Gen3 x4 internal path.
-	Internal pcie.Link
-	// Host is the host↔device link; zero value defaults to Gen3 x4 through
-	// the root complex.
-	Host pcie.Link
-	// HostCopyBandwidth is the host-memory staging bandwidth (bytes/s) paid
-	// by host-mediated transfers; 0 defaults to 10 GB/s.
-	HostCopyBandwidth float64
 }
+
+// hostCopyBandwidth is the host-memory staging bandwidth (bytes/s) paid by
+// host-mediated transfers.
+const hostCopyBandwidth = 10e9
 
 func (c *Config) defaults() {
 	if c.DRAMBytes == 0 {
@@ -65,24 +60,12 @@ func (c *Config) defaults() {
 	if c.DRAMBanks == 0 {
 		c.DRAMBanks = 2
 	}
-	if c.Internal.Lanes == 0 {
-		c.Internal = pcie.SmartSSDInternal
-	}
-	if c.Host.Lanes == 0 {
-		c.Host = pcie.HostGen3x4
-	}
-	if c.HostCopyBandwidth == 0 {
-		c.HostCopyBandwidth = 10e9
-	}
 }
 
 // SmartSSD is a simulated computational storage drive. It is safe for
 // concurrent use.
 type SmartSSD struct {
-	drive    *ssd.Drive
-	internal pcie.Link
-	host     pcie.Link
-	hostBW   float64
+	drive *ssd.Drive
 
 	mu        sync.Mutex
 	banks     []bank
@@ -204,17 +187,8 @@ func New(cfg Config) (*SmartSSD, error) {
 	if err != nil {
 		return nil, fmt.Errorf("csd: %w", err)
 	}
-	if _, err := cfg.Internal.Bandwidth(); err != nil {
-		return nil, fmt.Errorf("csd: internal link: %w", err)
-	}
-	if _, err := cfg.Host.Bandwidth(); err != nil {
-		return nil, fmt.Errorf("csd: host link: %w", err)
-	}
 	s := &SmartSSD{
 		drive:    drive,
-		internal: cfg.Internal,
-		host:     cfg.Host,
-		hostBW:   cfg.HostCopyBandwidth,
 		bankSize: cfg.DRAMBytes / int64(cfg.DRAMBanks),
 	}
 	s.banks = make([]bank, cfg.DRAMBanks)
@@ -290,7 +264,7 @@ func (s *SmartSSD) TransferP2P(ssdOff int64, buf *Buffer) (time.Duration, error)
 	if err != nil {
 		return 0, fmt.Errorf("csd: p2p SSD read: %w", err)
 	}
-	linkTime, err := s.internal.TransferTime(buf.Size)
+	linkTime, err := pcie.SmartSSDInternal.TransferTime(buf.Size)
 	if err != nil {
 		return 0, fmt.Errorf("csd: p2p link: %w", err)
 	}
@@ -316,15 +290,15 @@ func (s *SmartSSD) TransferViaHost(ssdOff int64, buf *Buffer) (time.Duration, er
 	if err != nil {
 		return 0, fmt.Errorf("csd: host-path SSD read: %w", err)
 	}
-	up, err := s.host.TransferTime(buf.Size)
+	up, err := pcie.HostGen3x4.TransferTime(buf.Size)
 	if err != nil {
 		return 0, fmt.Errorf("csd: host-path uplink: %w", err)
 	}
-	down, err := s.host.TransferTime(buf.Size)
+	down, err := pcie.HostGen3x4.TransferTime(buf.Size)
 	if err != nil {
 		return 0, fmt.Errorf("csd: host-path downlink: %w", err)
 	}
-	stage := time.Duration(float64(buf.Size) / s.hostBW * float64(time.Second))
+	stage := time.Duration(float64(buf.Size) / hostCopyBandwidth * float64(time.Second))
 	s.mu.Lock()
 	s.hostBytes += 2 * buf.Size
 	s.mu.Unlock()
@@ -350,7 +324,7 @@ func (s *SmartSSD) WriteBuffer(buf *Buffer, data []byte) (time.Duration, error) 
 		return 0, fmt.Errorf("csd: %d bytes exceed buffer size %d", len(data), buf.Size)
 	}
 	copy(buf.data, data)
-	t, err := s.host.TransferTime(int64(len(data)))
+	t, err := pcie.HostGen3x4.TransferTime(int64(len(data)))
 	if err != nil {
 		return 0, err
 	}

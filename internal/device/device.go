@@ -109,9 +109,6 @@ type Change struct {
 
 // Config controls a Registry.
 type Config struct {
-	// Prefix names registered devices: "<prefix>-<ordinal>". Empty
-	// defaults to "csd".
-	Prefix string
 	// Telemetry, when non-nil, receives the registry's per-device
 	// instruments: device_busy_nanoseconds_total, device_pending_requests,
 	// device_state (numeric State), and device_transitions_total — all
@@ -147,9 +144,6 @@ type Registry struct {
 
 // NewRegistry builds an empty registry.
 func NewRegistry(cfg Config) *Registry {
-	if cfg.Prefix == "" {
-		cfg.Prefix = "csd"
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
@@ -179,11 +173,12 @@ type Device struct {
 	transitions *telemetry.Counter // lifecycle edges taken
 }
 
-// Register adds a fresh device in the Provisioning state and returns it.
+// Register adds a fresh device in the Provisioning state and returns it,
+// named "csd-<ordinal>" in registration order: "csd-000", "csd-001", ...
 func (r *Registry) Register() *Device {
 	r.mu.Lock()
 	idx := len(r.order)
-	id := ID(fmt.Sprintf("%s-%03d", r.cfg.Prefix, idx))
+	id := ID(fmt.Sprintf("csd-%03d", idx))
 	reg := r.cfg.Telemetry
 	dl := telemetry.L("device", string(id))
 	d := &Device{

@@ -20,27 +20,29 @@ import (
 // windows-to-flag / bytes-at-risk / drift numbers that BENCH_quality.json
 // pins and benchdiff gates.
 
+// The replayed population of the detection-quality experiment.
+const (
+	// qualityTraceLen is the ransomware trace length replayed per variant.
+	qualityTraceLen = 2000
+	// qualityBenignLen is the benign trace length replayed per app.
+	qualityBenignLen = 1500
+	// qualityVariants bounds how many variants of each family are
+	// replayed; all ten families still appear.
+	qualityVariants = 2
+	// qualityBenignApps is how many benign application profiles are
+	// replayed, the first of sandbox.BenignApps.
+	qualityBenignApps = 10
+)
+
 // QualityRunConfig controls the detection-quality scorecard experiment.
 type QualityRunConfig struct {
 	// Model is the trained classifier (train one with RunTraining first).
 	Model *lstm.Model
-	// TraceLen is the ransomware trace length replayed per variant; 0
-	// defaults to 2000.
-	TraceLen int
-	// BenignLen is the benign trace length replayed per app; 0 defaults
-	// to 1500.
-	BenignLen int
 	// Window is the classification window length; 0 defaults to the
 	// paper's 100.
 	Window int
 	// Threshold is the alert probability; 0 defaults to 0.5.
 	Threshold float64
-	// VariantsPerFamily bounds how many variants of each family are
-	// replayed; 0 defaults to 2 (all ten families still appear).
-	VariantsPerFamily int
-	// BenignApps bounds how many benign application profiles are
-	// replayed; 0 defaults to 10.
-	BenignApps int
 	// Seed drives trace generation.
 	Seed int64
 	// Reference, when non-nil, arms the scorecard's drift detector so the
@@ -65,23 +67,8 @@ func QualityScorecard(cfg QualityRunConfig) (*QualityRun, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("experiments: quality needs a trained model")
 	}
-	if cfg.TraceLen == 0 {
-		cfg.TraceLen = 2000
-	}
-	if cfg.BenignLen == 0 {
-		cfg.BenignLen = 1500
-	}
 	if cfg.Window == 0 {
 		cfg.Window = 100
-	}
-	if cfg.VariantsPerFamily == 0 {
-		cfg.VariantsPerFamily = 2
-	}
-	if cfg.BenignApps == 0 {
-		cfg.BenignApps = 10
-	}
-	if cfg.BenignApps > len(sandbox.BenignApps) {
-		cfg.BenignApps = len(sandbox.BenignApps)
 	}
 
 	scorecard, err := quality.New(quality.Config{Reference: cfg.Reference})
@@ -131,27 +118,23 @@ func QualityScorecard(cfg QualityRunConfig) (*QualityRun, error) {
 
 	run := &QualityRun{}
 	for _, fam := range sandbox.Families {
-		n := fam.Variants
-		if n > cfg.VariantsPerFamily {
-			n = cfg.VariantsPerFamily
-		}
-		for v := 0; v < n; v++ {
+		for v := 0; v < min(fam.Variants, qualityVariants); v++ {
 			p, err := sandbox.RansomwareProfile(fam.Name, v)
 			if err != nil {
 				return nil, err
 			}
-			if err := replayProfile(p, cfg.TraceLen, cfg.Seed+int64(pid)); err != nil {
+			if err := replayProfile(p, qualityTraceLen, cfg.Seed+int64(pid)); err != nil {
 				return nil, fmt.Errorf("experiments: quality %s.v%d: %w", fam.Name, v, err)
 			}
 			run.RansomProcesses++
 		}
 	}
-	for i := 0; i < cfg.BenignApps; i++ {
+	for i := 0; i < qualityBenignApps; i++ {
 		p, err := sandbox.BenignProfile(sandbox.BenignApps[i])
 		if err != nil {
 			return nil, err
 		}
-		if err := replayProfile(p, cfg.BenignLen, cfg.Seed+int64(pid)); err != nil {
+		if err := replayProfile(p, qualityBenignLen, cfg.Seed+int64(pid)); err != nil {
 			return nil, fmt.Errorf("experiments: quality %s: %w", sandbox.BenignApps[i], err)
 		}
 		run.BenignProcesses++

@@ -11,20 +11,16 @@
 // The package is deliberately tiny and allocation-free: every kernel operation
 // in internal/kernels runs on these primitives, and the gate matrix-vector
 // products run through MatVec, which reads a Matrix and writes into a
-// caller-owned destination. MatVec picks one of three row-sum kernels per
-// call, all bit-identical to one Dot per row:
+// caller-owned destination. MatVec picks one of two row-sum kernels per
+// call, both bit-identical to one Dot per row:
 //   - KernelNarrow, on amd64 CPUs with AVX512F, AVX512DQ and OS-enabled ZMM
 //     state (checked once, at package init, with CPUID and XGETBV), when every
 //     weight and every x is within ±(2^31−1) and the row sums stay within
 //     2^52 − S. It multiplies with 8-lane VPMULDQ, exact for such operands,
 //     and rescales in float64 in the vector unit, exact below that bound.
-//   - KernelSIMD, on the same CPUs for every other operand: 8-lane VPMULLQ,
-//     which keeps the low 64 bits of each product as Go's int64 multiply
-//     does, and the scalar rescale.
-//   - KernelGeneric everywhere else: the scalar four-row loop.
-//
-// Wrapping int64 sums do not depend on their order, so the two 64-bit
-// kernels agree for any operands.
+//   - KernelGeneric for every other operand and CPU: the scalar four-row
+//     loop and the scalar rescale. Its wrapping int64 sums do not depend on
+//     their order, so it agrees with Dot for any operands.
 //
 // The elementwise operations of the LSTM hidden state have one slice entry
 // point each, which picks its kernel per call in the same way (see
@@ -216,11 +212,9 @@ const (
 	// rescales in the vector unit. MatVec picks it only where that is
 	// provably bit-identical to Dot; see narrowExact.
 	KernelNarrow Kernel = "narrow"
-	// KernelSIMD multiplies with AVX-512 VPMULLQ (the low 64 bits of a
-	// 64×64 product) and rescales one row at a time in Go.
-	KernelSIMD Kernel = "simd"
-	// KernelGeneric is the scalar dot4 loop, the only kernel off AVX-512,
-	// and the scalar loop of each elementwise operation.
+	// KernelGeneric is the scalar dot4 loop, the only MatVec kernel off
+	// AVX-512 and for operands narrowExact rejects, and the scalar loop of
+	// each elementwise operation.
 	KernelGeneric Kernel = "generic"
 	// KernelVector is an elementwise operation's AVX-512 kernel: eight
 	// lanes per instruction, products from VPMULLQ rounded in float64. The
@@ -248,17 +242,13 @@ func (a Arith) MatVec(dst []Value, w Matrix, x []Value) {
 }
 
 // MatVecKernel returns the kernel MatVec runs for w and x on this CPU:
-// KernelNarrow where the CPU has AVX-512 and narrowExact holds, KernelSIMD
-// elsewhere on AVX-512, and KernelGeneric everywhere else.
+// KernelNarrow where the CPU has AVX-512 and narrowExact holds, and
+// KernelGeneric everywhere else.
 func (a Arith) MatVecKernel(w Matrix, x []Value) Kernel {
-	switch {
-	case !hasAVX512:
-		return KernelGeneric
-	case a.narrowExact(w, x):
+	if hasAVX512 && a.narrowExact(w, x) {
 		return KernelNarrow
-	default:
-		return KernelSIMD
 	}
+	return KernelGeneric
 }
 
 // narrowExact reports whether KernelNarrow computes MatVec(dst, w, x) bit
@@ -300,9 +290,6 @@ func (a Arith) matVec(k Kernel, dst, w, x []Value) {
 	case KernelNarrow:
 		rowSums4NarrowAVX512(dst, w, x)
 		rescaleAVX512(dst[:full], float64(a.scale))
-	case KernelSIMD:
-		rowSums4AVX512(dst, w, x)
-		a.rescaleSlice(dst[:full])
 	default:
 		rowSums4Generic(dst, w, x)
 		a.rescaleSlice(dst[:full])

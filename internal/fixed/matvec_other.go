@@ -7,10 +7,6 @@ const hasAVX512 = false
 
 // The AVX-512 kernels exist off amd64 only so MatVec and the tests compile;
 // they are never called, because hasAVX512 is false.
-func rowSums4AVX512(dst, w, x []Value) {
-	panic("fixed: AVX-512 kernel called on a non-amd64 build")
-}
-
 func rowSums4NarrowAVX512(dst, w, x []Value) {
 	panic("fixed: AVX-512 kernel called on a non-amd64 build")
 }

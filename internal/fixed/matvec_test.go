@@ -7,14 +7,13 @@ import (
 	"testing"
 )
 
-// rowSumKernels are the three kernels MatVec chooses between, with their raw
+// rowSumKernels are the two kernels MatVec chooses between, with their raw
 // four-row sums. The tests below run them directly, whatever this CPU
 // dispatches to; the narrow one only on operands narrowExact admits.
 var rowSumKernels = []struct {
 	name Kernel
 	sums func(dst, w, x []Value)
 }{
-	{KernelSIMD, rowSums4AVX512},
 	{KernelGeneric, rowSums4Generic},
 	{KernelNarrow, rowSums4NarrowAVX512},
 }
@@ -186,7 +185,7 @@ func drawOperands(rng *rand.Rand, mode int, a Arith, rows, n int) (w, x []Value)
 // and the kernel to have run, so both sides of every guard are exercised.
 func TestMatVecKernelsAgree(t *testing.T) {
 	if hasAVX512 {
-		t.Logf("MatVec kernels on this CPU: %s (rowSums4NarrowAVX512 + rescaleAVX512) where narrowExact holds, else %s (rowSums4AVX512)", KernelNarrow, KernelSIMD)
+		t.Logf("MatVec kernels on this CPU: %s (rowSums4NarrowAVX512 + rescaleAVX512) where narrowExact holds, else %s (rowSums4Generic)", KernelNarrow, KernelGeneric)
 	} else {
 		t.Logf("MatVec kernel on this CPU: %s (rowSums4Generic)", KernelGeneric)
 	}
@@ -366,7 +365,7 @@ func TestNarrowRoundingBoundaries(t *testing.T) {
 
 // TestMatVecKernelSelection pins which kernel MatVec picks at the paper's
 // scale: the narrow one for operands inside every guard, up to a row sum of
-// exactly B, and the wide one when a weight or an x is ±2^31 or when
+// exactly B, and the generic one when a weight or an x is ±2^31 or when
 // maxRowL1·max|x| exceeds B. narrowExact decides the same way on every CPU.
 func TestMatVecKernelSelection(t *testing.T) {
 	a := Default
@@ -400,11 +399,8 @@ func TestMatVecKernelSelection(t *testing.T) {
 			t.Errorf("%s: narrowExact = %v, want %v", tc.name, got, tc.narrow)
 		}
 		want := KernelGeneric
-		if hasAVX512 {
-			want = KernelSIMD
-			if tc.narrow {
-				want = KernelNarrow
-			}
+		if hasAVX512 && tc.narrow {
+			want = KernelNarrow
 		}
 		if got := a.MatVecKernel(tc.w, tc.x); got != want {
 			t.Errorf("%s: MatVecKernel = %s, want %s", tc.name, got, want)
@@ -445,8 +441,8 @@ func TestNewMatrixBounds(t *testing.T) {
 // BenchmarkMatVec runs MatVec on each kernel at the paper model's two gate
 // shapes: the input product Wx (4H=128 rows over the O=8 embedding) and the
 // recurrent product Wh (128 rows over the H=32 hidden state). The narrow leg
-// is the full dispatched MatVec, its per-call x check included; the simd and
-// generic legs skip the check.
+// is the full dispatched MatVec, its per-call x check included; the generic
+// leg skips the check.
 func BenchmarkMatVec(b *testing.B) {
 	a := Default
 	rng := rand.New(rand.NewSource(1))

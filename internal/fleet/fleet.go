@@ -1,35 +1,32 @@
 // Package fleet is the serving layer for more than one device: N simulated
-// CSD nodes behind tenant-aware placement, per-tenant QoS admission, and
-// device failure/drain/rejoin flows. It is the only multi-device front end;
-// a one-device deployment is simply a one-node fleet.
+// CSD nodes behind tenant-aware placement and device failure/drain/rejoin
+// flows. It is the only multi-device front end; a one-device deployment is
+// simply a one-node fleet.
 //
 // The paper deploys one SmartSSD; its scalability argument (§II) is that
-// data centers install many. With many devices three concerns appear that
-// a per-device scheduler does not address. Placement: a tenant's windows
+// data centers install many. With many devices two concerns appear that a
+// per-device scheduler does not address. Placement: a tenant's windows
 // should land on one device (cache locality, coherent per-device forensic
-// timelines), so the fleet consistent-hashes tenant IDs over the device
-// ring and spills to the least-simulated-busy ready device only when the
-// home device is out of rotation or the request is untenanted. Admission:
-// one tenant class must not starve another, so requests pass per-class
-// in-flight caps (shares of the fleet's total queue capacity) before they
-// touch a queue. Lifecycle: drives drain for maintenance, fail, and
-// rejoin; the fleet watches the shared device registry, re-places affected
-// tenants (a failed node's in-flight requests are retried once on another
-// device — the failing server completes or fails each request exactly
-// once, so no window is lost or duplicated), records device incidents,
-// and emits fleet.* events alongside the registry's device.* stream.
+// timelines), so the fleet consistent-hashes tenant IDs over the device ring
+// and spills to the least-simulated-busy ready device only when the home
+// device is out of rotation or the request is untenanted. Lifecycle: drives
+// drain for maintenance, fail, and rejoin; the fleet watches the shared
+// device registry, re-places affected tenants (a failed node's in-flight
+// requests are retried once on another device — the failing server completes
+// or fails each request exactly once, so no window is lost or duplicated),
+// records device incidents, and emits fleet.* events alongside the
+// registry's device.* stream.
 //
 // Each node is one registry device, one simulated SmartSSD with a deployed
 // engine, and a single-engine serve.Server providing the bounded queue and
-// backpressure; the fleet layers placement, admission, and lifecycle on
-// top. All methods are safe for concurrent use.
+// backpressure; the fleet layers placement and lifecycle on top. All methods
+// are safe for concurrent use.
 package fleet
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"github.com/kfrida1/csdinf/internal/core"
@@ -46,29 +43,12 @@ import (
 	"github.com/kfrida1/csdinf/internal/trace"
 )
 
-// ErrAdmission is returned when a request's QoS class is at its in-flight
-// cap; the tenant is over its share and should back off.
-var ErrAdmission = errors.New("fleet: admission limit reached for class")
-
 // ErrClosed is returned for requests submitted after Close.
 var ErrClosed = errors.New("fleet: closed")
 
 // ErrNoReadyDevice is returned when no device in the fleet is Ready. It is
 // serve's sentinel, so one errors.Is check covers both layers.
 var ErrNoReadyDevice = serve.ErrNoReadyDevice
-
-// Class is one QoS admission class: a named share of the fleet's total
-// in-flight capacity (nodes × queue depth). Shares need not sum to 1 —
-// overcommit is allowed and simply means classes compete inside the
-// bounded queues like before; the cap guarantees a floor of isolation,
-// bounding how much of the fleet any one class can occupy.
-type Class struct {
-	// Name labels the class in telemetry and events.
-	Name string
-	// Share is the fraction of fleet in-flight capacity the class may
-	// occupy, (0, 1]. The cap is max(1, floor(Share × nodes × depth)).
-	Share float64
-}
 
 // Config controls a Fleet.
 type Config struct {
@@ -79,14 +59,6 @@ type Config struct {
 	// Block makes a full home-node queue block the caller instead of
 	// failing fast (per-node serve semantics).
 	Block bool
-	// Classes are the QoS admission classes; empty defaults to one
-	// uncapped "default" class (admission never rejects).
-	Classes []Class
-	// ClassOf maps a tenant to a class name; nil maps every tenant to the
-	// first class. Unknown names also fall back to the first class.
-	ClassOf func(tenant string) string
-	// CSD configures each node's drive (zero value = SmartSSD defaults).
-	CSD csd.Config
 	// Deploy configures the engines (zero value = paper defaults). The
 	// model is compiled once with it; the per-device TraceName is derived
 	// from the registry ID.
@@ -95,9 +67,8 @@ type Config struct {
 	// private one. Each node registers one device ("csd-000", ...).
 	Registry *device.Registry
 	// Telemetry, when non-nil, receives the fleet metrics
-	// (fleet_admitted_total / fleet_rejected_total / fleet_inflight by
-	// class, fleet_retries_total, fleet_spillover_total) plus every
-	// per-device serve and registry series.
+	// (fleet_retries_total, fleet_spillover_total) plus every per-device
+	// serve and registry series.
 	Telemetry *telemetry.Registry
 	// Spans, Trace, and Events are threaded into each node's scheduler and
 	// engine, so fleet requests carry the same correlation IDs as
@@ -126,14 +97,6 @@ func (c *Config) defaults() error {
 	if c.QueueDepth < 0 {
 		return fmt.Errorf("fleet: QueueDepth must be positive, got %d", c.QueueDepth)
 	}
-	for i, cl := range c.Classes {
-		if cl.Name == "" {
-			return fmt.Errorf("fleet: class %d has no name", i)
-		}
-		if cl.Share <= 0 || cl.Share > 1 {
-			return fmt.Errorf("fleet: class %q share %v outside (0, 1]", cl.Name, cl.Share)
-		}
-	}
 	return nil
 }
 
@@ -147,17 +110,6 @@ type node struct {
 	srv atomic.Pointer[serve.Server]
 }
 
-// class is one admission class's runtime state.
-type class struct {
-	name     string
-	cap      int64
-	inflight atomic.Int64
-
-	admitted  *telemetry.Counter
-	rejected  *telemetry.Counter
-	inflightG *telemetry.Gauge
-}
-
 // Fleet is the rack-scale serving layer. It implements infer.Inferencer.
 type Fleet struct {
 	cfg      Config
@@ -165,8 +117,6 @@ type Fleet struct {
 	nodes    []*node
 	byID     map[device.ID]*node
 	ring     *ring
-	classes  map[string]*class
-	first    *class
 
 	retries   *telemetry.Counter
 	spillover *telemetry.Counter
@@ -177,10 +127,11 @@ type Fleet struct {
 
 var _ infer.Inferencer = (*Fleet)(nil)
 
-// New builds a fleet: cfg.Nodes fresh simulated CSDs, each with the model
-// deployed and fronted by its own bounded-queue scheduler. The model is
-// compiled once (core.Compile) and the image loaded onto every node, so the
-// engines share one set of quantized parameters.
+// New builds a fleet: cfg.Nodes fresh simulated SmartSSDs (csd.Config's
+// defaults), each with the model deployed and fronted by its own
+// bounded-queue scheduler. The model is compiled once (core.Compile) and the
+// image loaded onto every node, so the engines share one set of quantized
+// parameters.
 func New(m *lstm.Model, cfg Config) (*Fleet, error) {
 	if m == nil {
 		return nil, errors.New("fleet: nil model")
@@ -205,13 +156,10 @@ func New(m *lstm.Model, cfg Config) (*Fleet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: compile model: %w", err)
 	}
-	f, err := newFleet(&cfg)
-	if err != nil {
-		return nil, err
-	}
+	f := newFleet(&cfg)
 	for i := 0; i < cfg.Nodes; i++ {
 		h := f.registry.Register()
-		dev, err := csd.New(cfg.CSD)
+		dev, err := csd.New(csd.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("fleet: device %s: %w", h.ID(), err)
 		}
@@ -237,10 +185,7 @@ func NewFromEngines(engines []infer.Inferencer, cfg Config) (*Fleet, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	f, err := newFleet(&cfg)
-	if err != nil {
-		return nil, err
-	}
+	f := newFleet(&cfg)
 	for _, eng := range engines {
 		if eng == nil {
 			return nil, errors.New("fleet: nil engine")
@@ -252,52 +197,22 @@ func NewFromEngines(engines []infer.Inferencer, cfg Config) (*Fleet, error) {
 	return f.start()
 }
 
-func newFleet(cfg *Config) (*Fleet, error) {
+func newFleet(cfg *Config) *Fleet {
 	reg := cfg.Registry
 	if reg == nil {
 		reg = device.NewRegistry(device.Config{
 			Telemetry: cfg.Telemetry, Events: cfg.Events,
 		})
 	}
-	f := &Fleet{
+	return &Fleet{
 		cfg:      *cfg,
 		registry: reg,
 		byID:     make(map[device.ID]*node),
-		classes:  make(map[string]*class),
 		retries: cfg.Telemetry.Counter("fleet_retries_total",
 			"In-flight requests re-placed after a device failure."),
 		spillover: cfg.Telemetry.Counter("fleet_spillover_total",
 			"Tenant requests placed off their hash-home device."),
 	}
-	total := int64(cfg.Nodes) * int64(cfg.QueueDepth)
-	classes := cfg.Classes
-	implicit := len(classes) == 0
-	if implicit {
-		classes = []Class{{Name: "default", Share: 1}}
-	}
-	for _, cl := range classes {
-		cap := max(1, int64(cl.Share*float64(total)))
-		if implicit {
-			// The implicit class only labels the fleet_* series; it caps
-			// nothing, so blocking callers wait on the queues instead.
-			cap = math.MaxInt64
-		}
-		lbl := telemetry.L("class", cl.Name)
-		c := &class{
-			name: cl.Name, cap: cap,
-			admitted: cfg.Telemetry.Counter("fleet_admitted_total",
-				"Requests admitted past QoS admission.", lbl),
-			rejected: cfg.Telemetry.Counter("fleet_rejected_total",
-				"Requests rejected at QoS admission.", lbl),
-			inflightG: cfg.Telemetry.Gauge("fleet_inflight",
-				"Requests currently admitted and not yet completed.", lbl),
-		}
-		f.classes[cl.Name] = c
-		if f.first == nil {
-			f.first = c
-		}
-	}
-	return f, nil
 }
 
 func (f *Fleet) addNode(h *device.Device, dev *csd.SmartSSD, eng infer.Inferencer) error {
@@ -339,8 +254,7 @@ func (f *Fleet) start() (*Fleet, error) {
 	f.unwatch = f.registry.Watch(f.onChange)
 	f.cfg.Events.Info(context.Background(), "fleet", "fleet.start",
 		eventlog.F("nodes", len(f.nodes)),
-		eventlog.F("queue_depth", f.cfg.QueueDepth),
-		eventlog.F("classes", len(f.classes)))
+		eventlog.F("queue_depth", f.cfg.QueueDepth))
 	return f, nil
 }
 
@@ -428,17 +342,6 @@ func (f *Fleet) Device(i int) *csd.SmartSSD { return f.nodes[i].dev }
 // SeqLen returns the deployed engines' classification window length.
 func (f *Fleet) SeqLen() int { return f.nodes[0].eng.SeqLen() }
 
-// classOf resolves a tenant's admission class.
-func (f *Fleet) classOf(tenant string) *class {
-	if f.cfg.ClassOf == nil {
-		return f.first
-	}
-	if c, ok := f.classes[f.cfg.ClassOf(tenant)]; ok {
-		return c
-	}
-	return f.first
-}
-
 // place picks the serving node for a tenant: the tenant's consistent-hash
 // home when it is ready, else the least-simulated-busy ready device
 // (spillover, counted). Untenanted requests always go least-busy.
@@ -495,22 +398,6 @@ func (f *Fleet) submit(ctx context.Context, call func(*serve.Server) (kernels.Re
 		return kernels.Result{}, infer.Timing{}, ErrClosed
 	}
 	tenant := infer.TenantFrom(ctx)
-	cl := f.classOf(tenant)
-	if cl.inflight.Add(1) > cl.cap {
-		cl.inflight.Add(-1)
-		cl.rejected.Inc()
-		f.cfg.Events.Log(ctx, eventlog.LevelWarn, "fleet", "fleet.admission.reject",
-			eventlog.F("class", cl.name),
-			eventlog.F("cap", cl.cap))
-		return kernels.Result{}, infer.Timing{}, fmt.Errorf("%w %q", ErrAdmission, cl.name)
-	}
-	cl.admitted.Inc()
-	cl.inflightG.Inc()
-	defer func() {
-		cl.inflight.Add(-1)
-		cl.inflightG.Dec()
-	}()
-
 	// One retry covers the single-failure case: the failing scheduler
 	// completes or fails every accepted request exactly once (responses
 	// finished just before close are still delivered), so re-placing on

@@ -305,94 +305,6 @@ func TestFailureRecordsIncidentAndRetriesInFlight(t *testing.T) {
 	}
 }
 
-func TestAdmissionCaps(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	blocker := &fakeInf{seqLen: 8, started: make(chan struct{}, 8), release: make(chan struct{}, 8)}
-	f, err := NewFromEngines([]infer.Inferencer{blocker}, Config{
-		QueueDepth: 4,
-		Block:      true,
-		Telemetry:  reg,
-		Classes:    []Class{{Name: "bulk", Share: 0.5}, {Name: "interactive", Share: 1}},
-		ClassOf: func(tenant string) string {
-			if tenant == "scanner" {
-				return "bulk"
-			}
-			return "interactive"
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	// bulk cap = floor(0.5 × 1 × 4) = 2: two in flight, the third rejects.
-	ctx := infer.WithTenant(context.Background(), "scanner")
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, err := f.Predict(ctx, seq()); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	<-blocker.started
-	waitInflight(t, f, "bulk", 2)
-	if _, _, err := f.Predict(ctx, seq()); !errors.Is(err, ErrAdmission) {
-		t.Fatalf("over-cap submit: %v, want ErrAdmission", err)
-	}
-	// The other class is unaffected by bulk's saturation.
-	ictx := infer.WithTenant(context.Background(), "user-1")
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, _, err := f.Predict(ictx, seq()); err != nil {
-			t.Error(err)
-		}
-	}()
-	for i := 0; i < 3; i++ {
-		blocker.release <- struct{}{}
-	}
-	wg.Wait()
-
-	snap := findSeries(t, reg, "fleet_rejected_total", "class", "bulk")
-	if snap != 1 {
-		t.Fatalf("fleet_rejected_total{class=bulk} = %d, want 1", snap)
-	}
-	if n := findSeries(t, reg, "fleet_admitted_total", "class", "interactive"); n != 1 {
-		t.Fatalf("fleet_admitted_total{class=interactive} = %d, want 1", n)
-	}
-}
-
-func waitInflight(t *testing.T, f *Fleet, class string, want int64) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if f.classes[class].inflight.Load() == want {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("class %s never reached %d in flight", class, want)
-}
-
-func findSeries(t *testing.T, reg *telemetry.Registry, name, labelKey, labelVal string) int64 {
-	t.Helper()
-	for _, m := range reg.Snapshot() {
-		if m.Name != name {
-			continue
-		}
-		for _, l := range m.Labels {
-			if l.Key == labelKey && l.Value == labelVal {
-				return m.Value
-			}
-		}
-	}
-	t.Fatalf("series %s{%s=%q} not in registry", name, labelKey, labelVal)
-	return 0
-}
-
 func TestQueueWaitMergesAcrossDevices(t *testing.T) {
 	engs, _ := engines(3)
 	reg := telemetry.NewRegistry()
@@ -513,10 +425,9 @@ func TestLeastBusyPlacement(t *testing.T) {
 	}
 }
 
-// TestDefaultClassNeverRejects pins the documented contract of a fleet
-// configured without classes: admission never rejects, so blocking callers
-// beyond nodes × depth wait for queue space instead of failing.
-func TestDefaultClassNeverRejects(t *testing.T) {
+// TestBlockingCallersWaitForQueueSpace: with Block set, callers beyond
+// nodes × depth wait for queue space instead of failing.
+func TestBlockingCallersWaitForQueueSpace(t *testing.T) {
 	blocker := &fakeInf{seqLen: 8, started: make(chan struct{}, 8), release: make(chan struct{}, 8)}
 	f, err := NewFromEngines([]infer.Inferencer{blocker}, Config{QueueDepth: 1, Block: true})
 	if err != nil {
@@ -532,7 +443,7 @@ func TestDefaultClassNeverRejects(t *testing.T) {
 			errs <- err
 		}()
 	}
-	waitInflight(t, f, "default", callers)
+	waitQueued(t, f, callers)
 	for i := 0; i < callers; i++ {
 		blocker.release <- struct{}{}
 	}
@@ -541,6 +452,20 @@ func TestDefaultClassNeverRejects(t *testing.T) {
 			t.Fatalf("caller %d: %v", i, err)
 		}
 	}
+}
+
+// waitQueued polls until the fleet's first node counts want requests
+// pending: queued, executing or blocked on its full queue.
+func waitQueued(t *testing.T, f *Fleet, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		if f.Stats()[0].Serve.Queued == want {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("node never reached %d pending (stats %+v)", want, f.Stats()[0].Serve)
 }
 
 // TestNoReadyDeviceIsServeSentinel: a full blackout fails with the one

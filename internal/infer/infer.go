@@ -44,7 +44,9 @@ func (t Timing) Total() time.Duration { return t.Transfer + t.Compute }
 // request queue), fleet.Fleet (placement over devices), cti.HotSwapEngine (atomic
 // model replacement), and the host-side baselines in internal/baseline.
 type Inferencer interface {
-	// Predict classifies one host-provided sequence of API-call IDs.
+	// Predict classifies one host-provided sequence of API-call IDs. It
+	// must not retain seq once it returns: callers reuse their windows,
+	// and serve.Server recycles its copy.
 	Predict(ctx context.Context, seq []int) (kernels.Result, Timing, error)
 	// PredictStored classifies the sequence resident at the given SSD byte
 	// offset — the paper's headline in-storage dataflow. Implementations

@@ -178,11 +178,12 @@ var paperModels = sync.OnceValues(func() ([]paperModel, error) {
 // rests on. On paper-shape models, one seeded and one quick-trained, every
 // row of the input-projection build, every Wh·h step of a window and both
 // LevelMixed products take fixed.KernelNarrow. Operands that outgrew the
-// narrow kernel's guards would still be exact on the wide kernel, only
+// narrow kernel's guards would still be exact on the generic kernel, only
 // slower; this test makes that loss visible instead of silent. make verify
 // runs it verbosely, so its log names the kernel the paper model takes.
 func TestPaperModelMatVecKernel(t *testing.T) {
-	if k := fixed.Default.MatVecKernel(fixed.Matrix{}, nil); k == fixed.KernelGeneric {
+	// An empty matrix is inside every guard, so only the CPU decides.
+	if k := fixed.Default.MatVecKernel(fixed.NewMatrix(nil, 0), nil); k == fixed.KernelGeneric {
 		t.Skipf("MatVec runs %s on this CPU for every operand: no AVX-512 kernel to pick", k)
 	}
 	models, err := paperModels()

@@ -65,6 +65,11 @@ const (
 	ArrivalsBursty = "bursty"
 )
 
+// maxInFlight sheds arrivals when this many requests are outstanding — a
+// safety valve, not a throttle; shed arrivals count as bad availability
+// outcomes.
+const maxInFlight = 16384
+
 // Target is the system under test — fleet.Fleet and serve.Server both
 // satisfy it directly.
 type Target interface {
@@ -106,10 +111,6 @@ type Config struct {
 	// Seed makes the schedule deterministic: same seed, same arrivals,
 	// same PIDs, same sequences (and the same ScheduleDigest).
 	Seed int64
-	// MaxInFlight sheds arrivals when this many requests are outstanding —
-	// a safety valve, not a throttle; shed arrivals count as bad
-	// availability outcomes. 0 defaults to 16384.
-	MaxInFlight int
 	// SampleEvery is the burn-rate timeline resolution; 0 defaults to
 	// Duration/20, clamped to at least 50ms.
 	SampleEvery time.Duration
@@ -227,7 +228,7 @@ type Result struct {
 	Requests  int64 `json:"requests"`
 	Succeeded int64 `json:"succeeded"`
 	Failed    int64 `json:"failed"`
-	// Shed counts arrivals dropped at the MaxInFlight safety valve (also
+	// Shed counts arrivals dropped at the maxInFlight safety valve (also
 	// included in Failed's availability accounting).
 	Shed           int64          `json:"shed"`
 	ThroughputHz   float64        `json:"throughput_hz"`
@@ -272,9 +273,6 @@ func (c *Config) validate() error {
 	}
 	if c.Vocab == 0 {
 		c.Vocab = 278
-	}
-	if c.MaxInFlight == 0 {
-		c.MaxInFlight = 16384
 	}
 	if c.QualityThreshold == 0 {
 		c.QualityThreshold = 0.5
@@ -391,8 +389,6 @@ func digestOf(sched []arrival) string {
 // reason classifies a request error for the report's breakdown.
 func reason(err error) string {
 	switch {
-	case errors.Is(err, fleet.ErrAdmission):
-		return "admission"
 	case errors.Is(err, serve.ErrQueueFull):
 		return "queue-full"
 	case errors.Is(err, serve.ErrNoReadyDevice):
@@ -548,7 +544,7 @@ dispatch:
 			break dispatch
 		}
 		post := !intended.Before(warmEnd)
-		if inflight.Load() >= int64(cfg.MaxInFlight) {
+		if inflight.Load() >= maxInFlight {
 			// The safety valve: record the shed arrival as a bad outcome
 			// instead of silently omitting it.
 			if post {

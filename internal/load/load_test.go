@@ -363,7 +363,6 @@ func TestReasonClassifiesFleetErrors(t *testing.T) {
 	}{
 		{fleet.ErrNoReadyDevice, "no-ready-device"},
 		{fmt.Errorf("fleet: request re-placement failed: %w", fleet.ErrNoReadyDevice), "no-ready-device"},
-		{fleet.ErrAdmission, "admission"},
 		{fleet.ErrClosed, "closed"},
 		{serve.ErrQueueFull, "queue-full"},
 		{errInjected, "other"},

@@ -4,10 +4,8 @@
 // A device's engine owns one hardware pipeline and is not safe for
 // concurrent use, so the server gives it a single worker goroutine fed by a
 // bounded queue. A full queue pushes back — immediately with ErrQueueFull,
-// or by blocking until space frees, per Config.Block. The worker coalesces
-// adjacent stored-scan requests into one dispatch, the background scanning
-// pattern the paper's introduction motivates. Context cancellation is
-// honored end-to-end: a canceled request still in the queue is abandoned
+// or by blocking until space frees, per Config.Block. Context cancellation
+// is honored end-to-end: a canceled request still in the queue is abandoned
 // before it ever touches the device.
 //
 // Serving more than one device is internal/fleet's job: the paper's
@@ -57,10 +55,6 @@ type Config struct {
 	// Block makes a full queue block the caller (until space, cancellation,
 	// or close) instead of failing fast with ErrQueueFull.
 	Block bool
-	// BatchMax bounds how many adjacent queued stored-scan requests the
-	// worker coalesces into one dispatch; 0 defaults to 8, 1 disables
-	// batching.
-	BatchMax int
 	// Device is the registry device the engine serves as, owning its
 	// identity, lifecycle, and busy accounting. Nil registers one in a
 	// private registry (against Config.Telemetry and Config.Events) and
@@ -69,9 +63,9 @@ type Config struct {
 	Device *device.Device
 	// Telemetry, when non-nil, receives the device's serving metrics:
 	// serve_jobs_total, serve_dispatches_total, serve_errors_total,
-	// serve_canceled_total, serve_queue_full_total, the
-	// serve_queue_wait_seconds wall-time histogram, and the
-	// serve_batch_size histogram — all labeled device="<registry ID>".
+	// serve_canceled_total, serve_queue_full_total and the
+	// serve_queue_wait_seconds wall-time histogram, all labeled
+	// device="<registry ID>".
 	// Busy-time and backlog instruments live with the registry
 	// (device_busy_nanoseconds_total, device_pending_requests). With a nil
 	// registry the same instruments still back Stats(), just unexported.
@@ -109,12 +103,6 @@ func (c *Config) defaults() error {
 	if c.QueueDepth < 0 {
 		return fmt.Errorf("serve: QueueDepth must be positive, got %d", c.QueueDepth)
 	}
-	if c.BatchMax == 0 {
-		c.BatchMax = 8
-	}
-	if c.BatchMax < 0 {
-		return fmt.Errorf("serve: BatchMax must be positive, got %d", c.BatchMax)
-	}
 	return nil
 }
 
@@ -136,8 +124,12 @@ const (
 // worker can always complete a request whose caller has already abandoned
 // it.
 type request struct {
-	ctx    context.Context
-	seq    []int // live window; nil for stored requests
+	ctx context.Context
+	// seq is the request's own copy of a live window, empty for stored
+	// requests. Its buffer stays with the request through the pool, which
+	// is safe because a request is recycled only after its caller holds the
+	// response, and an abandoned request is never recycled.
+	seq    []int
 	off    int64 // SSD offset; meaningful when stored
 	stored bool
 	done   chan response
@@ -178,12 +170,11 @@ type Server struct {
 	queue chan *request
 
 	jobs       *telemetry.Counter // requests executed successfully
-	dispatches *telemetry.Counter // worker wake-ups (batches count once)
+	dispatches *telemetry.Counter // requests the worker took off the queue
 	errors     *telemetry.Counter // failed executions (cancellations excluded)
 	canceled   *telemetry.Counter // requests abandoned before touching the device
 	queueFull  *telemetry.Counter // ErrQueueFull rejections
 	queueWait  *telemetry.Histogram
-	batchSize  *telemetry.Histogram
 
 	quit   chan struct{}
 	closed atomic.Bool
@@ -193,8 +184,6 @@ type Server struct {
 	// callers hold the response, so a served window leaves no request or
 	// channel garbage behind.
 	reqs sync.Pool
-	// batch is the worker's dispatch scratch; only run touches it.
-	batch []*request
 }
 
 var _ infer.Inferencer = (*Server)(nil)
@@ -238,7 +227,7 @@ func New(engines []infer.Inferencer, cfg Config) (*Server, error) {
 		jobs: reg.Counter("serve_jobs_total",
 			"Requests executed successfully.", dl),
 		dispatches: reg.Counter("serve_dispatches_total",
-			"Worker wake-ups; a coalesced stored batch counts once.", dl),
+			"Requests the worker took off the queue.", dl),
 		errors: reg.Counter("serve_errors_total",
 			"Requests that failed on the device (cancellations excluded).", dl),
 		canceled: reg.Counter("serve_canceled_total",
@@ -247,8 +236,6 @@ func New(engines []infer.Inferencer, cfg Config) (*Server, error) {
 			"Requests rejected with ErrQueueFull.", dl),
 		queueWait: reg.Histogram("serve_queue_wait_seconds",
 			"Wall time between enqueue and worker dispatch.", telemetry.Buckets{}, dl),
-		batchSize: reg.Histogram("serve_batch_size",
-			"Stored-scan requests coalesced per dispatch.", telemetry.DefaultCountBuckets(), dl),
 		quit: make(chan struct{}),
 	}
 	s.wg.Add(1)
@@ -256,7 +243,6 @@ func New(engines []infer.Inferencer, cfg Config) (*Server, error) {
 	cfg.Events.LogDevice(context.Background(), eventlog.LevelInfo, "serve", "server.start",
 		string(h.ID()),
 		eventlog.F("queue_depth", cfg.QueueDepth),
-		eventlog.F("batch_max", cfg.BatchMax),
 		eventlog.F("block", cfg.Block))
 	return s, nil
 }
@@ -273,13 +259,12 @@ func (s *Server) SeqLen() int { return s.inf.SeqLen() }
 // Predict returns.
 func (s *Server) Predict(ctx context.Context, seq []int) (kernels.Result, infer.Timing, error) {
 	req := s.newRequest(ctx)
-	req.seq = append([]int(nil), seq...)
+	req.seq = append(req.seq, seq...)
 	return s.submit(ctx, req)
 }
 
 // PredictStored classifies the sequence at the given byte offset on the
-// device's SSD. Adjacent queued stored requests are coalesced into one
-// device dispatch.
+// device's SSD.
 func (s *Server) PredictStored(ctx context.Context, ssdOff int64) (kernels.Result, infer.Timing, error) {
 	req := s.newRequest(ctx)
 	req.off, req.stored = ssdOff, true
@@ -301,7 +286,7 @@ func (s *Server) newRequest(ctx context.Context) *request {
 // the queue nor the worker can reach req: after its response has been
 // received, since delivering it is the worker's last touch.
 func (s *Server) recycle(req *request) {
-	req.ctx, req.seq, req.off, req.stored = nil, nil, 0, false
+	req.ctx, req.seq, req.off, req.stored = nil, req.seq[:0], 0, false
 	req.enqueuedAt, req.rec, req.own = time.Time{}, nil, false
 	req.claim.Store(claimNone)
 	s.reqs.Put(req)
@@ -402,15 +387,8 @@ func (s *Server) run() {
 			s.failQueued()
 			return
 		case req := <-s.queue:
-			batch := s.collect(req)
 			s.dispatches.Inc()
-			s.batchSize.Observe(int64(len(batch)))
-			for _, r := range batch {
-				s.execute(r)
-			}
-			// Drop the references: the callers recycle these requests.
-			clear(batch)
-			s.batch = batch[:0]
+			s.execute(req)
 		}
 	}
 }
@@ -428,28 +406,6 @@ func (s *Server) failQueued() {
 			return
 		}
 	}
-}
-
-// collect coalesces adjacent queued stored-scan requests behind the first
-// into one dispatch, stopping at a live request, an empty queue, or
-// BatchMax. The batch lives in the worker's scratch.
-func (s *Server) collect(first *request) []*request {
-	batch := append(s.batch[:0], first)
-	if !first.stored || s.cfg.BatchMax <= 1 {
-		return batch
-	}
-	for len(batch) < s.cfg.BatchMax {
-		select {
-		case next := <-s.queue:
-			batch = append(batch, next)
-			if !next.stored {
-				return batch
-			}
-		default:
-			return batch
-		}
-	}
-	return batch
 }
 
 // execute runs one request on the device's engine and completes it. A
@@ -542,8 +498,8 @@ type DeviceStats struct {
 	State string
 	// Jobs counts successfully executed requests.
 	Jobs int64
-	// Dispatches counts worker wake-ups; a coalesced stored batch counts
-	// once, so Dispatches < Jobs indicates batching is occurring.
+	// Dispatches counts requests the worker took off the queue, one each,
+	// whether they executed, failed or were abandoned by their caller.
 	Dispatches int64
 	// BusyTime is the accumulated simulated device time.
 	BusyTime time.Duration
@@ -555,7 +511,7 @@ type DeviceStats struct {
 	Canceled int64
 	// QueueFull counts ErrQueueFull rejections.
 	QueueFull int64
-	// QueueWaits counts dispatches with a recorded queue wait.
+	// QueueWaits counts requests with a recorded queue wait.
 	QueueWaits int64
 	// QueueWaitMean and QueueWaitP90 summarize the wall-time queue-wait
 	// distribution (zero until the first dispatch).

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,9 +28,10 @@ type fakeInf struct {
 	calls   atomic.Int64
 	started chan struct{} // when non-nil, receives a token as a call begins
 	release chan struct{} // when non-nil, every call waits for a token
+	seen    chan []int    // when non-nil, receives a copy of each live window as its call ends
 }
 
-func (f *fakeInf) exec() (kernels.Result, infer.Timing, error) {
+func (f *fakeInf) exec(seq []int) (kernels.Result, infer.Timing, error) {
 	f.calls.Add(1)
 	if f.started != nil {
 		f.started <- struct{}{}
@@ -37,15 +39,18 @@ func (f *fakeInf) exec() (kernels.Result, infer.Timing, error) {
 	if f.release != nil {
 		<-f.release
 	}
+	if f.seen != nil && seq != nil {
+		f.seen <- append([]int(nil), seq...)
+	}
 	return kernels.Result{Probability: 0.1}, infer.Timing{Compute: f.cost}, nil
 }
 
 func (f *fakeInf) Predict(ctx context.Context, seq []int) (kernels.Result, infer.Timing, error) {
-	return f.exec()
+	return f.exec(seq)
 }
 
 func (f *fakeInf) PredictStored(ctx context.Context, ssdOff int64) (kernels.Result, infer.Timing, error) {
-	return f.exec()
+	return f.exec(nil)
 }
 
 func (f *fakeInf) SeqLen() int { return f.seqLen }
@@ -82,9 +87,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New([]infer.Inferencer{&fakeInf{seqLen: 4}}, Config{QueueDepth: -1}); err == nil {
 		t.Error("negative queue depth: expected error")
 	}
-	if _, err := New([]infer.Inferencer{&fakeInf{seqLen: 4}}, Config{BatchMax: -1}); err == nil {
-		t.Error("negative batch max: expected error")
-	}
 	s, err := New([]infer.Inferencer{&fakeInf{seqLen: 8}}, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +99,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestQueueFullBackpressure(t *testing.T) {
 	f := &fakeInf{seqLen: 8, started: make(chan struct{}, 8), release: make(chan struct{}, 8)}
-	s, err := New([]infer.Inferencer{f}, Config{QueueDepth: 1, BatchMax: 1})
+	s, err := New([]infer.Inferencer{f}, Config{QueueDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 
 func TestBlockingBackpressureHonorsCancel(t *testing.T) {
 	f := &fakeInf{seqLen: 8, started: make(chan struct{}, 8), release: make(chan struct{}, 8)}
-	s, err := New([]infer.Inferencer{f}, Config{QueueDepth: 1, Block: true, BatchMax: 1})
+	s, err := New([]infer.Inferencer{f}, Config{QueueDepth: 1, Block: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,42 +166,9 @@ func TestBlockingBackpressureHonorsCancel(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServedRequestsAreRecycled pins that a served stored request leaves no
-// garbage: its request and done channel go back to the server's pool once
-// the caller holds the response, and the worker reuses its batch scratch.
-// A live request allocates only the copy of its window.
-func TestServedRequestsAreRecycled(t *testing.T) {
-	s, err := New([]infer.Inferencer{&fakeInf{seqLen: 8}}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ctx := context.Background()
-	for name, tc := range map[string]struct {
-		call func() error
-		want float64
-	}{
-		"stored": {func() error { _, _, err := s.PredictStored(ctx, 0); return err }, 0},
-		"live":   {func() error { _, _, err := s.Predict(ctx, testSeq()); return err }, 1},
-	} {
-		var callErr error
-		allocs := testing.AllocsPerRun(200, func() {
-			if err := tc.call(); err != nil {
-				callErr = err
-			}
-		})
-		if callErr != nil {
-			t.Fatalf("%s: %v", name, callErr)
-		}
-		if allocs != tc.want {
-			t.Errorf("%s: %.0f allocations per served request, want %.0f", name, allocs, tc.want)
-		}
-	}
-}
-
 func TestCanceledQueuedRequestNeverReachesDevice(t *testing.T) {
 	f := &fakeInf{seqLen: 8, started: make(chan struct{}, 8), release: make(chan struct{}, 8)}
-	s, err := New([]infer.Inferencer{f}, Config{QueueDepth: 4, BatchMax: 1})
+	s, err := New([]infer.Inferencer{f}, Config{QueueDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,6 +206,51 @@ func TestCanceledQueuedRequestNeverReachesDevice(t *testing.T) {
 	}
 }
 
+// TestAbandonedWindowKeepsItsCopy: a caller that gives up while the engine
+// runs its window may overwrite its slice at once. The engine still reads
+// the window as submitted, and the abandoned request's buffer is not handed
+// to the next caller.
+func TestAbandonedWindowKeepsItsCopy(t *testing.T) {
+	f := &fakeInf{seqLen: 8, started: make(chan struct{}, 2), release: make(chan struct{}, 2), seen: make(chan []int, 2)}
+	s, err := New([]infer.Inferencer{f}, Config{QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	window := testSeq()
+	aErr := make(chan error, 1)
+	go func() {
+		_, _, err := s.Predict(ctx, window)
+		aErr <- err
+	}()
+	<-f.started
+	cancel()
+	if err := <-aErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned request error = %v, want context.Canceled", err)
+	}
+	for i := range window {
+		window[i] = -1
+	}
+	next := []int{9, 9, 9, 9, 9, 9, 9, 9}
+	bErr := make(chan error, 1)
+	go func() {
+		_, _, err := s.Predict(context.Background(), next)
+		bErr <- err
+	}()
+	waitQueued(t, s, 2)
+	f.release <- struct{}{}
+	f.release <- struct{}{}
+	if err := <-bErr; err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range [][]int{testSeq(), next} {
+		if got := <-f.seen; !slices.Equal(got, want) {
+			t.Errorf("engine call %d saw %v, want %v", i, got, want)
+		}
+	}
+}
+
 func TestExpiredDeadlineRejectedUpFront(t *testing.T) {
 	f := &fakeInf{seqLen: 8}
 	s, err := New([]infer.Inferencer{f}, Config{})
@@ -251,47 +265,6 @@ func TestExpiredDeadlineRejectedUpFront(t *testing.T) {
 	}
 	if f.calls.Load() != 0 {
 		t.Fatal("expired request reached the device")
-	}
-}
-
-func TestStoredScanBatching(t *testing.T) {
-	f := &fakeInf{seqLen: 8, started: make(chan struct{}, 8), release: make(chan struct{}, 8)}
-	s, err := New([]infer.Inferencer{f}, Config{QueueDepth: 8, BatchMax: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // live request holds the device while the scan burst queues
-		defer wg.Done()
-		if _, _, err := s.Predict(context.Background(), testSeq()); err != nil {
-			t.Error(err)
-		}
-	}()
-	<-f.started
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, _, err := s.PredictStored(context.Background(), int64(i*64)); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	waitQueued(t, s, 5)
-	for i := 0; i < 5; i++ {
-		f.release <- struct{}{}
-	}
-	wg.Wait()
-	st := s.Stats()
-	if st.Jobs != 5 {
-		t.Fatalf("jobs = %d, want 5", st.Jobs)
-	}
-	// The live request is one dispatch; the 4 adjacent stored requests must
-	// coalesce into a single dispatch.
-	if st.Dispatches != 2 {
-		t.Fatalf("dispatches = %d, want 2 (batching inactive)", st.Dispatches)
 	}
 }
 
@@ -379,7 +352,8 @@ func TestConcurrentStress(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	if jobs := s.Stats().Jobs; jobs != callers*perCaller {
-		t.Fatalf("total jobs = %d, want %d", jobs, callers*perCaller)
+	st := s.Stats()
+	if st.Jobs != callers*perCaller || st.Dispatches != st.Jobs {
+		t.Fatalf("jobs = %d, dispatches = %d, want %d each", st.Jobs, st.Dispatches, callers*perCaller)
 	}
 }

@@ -120,7 +120,6 @@ func TestServeCountersExposed(t *testing.T) {
 		"serve_jobs_total", "serve_dispatches_total", "serve_errors_total",
 		"serve_canceled_total", "serve_queue_full_total", "device_pending_requests",
 		"device_busy_nanoseconds_total", "device_state", "serve_queue_wait_seconds_bucket",
-		"serve_batch_size_bucket",
 	} {
 		if !strings.Contains(text, name) {
 			t.Errorf("exposition missing %s", name)

@@ -21,40 +21,34 @@ type Config struct {
 	// Capacity is the drive size in bytes; 0 defaults to 4 TB (the
 	// SmartSSD's PM1733 capacity).
 	Capacity int64
-	// PageSize is the flash page size in bytes; 0 defaults to 4096.
-	PageSize int
 	// ReadLatency is the fixed NAND access latency per read command; 0
 	// defaults to 90 µs (PM1733-class QD1 latency).
 	ReadLatency time.Duration
-	// WriteLatency is the fixed program latency per write command; 0
-	// defaults to 30 µs (controller-buffered writes).
-	WriteLatency time.Duration
 	// ReadBandwidth is sequential read throughput in bytes/s; 0 defaults to
 	// 7 GB/s (PM1733 sequential read).
 	ReadBandwidth float64
-	// WriteBandwidth is sequential write throughput in bytes/s; 0 defaults
-	// to 3.8 GB/s.
-	WriteBandwidth float64
 }
+
+// The write path and page geometry of the modeled drive.
+const (
+	// pageSize is the flash page size in bytes.
+	pageSize = 4096
+	// writeLatency is the fixed program latency per write command
+	// (controller-buffered writes).
+	writeLatency = 30 * time.Microsecond
+	// writeBandwidth is sequential write throughput in bytes/s.
+	writeBandwidth = 3.8e9
+)
 
 func (c *Config) defaults() {
 	if c.Capacity == 0 {
 		c.Capacity = 4 << 40
 	}
-	if c.PageSize == 0 {
-		c.PageSize = 4096
-	}
 	if c.ReadLatency == 0 {
 		c.ReadLatency = 90 * time.Microsecond
 	}
-	if c.WriteLatency == 0 {
-		c.WriteLatency = 30 * time.Microsecond
-	}
 	if c.ReadBandwidth == 0 {
 		c.ReadBandwidth = 7e9
-	}
-	if c.WriteBandwidth == 0 {
-		c.WriteBandwidth = 3.8e9
 	}
 }
 
@@ -62,10 +56,7 @@ func (c *Config) validate() error {
 	if c.Capacity < 0 {
 		return fmt.Errorf("ssd: negative capacity %d", c.Capacity)
 	}
-	if c.PageSize < 0 {
-		return fmt.Errorf("ssd: negative page size %d", c.PageSize)
-	}
-	if c.ReadBandwidth < 0 || c.WriteBandwidth < 0 {
+	if c.ReadBandwidth < 0 {
 		return errors.New("ssd: negative bandwidth")
 	}
 	return nil
@@ -129,21 +120,20 @@ func (d *Drive) Write(off int64, p []byte) (time.Duration, error) {
 	if d.quarantined {
 		return 0, ErrQuarantined
 	}
-	ps := int64(d.cfg.PageSize)
 	for i := 0; i < len(p); {
-		page := (off + int64(i)) / ps
-		inPage := int((off + int64(i)) % ps)
-		n := min(len(p)-i, d.cfg.PageSize-inPage)
+		page := (off + int64(i)) / pageSize
+		inPage := int((off + int64(i)) % pageSize)
+		n := min(len(p)-i, pageSize-inPage)
 		buf, ok := d.pages[page]
 		if !ok {
-			buf = make([]byte, d.cfg.PageSize)
+			buf = make([]byte, pageSize)
 			d.pages[page] = buf
 		}
 		copy(buf[inPage:inPage+n], p[i:i+n])
 		i += n
 	}
 	d.writes++
-	return d.cfg.WriteLatency + d.xferTime(len(p), d.cfg.WriteBandwidth), nil
+	return writeLatency + d.xferTime(len(p), writeBandwidth), nil
 }
 
 // Read fills p from byte offset off and returns the simulated device time.
@@ -154,14 +144,13 @@ func (d *Drive) Read(off int64, p []byte) (time.Duration, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	ps := int64(d.cfg.PageSize)
 	for i := 0; i < len(p); {
-		page := (off + int64(i)) / ps
+		page := (off + int64(i)) / pageSize
 		if err, faulty := d.failReads[page]; faulty {
 			return 0, fmt.Errorf("page %d: %w", page, err)
 		}
-		inPage := int((off + int64(i)) % ps)
-		n := min(len(p)-i, d.cfg.PageSize-inPage)
+		inPage := int((off + int64(i)) % pageSize)
+		n := min(len(p)-i, pageSize-inPage)
 		if buf, ok := d.pages[page]; ok {
 			copy(p[i:i+n], buf[inPage:inPage+n])
 		} else {
@@ -190,7 +179,7 @@ func (d *Drive) InjectReadFault(off int64) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.failReads[off/int64(d.cfg.PageSize)] = ErrMediaFault
+	d.failReads[off/pageSize] = ErrMediaFault
 	return nil
 }
 

@@ -26,9 +26,6 @@ func TestDefaults(t *testing.T) {
 	if cfg.Capacity != 4<<40 {
 		t.Errorf("default capacity = %d, want 4 TB (PM1733)", cfg.Capacity)
 	}
-	if cfg.PageSize != 4096 {
-		t.Errorf("default page size = %d", cfg.PageSize)
-	}
 	if cfg.ReadLatency != 90*time.Microsecond {
 		t.Errorf("default read latency = %v", cfg.ReadLatency)
 	}

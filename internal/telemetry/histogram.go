@@ -15,7 +15,7 @@ const (
 	// UnitSeconds: observations are nanoseconds, exposed as seconds (the
 	// Prometheus convention for latency).
 	UnitSeconds Unit = iota
-	// UnitCount: observations are dimensionless counts (batch sizes).
+	// UnitCount: observations are dimensionless counts (windows to flag).
 	UnitCount
 )
 
@@ -65,8 +65,8 @@ func DefaultLatencyBuckets() Buckets {
 	)
 }
 
-// DefaultCountBuckets covers small integer distributions such as coalesced
-// batch sizes (serve.Config.BatchMax defaults to 8).
+// DefaultCountBuckets covers small integer distributions such as the
+// windows a detector needs before it flags a process.
 func DefaultCountBuckets() Buckets {
 	return CountBuckets(1, 2, 4, 8, 16, 32, 64, 128)
 }

@@ -16,6 +16,9 @@ import (
 	"github.com/kfrida1/csdinf/internal/winapi"
 )
 
+// clipNorm bounds per-timestep state gradients during BPTT.
+const clipNorm = 5
+
 // Config controls a training run.
 type Config struct {
 	// Epochs is the maximum number of passes over the training set; 0
@@ -25,9 +28,6 @@ type Config struct {
 	BatchSize int
 	// LR is the Adam learning rate; 0 defaults to 3e-3.
 	LR float64
-	// ClipNorm bounds per-timestep state gradients during BPTT; 0 defaults
-	// to 5 (<0 disables clipping).
-	ClipNorm float64
 	// Seed drives initialization and epoch shuffling.
 	Seed int64
 	// EmbedDim is the embedding size; 0 defaults to the paper's 8.
@@ -52,9 +52,6 @@ func (c *Config) defaults() {
 	}
 	if c.LR == 0 {
 		c.LR = 3e-3
-	}
-	if c.ClipNorm == 0 {
-		c.ClipNorm = 5
 	}
 	if c.EmbedDim == 0 {
 		c.EmbedDim = 8
@@ -138,7 +135,7 @@ func Train(trainDS, testDS *dataset.Dataset, cfg Config) (*Result, error) {
 			grads.Zero()
 			for _, idx := range order[start:end] {
 				s := trainDS.Sequences[idx]
-				br, err := model.Backward(s.Items, s.Ransomware, grads, cfg.ClipNorm)
+				br, err := model.Backward(s.Items, s.Ransomware, grads, clipNorm)
 				if err != nil {
 					return nil, fmt.Errorf("train: epoch %d: %w", epoch, err)
 				}
